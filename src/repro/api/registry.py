@@ -212,7 +212,8 @@ class ProtocolEntry:
     the ``K_n``-exact fast form, synchronous the agent-level fallback
     for other topologies); ``sequential`` serves both asynchronous
     models (the dispatcher upgrades it to a counts tick engine on
-    ``K_n`` via ``as_sequential_counts``).  All realisations share one
+    ``K_n`` via ``as_sequential_counts`` once ``n * reps`` reaches the
+    counts crossover).  All realisations share one
     parameter list — they are the same protocol under different
     machines.
     """

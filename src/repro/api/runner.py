@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..core.exceptions import ConfigurationError
+from ..core.rng import split
 from .registry import DELAYS, FAULTS, INITIALS, PROTOCOLS, STOPS, TOPOLOGIES
 from .results import SimulationResult
 from .spec import SimulationSpec
@@ -90,11 +91,30 @@ class ResolvedSimulation:
         return kwargs
 
 
+def _seeded(spec: SimulationSpec, registry, name: str, params: dict, seed_param: str) -> dict:
+    """*params*, plus *seed_param* drawn from a tagged child of
+    ``spec.seed`` when the entry declares it and the spec leaves it
+    unset.  The derived value never enters the spec, so cache keys are
+    unchanged; an unseeded spec stays unseeded."""
+    if spec.seed is None or seed_param in params:
+        return params
+    if all(p.name != seed_param for p in registry.get(name).params):
+        return params
+    child = split(spec.seed, f"{registry.kind}.{seed_param}")
+    return {**params, seed_param: int(child.integers(2**63 - 1))}
+
+
 def resolve(spec: SimulationSpec) -> ResolvedSimulation:
-    """Turn a spec's names into objects and route the fastest engine."""
+    """Turn a spec's names into objects and route the fastest engine.
+
+    A random graph without ``graph_seed``, or a sampled initial state
+    without ``init_seed``, draws that seed from a tagged child of
+    ``spec.seed``, so a seeded spec is a pure function of the spec.
+    """
     from ..engine.dispatch import fastest_engine
 
-    topology = TOPOLOGIES.build(spec.topology, spec.topology_params, spec.n)
+    topology_params = _seeded(spec, TOPOLOGIES, spec.topology, spec.topology_params, "graph_seed")
+    topology = TOPOLOGIES.build(spec.topology, topology_params, spec.n)
     protocol = PROTOCOLS.get(spec.protocol).build(
         spec.model, spec.protocol_params, on_complete=topology.is_complete()
     )
@@ -103,7 +123,8 @@ def resolve(spec: SimulationSpec) -> ResolvedSimulation:
     # synchronous model, so the build always receives a tick protocol.
     for entry in spec.faults:
         protocol = FAULTS.build(entry["name"], entry["params"], protocol)
-    initial = INITIALS.build(spec.initial, spec.initial_params, spec.n)
+    initial_params = _seeded(spec, INITIALS, spec.initial, spec.initial_params, "init_seed")
+    initial = INITIALS.build(spec.initial, initial_params, spec.n)
     delay_model = None if spec.delay is None else DELAYS.build(spec.delay, spec.delay_params)
     stop = STOPS.build(spec.stop, spec.stop_params)
     engine = fastest_engine(

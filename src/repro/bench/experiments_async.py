@@ -16,10 +16,10 @@ import numpy as np
 from ..analysis import statistics as stats
 from ..analysis.convergence import synchrony_summary
 from ..analysis.polya import PolyaUrn, limit_fraction_variance
-from ..api import CampaignSpec, SimulationSpec, SweepSpec, run_campaign
 from ..core.colors import ColorConfiguration
 from ..engine.continuous import ContinuousEngine
 from ..engine.delays import ExponentialDelay
+from ..engine.ensemble import EnsembleCountsSequentialEngine, run_replicated
 from ..engine.sequential import SequentialEngine
 from ..graphs.complete import CompleteGraph
 from ..protocols.async_plurality import AsyncPluralityConsensus, AsyncPluralityProtocol
@@ -270,27 +270,12 @@ def experiment_t10_model_equivalence(scale: ExperimentScale) -> ExperimentReport
         continuous = ContinuousEngine(protocol, topology)
         seq_results = run_trials(lambda s: sequential.run(config, seed=s), trials, scale.seed)
         cont_results = run_trials(lambda s: continuous.run(config, seed=s), trials, scale.seed + 1)
-        # The fast path goes through the declarative front door as a
-        # singleton campaign: the reference engines above are
-        # deliberately hand-wired (they ARE the baselines being
-        # compared), while the dispatched leg is exactly what
-        # `run_campaign` routes through `simulate` for this spec.
-        fast_sim = run_campaign(
-            CampaignSpec(
-                base=SimulationSpec(
-                    protocol="two-choices",
-                    n=n,
-                    model="sequential",
-                    initial="two-colors",
-                    initial_params={"gap": gap},
-                    reps=trials,
-                ),
-                sweep=SweepSpec(axes={"seed": [scale.seed + 2]}, mode="zip"),
-                name="T10/fast-path",
-            ),
-            executor="serial",
-        ).points[0].result
-        fast_results = fast_sim.runs
+        # The counts fast path is hand-wired like the reference engines:
+        # at this n * trials (below COUNTS_TICK_CROSSOVER) the
+        # dispatcher routes the spec to the agent engine, so the leg
+        # builds the ensemble counts engine itself to keep testing its law.
+        fast_engine = EnsembleCountsSequentialEngine(protocol.as_sequential_counts())
+        fast_results = run_replicated(fast_engine, config, trials, seed=scale.seed + 2)
         seq_times = [r.parallel_time for r in seq_results if r.converged]
         cont_times = [r.parallel_time for r in cont_results if r.converged]
         fast_times = [r.parallel_time for r in fast_results if r.converged]
@@ -317,8 +302,10 @@ def experiment_t10_model_equivalence(scale: ExperimentScale) -> ExperimentReport
             "both_always_converge": len(seq_times) == trials and len(cont_times) == trials,
             # Whole-distribution agreement, not just the means.
             "ks_test_not_rejected": ks_pvalue >= 0.01,
-            # The dispatcher's K_n fast path is a drop-in: same law.
-            "fast_path_is_counts_engine": fast_sim.engine == "EnsembleCountsSequentialEngine",
+            # The K_n counts fast path is a drop-in: same law.
+            "fast_path_is_counts_engine": all(
+                r.metadata["engine"] == "ensemble-counts-sequential" for r in fast_results
+            ),
             "fast_path_always_converges": len(fast_times) == trials,
             "fast_path_cis_overlap": fast_overlap,
             "fast_path_ks_not_rejected": fast_ks_pvalue >= 0.01,

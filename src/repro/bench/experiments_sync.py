@@ -25,6 +25,7 @@ from ..analysis import statistics as stats
 from ..analysis import theory
 from ..analysis.convergence import per_phase_ratio_growth, ratio_trace
 from ..api import CampaignSpec, SimulationSpec, SweepSpec, run_campaign
+from ..engine.dispatch import COUNTS_TICK_CROSSOVER
 from ..protocols.one_extra_bit import default_bp_rounds
 from .harness import ExperimentReport, ExperimentScale, timed
 
@@ -428,8 +429,8 @@ def experiment_t11_protocol_comparison(scale: ExperimentScale) -> ExperimentRepo
 
         # Asynchronous landscape probe: the same scenario-A workload in
         # the sequential tick model, as a singleton campaign; the
-        # dispatcher routes it so K_n picks up the ensemble-vectorised
-        # counts fast path (all trials advance per numpy batch).
+        # dispatcher routes it by n * trials (the counts crossover), and
+        # the notes column names the engine that ran.
         scenario_name, initial, initial_params, _, n = scenarios[0]
         async_trials = min(3, scale.trials)
         async_sim = run_campaign(
@@ -468,10 +469,14 @@ def experiment_t11_protocol_comparison(scale: ExperimentScale) -> ExperimentRepo
             "one_extra_bit_fastest_at_k128": outcome[("C", "one-extra-bit")][0]
             < outcome[("C", "two-choices")][0],
             "one_extra_bit_preserves_plurality": outcome[("B", "one-extra-bit")][1] >= 0.8,
-            # The async fast path dispatches to the (ensemble) counts
-            # engine and agrees with the synchronous landscape.
+            # The async probe dispatches by the counts crossover in
+            # n * trials and agrees with the synchronous landscape.
             "async_fast_path_dispatched": async_results[0].metadata["engine"]
-            in ("counts-sequential", "ensemble-counts-sequential"),
+            in (
+                ("counts-sequential", "ensemble-counts-sequential")
+                if n * async_trials >= COUNTS_TICK_CROSSOVER
+                else ("sequential",)
+            ),
             "async_two_choices_wins_scenario_A": async_preserved >= 0.8,
         }
     report = ExperimentReport(

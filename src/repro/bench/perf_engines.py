@@ -13,9 +13,9 @@ The workload is fixed — asynchronous Two-Choices on ``K_n`` from a
 * ``two-choices/fast`` — the event-skipping counts simulator
   (:func:`repro.protocols.two_choices_fast.two_choices_sequential_fast`).
 * ``counts-sequential`` / ``counts-continuous`` — the batched tick
-  engines, built through
-  :func:`repro.engine.dispatch.fastest_engine` so the benchmark also
-  exercises the dispatch wiring.
+  engines, built directly: :func:`repro.engine.dispatch.fastest_engine`
+  routes ``K_n`` runs below its counts crossover to the agent engines,
+  so dispatching would time the wrong engine at small ``n``.
 
 On top of the single-run engine table, the payload carries an
 *ensemble* section: for each ``R`` in ``ensemble_reps`` it times R
@@ -41,11 +41,12 @@ import numpy as np
 
 from ..core.rng import spawn_seed_sequences
 from ..engine.continuous import ContinuousEngine
-from ..engine.dispatch import fastest_engine
+from ..engine.counts_async import CountsContinuousEngine, CountsSequentialEngine
+from ..engine.ensemble import EnsembleCountsSequentialEngine
 from ..engine.sequential import SequentialEngine
 from ..graphs.complete import CompleteGraph
 from ..protocols.base import SequentialProtocol
-from ..protocols.two_choices import TwoChoicesSequential
+from ..protocols.two_choices import TwoChoicesSequential, TwoChoicesSequentialCounts
 from ..protocols.two_choices_fast import two_choices_sequential_fast
 from ..workloads.initial import benchmark_split
 from .store import bench_environment, save_bench_payload
@@ -99,11 +100,11 @@ def _engine_specs():
         return lambda config, seed: two_choices_sequential_fast(config, seed=seed)
 
     def counts_sequential(n):
-        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(n), model="sequential")
+        engine = CountsSequentialEngine(TwoChoicesSequentialCounts())
         return lambda config, seed: engine.run(config, seed=seed)
 
     def counts_continuous(n):
-        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(n), model="continuous")
+        engine = CountsContinuousEngine(TwoChoicesSequentialCounts())
         return lambda config, seed: engine.run(config, seed=seed)
 
     return [
@@ -136,11 +137,8 @@ def _benchmark_ensemble(
             # side alone would dominate the benchmark's wall time.
             continue
         config = benchmark_split(n)
-        topology = CompleteGraph(n)
-        looped_engine = fastest_engine(TwoChoicesSequential(), topology, model="sequential")
-        ensemble_engine = fastest_engine(
-            TwoChoicesSequential(), topology, model="sequential", n_reps=max(ensemble_reps)
-        )
+        looped_engine = CountsSequentialEngine(TwoChoicesSequentialCounts())
+        ensemble_engine = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
         for reps in ensemble_reps:
             start = time.perf_counter()
             looped = [

@@ -7,26 +7,100 @@ only valid on ``K_n``.  :func:`fastest_engine` encodes the routing
 table so benchmarks, the CLI and library users pick up new fast paths
 automatically instead of hard-coding engine classes:
 
-==================  =======================  ===============================
-model               on ``K_n``               elsewhere / with delays
-==================  =======================  ===============================
-``"synchronous"``   CountsEngine (counts     SynchronousEngine
+==================  =========================  ===============================
+model               on ``K_n``                 elsewhere / with delays
+==================  =========================  ===============================
+``"synchronous"``   CountsEngine (counts       SynchronousEngine
                     protocols) else
                     SynchronousEngine
-``"sequential"``    CountsSequentialEngine   footprint protocols: Sparse-
-                    when the protocol has a  SequentialEngine from
-                    counts-level tick law    ``n >= 30_000``, the zip-apply
-                                             SequentialEngine below (see the
-                                             crossover note); else
-                                             SequentialEngine
-``"continuous"``    CountsContinuousEngine   zero-delay: SparseContinuous-
-                    when zero-delay and a    Engine when a tick footprint is
-                    counts-level tick law    declared, else ContinuousEngine;
-                                             a real delay model always forces
-                                             ContinuousEngine
-==================  =======================  ===============================
+``"sequential"``    CountsSequentialEngine     footprint protocols: Sparse-
+                    when the protocol has a    SequentialEngine from
+                    counts-level tick law and  ``n >= 30_000``, the zip-apply
+                    ``n * n_reps >= 100_000``  SequentialEngine below (see the
+                    (counts crossover), else   sparse crossover note); else
+                    SequentialEngine           SequentialEngine
+``"continuous"``    CountsContinuousEngine     zero-delay: SparseContinuous-
+                    when zero-delay, a         Engine when a tick footprint is
+                    counts-level tick law and  declared, else ContinuousEngine;
+                    ``n * n_reps >= 100_000``  a real delay model always forces
+                    else ContinuousEngine      ContinuousEngine
+==================  =========================  ===============================
 
-Crossover note (sequential model, off ``K_n``)
+Protocols built directly as counts tick protocols
+(:class:`~repro.protocols.base.SequentialCountsProtocol`) always run
+on the counts engines: they have no agent-level form.
+
+Counts-crossover note (asynchronous models, on ``K_n``)
+    A counts tick engine advances ``B = round(n / 256)`` ticks (at least
+    one) per multinomial batch, so a run costs about ``256 * T``
+    batches for ``T`` units of parallel time once ``n >= 384``, and one
+    batch per tick below; the ensembles stack ``R`` replications into
+    each batch.  The per-tick agent engines cost ``~ n * R * T``.  The
+    counts route therefore wins only from a fixed amount of work in
+    ``n * n_reps``: :data:`COUNTS_TICK_CROSSOVER` (``10^5``) and up take
+    the counts companion (its ensemble twin for ``n_reps > 1``), below
+    it :class:`~repro.engine.sequential.SequentialEngine` /
+    :class:`~repro.engine.continuous.ContinuousEngine` run and
+    :func:`~repro.engine.ensemble.run_replicated` loops them on
+    spawn-child seeds.  Below the crossover the reroute is also the
+    more exact one: the agent engines follow the tick law exactly,
+    while a counts batch with ``B > 1`` carries an ``O(B / n)``
+    frozen-rate error (:mod:`repro.engine.counts_async`).
+
+    Measured grid (wall ms per ``simulate``-shaped call, ``k = 4``
+    multiplicative-bias initial, run to consensus; best of 3 where
+    ``n * R <= 2e4``, else one run; numpy kernel, one pinned CPU of a
+    2-vCPU Xeon container).  Each cell is counts route / agent route
+    in ms; ``*`` marks the engine this table routes to.
+
+    Sequential model:
+
+    ============  =======  ================  ================  ================  ================
+    protocol      n        R = 1             R = 6             R = 20            R = 64
+    ============  =======  ================  ================  ================  ================
+    2-choices     100      36 / 1.4*         76 / 8.7*         136 / 50*         202 / 102*
+    2-choices     1e3      165 / 7.3*        273 / 50*         390 / 167*        640 / 450*
+    2-choices     1e4      149 / 32*         306 / 219*        559* / 1004       817* / 3077
+    2-choices     1e5      263* / 368        497* / 2050       630* / 6843       888* / 22623
+    3-majority    100      49 / 3.8*         159 / 24*         137 / 59*         245 / 294*
+    3-majority    1e3      289 / 15*         404 / 94*         493 / 283*        776 / 926*
+    3-majority    1e4      257 / 50*         453 / 446*        599* / 1518       1286* / 4621
+    3-majority    1e5      342* / 538        567* / 3094       848* / 9789       1551* / 33322
+    undecided     100      109 / 5.3*        130 / 25*         213 / 101*        273 / 298*
+    undecided     1e3      173 / 10*         530 / 119*        626 / 347*        1427 / 1290*
+    undecided     1e4      308 / 89*         557 / 533*        680* / 1655       1044* / 5767
+    undecided     1e5      364* / 540        781* / 3675       981* / 11522      1721* / 36776
+    ============  =======  ================  ================  ================  ================
+
+    Continuous model:
+
+    ============  =======  ================  ================  ================  ================
+    protocol      n        R = 1             R = 6             R = 20            R = 64
+    ============  =======  ================  ================  ================  ================
+    2-choices     100      52 / 2.6*         166 / 13*         255 / 50*         289 / 140*
+    2-choices     1e3      167 / 9.5*        427 / 64*         564 / 164*        831 / 730*
+    2-choices     1e4      246 / 53*         489 / 328*        921* / 1006       1167* / 3413
+    2-choices     1e5      331* / 469        692* / 2455       846* / 8637       1324* / 23702
+    3-majority    100      65 / 2.3*         170 / 41*         262 / 75*         384 / 294*
+    3-majority    1e3      202 / 13*         570 / 94*         785 / 280*        900 / 1093*
+    3-majority    1e4      330 / 76*         754 / 498*        923* / 1562       1245* / 4738
+    3-majority    1e5      375* / 589        678* / 3191       926* / 9916       1692* / 33636
+    undecided     100      94 / 6.1*         261 / 32*         404 / 115*        453 / 311*
+    undecided     1e3      226 / 16*         794 / 99*         1047 / 462*       1392 / 1482*
+    undecided     1e4      355 / 102*        869 / 572*        1061* / 2034      1600* / 6863
+    undecided     1e5      519* / 1057       1001* / 4272      1519* / 13247     2001* / 41792
+    ============  =======  ================  ================  ================  ================
+
+    The routed engine is within 1.33x of the fastest exact engine
+    (counts, agent or sparse) in every cell; routing every cell to the
+    counts engines was up to 28x off.  Per-cell crossovers sit
+    near ``n = 5e4`` at ``R = 1`` and fall roughly as ``1 / R``, so one
+    constant in ``n * R`` fits both models and all three protocols.
+    Voter, left out of the grid for its ``Theta(n)`` parallel time,
+    agrees where it is cheap to time: sequential, ``R = 1``, counts 269
+    vs agent 19 ms at ``n = 100`` and 3623 vs 294 ms at ``n = 10^3``.
+
+Sparse-crossover note (sequential model, off ``K_n``)
     The hazard-batched sparse engine amortises its per-block scan work
     over ``~sqrt(n)``-wide chunks, so it wins for large ``n`` (1.4x at
     ``n = 10^5`` on a torus) but *loses* to the fixed-batch zip-apply
@@ -40,9 +114,11 @@ Crossover note (sequential model, off ``K_n``)
     :func:`~repro.core.hazard.apply_hazard_free` entry point, and both
     engines remain law-exact, so the crossover only tunes the numpy
     fallback's constant factors.  The continuous model keeps the sparse
-    engine at every ``n``: its alternative is the per-event queue of
-    :class:`~repro.engine.continuous.ContinuousEngine`, which is slower
-    at any size.
+    engine at every ``n`` off ``K_n``; on ``K_n`` below the counts
+    crossover the per-event :class:`~repro.engine.continuous.ContinuousEngine`
+    runs instead: in the grid's cells below that crossover it took
+    0.50-1.33x the sparse engine's time (median 0.86x, faster in 26 of
+    30 cells).
 
 The ensemble rows accept a ``backend=`` parameter (forwarded to the
 :mod:`repro.engine.ensemble` constructors) selecting the count-array
@@ -57,9 +133,12 @@ no exact ensemble form return the single-run engine and the caller
 loops (see :func:`repro.engine.ensemble.run_replicated`).
 
 Every returned engine draws from the *same law* as the engine it
-replaces (see the exactness notes in :mod:`repro.engine.counts_async`
-and :mod:`repro.engine.ensemble`), so swapping in
-:func:`fastest_engine` changes wall-clock time only.
+replaces, up to the counts batches' ``O(B / n)`` error (see the
+exactness notes in :mod:`repro.engine.counts_async` and
+:mod:`repro.engine.ensemble`), so swapping in :func:`fastest_engine`
+changes wall-clock time, not the distribution of results.  A route
+change does change a seeded spec's *values*: the engines consume
+their streams differently.
 """
 
 from __future__ import annotations
@@ -89,14 +168,20 @@ from .sequential import SequentialEngine
 from .sparse_async import SparseContinuousEngine, SparseSequentialEngine
 from .synchronous import SynchronousEngine
 
-__all__ = ["fastest_engine", "SPARSE_SEQUENTIAL_CROSSOVER"]
+__all__ = ["fastest_engine", "COUNTS_TICK_CROSSOVER", "SPARSE_SEQUENTIAL_CROSSOVER"]
 
 AnyProtocol = Union[SynchronousProtocol, CountsProtocol, SequentialProtocol, SequentialCountsProtocol]
 
 #: node count from which the hazard-batched sparse engine beats the
-#: zip-apply hooks path in the sequential model (see the crossover note
-#: above; calibrated by benchmarks/bench_sparse.py's mixed-phase rows).
+#: zip-apply hooks path in the sequential model (see the sparse-crossover
+#: note above; calibrated by benchmarks/bench_sparse.py's mixed-phase rows).
 SPARSE_SEQUENTIAL_CROSSOVER = 30_000
+
+#: ``n * n_reps`` from which a tick protocol's counts companion beats
+#: the per-tick agent engines on ``K_n`` (see the counts-crossover note
+#: above; measured on both asynchronous models with Two-Choices,
+#: 3-Majority and Undecided-State, Voter spot-checked).
+COUNTS_TICK_CROSSOVER = 100_000
 
 
 def fastest_engine(
@@ -124,7 +209,10 @@ def fastest_engine(
         Response delays for the continuous model; a non-zero delay
         model forces the event-queue engine.
     n_reps:
-        How many independent replications the caller wants.  With
+        How many independent replications the caller wants.  It also
+        sets the work the counts crossover weighs: tick protocols take
+        their counts companion on ``K_n`` only from ``topology.n *
+        n_reps >= COUNTS_TICK_CROSSOVER``.  With
         ``n_reps > 1`` the counts-level routes return the
         ensemble-vectorised engines (``run_ensemble`` instead of
         ``run``) when an exact ensemble form exists; otherwise the
@@ -203,7 +291,7 @@ def fastest_engine(
     if not isinstance(protocol, SequentialProtocol):
         raise ConfigurationError(f"{protocol.name} does not implement the {model} model")
 
-    if zero_delay and on_complete:
+    if zero_delay and on_complete and topology.n * n_reps >= COUNTS_TICK_CROSSOVER:
         companion = protocol.as_sequential_counts()
         if companion is not None:
             return counts_engine(companion)
@@ -219,7 +307,7 @@ def fastest_engine(
         if topology.n >= SPARSE_SEQUENTIAL_CROSSOVER:
             return SparseSequentialEngine(protocol, topology)
         # Below the crossover the zip-apply hooks path is faster in the
-        # mixed phase (see the crossover note above); it shares the
+        # mixed phase (see the sparse-crossover note above); it shares the
         # hazard/kernel core, so exactness is unaffected.
 
     if model == "continuous":

@@ -26,7 +26,7 @@ from repro.api import (
     simulate,
 )
 from repro.core.exceptions import ConfigurationError
-from repro.engine.dispatch import fastest_engine
+from repro.engine.dispatch import COUNTS_TICK_CROSSOVER, fastest_engine
 from repro.engine.ensemble import run_replicated
 from repro.graphs.complete import CompleteGraph
 from repro.workloads.initial import two_colors
@@ -472,7 +472,10 @@ class TestSimulateSurface:
         resolved = resolve(spec)
         assert resolved.topology.n == 100
         assert resolved.initial.n == 100
-        assert type(resolved.engine).__name__ == "CountsSequentialEngine"
+        # Below the counts crossover K_n tick specs run the agent engine.
+        assert type(resolved.engine).__name__ == "SequentialEngine"
+        at_crossover = resolve(spec.replace(n=COUNTS_TICK_CROSSOVER))
+        assert type(at_crossover.engine).__name__ == "CountsSequentialEngine"
 
     def test_result_to_dict_round_trips_spec(self):
         spec = SimulationSpec(protocol="voter", n=200, reps=2, seed=3)
@@ -519,3 +522,51 @@ class TestSimulateSurface:
         assert summary["converged"] == 4
         assert summary["min_parallel_time"] <= summary["mean_parallel_time"] <= summary["max_parallel_time"]
         assert sim.convergence_times() == [r.parallel_time for r in sim.runs]
+
+
+def _canon(payload):
+    """Canonical JSON without the wall clock: NaN summaries compare equal."""
+    return json.dumps({k: v for k, v in payload.items() if k != "elapsed_seconds"}, sort_keys=True)
+
+
+class TestDerivedSeeds:
+    """A seeded spec is a pure function of the spec, also when a random
+    graph or a sampled initial state leaves its own seed unset."""
+
+    RANDOM_GRAPH = SimulationSpec(
+        protocol="two-choices", n=400, topology="random-regular",
+        topology_params={"degree": 4}, seed=7, max_steps=4000,
+    )
+    SAMPLED_INITIAL = SimulationSpec(
+        protocol="two-choices", n=400, initial="zipf-sampled", initial_params={"k": 4}, seed=7,
+    )
+
+    @pytest.mark.parametrize("spec", [RANDOM_GRAPH, SAMPLED_INITIAL], ids=["random-regular", "zipf-sampled"])
+    def test_two_simulate_calls_are_value_equal(self, spec):
+        assert _canon(simulate(spec).to_dict()) == _canon(simulate(spec).to_dict())
+
+    def test_graph_follows_spec_seed(self):
+        def adjacency(spec):
+            topology = resolve(spec).topology
+            return [list(topology.neighbors_of(v)) for v in range(topology.n)]
+
+        spec = self.RANDOM_GRAPH
+        assert adjacency(spec) != adjacency(spec.replace(seed=8))
+        # An explicit graph_seed wins over the derived one.
+        pinned = spec.replace(topology_params={"degree": 4, "graph_seed": 5})
+        built = TOPOLOGIES.build("random-regular", {"degree": 4, "graph_seed": 5}, 400)
+        assert adjacency(pinned) == [list(built.neighbors_of(v)) for v in range(400)]
+
+    def test_derived_seed_stays_out_of_the_spec(self):
+        from repro.api.cache import spec_key
+
+        spec = self.SAMPLED_INITIAL
+        key = spec_key(spec)
+        sim = simulate(spec)
+        assert sim.spec.initial_params == {"k": 4}
+        assert spec_key(sim.spec) == key
+
+    def test_unseeded_spec_stays_unseeded(self):
+        spec = self.SAMPLED_INITIAL.replace(seed=None, initial_params={"k": 8})
+        draws = {resolve(spec).initial.counts for _ in range(4)}
+        assert len(draws) > 1

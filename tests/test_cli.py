@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.dispatch import COUNTS_TICK_CROSSOVER
 
 
 class TestParser:
@@ -64,9 +65,16 @@ class TestMain:
         assert "epsilon*" in out  # required-param marker
 
     def test_simulate_runs_and_summarizes(self, capsys):
+        # n * reps below the counts crossover: looped agent runs ...
         assert main(["simulate", "two-choices", "--n", "2000", "--reps", "3", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert "EnsembleCountsSequentialEngine" in out
+        assert "engine: SequentialEngine " in out
+        assert "converged" in out and "3/3" in out
+        # ... and at it, the stacked counts ensemble.
+        n = str(-(-COUNTS_TICK_CROSSOVER // 3))
+        assert main(["simulate", "two-choices", "--n", n, "--reps", "3", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "engine: EnsembleCountsSequentialEngine " in out
         assert "converged" in out and "3/3" in out
 
     def test_simulate_quick_shrinks_n(self, capsys):

@@ -33,6 +33,7 @@ from repro.engine import (
     fastest_engine,
 )
 from repro.engine.delays import FixedDelay
+from repro.engine.dispatch import COUNTS_TICK_CROSSOVER
 from repro.graphs.complete import CompleteGraph
 from repro.graphs.families import hypercube
 from repro.analysis.statistics import ks_two_sample
@@ -239,12 +240,19 @@ class TestCrossEngineAgreement:
 
 class TestDispatch:
     def test_sequential_on_complete_takes_counts_fast_path(self):
-        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(100), model="sequential")
+        big = CompleteGraph(COUNTS_TICK_CROSSOVER)
+        engine = fastest_engine(TwoChoicesSequential(), big, model="sequential")
         assert isinstance(engine, CountsSequentialEngine)
+        # Below the counts crossover the per-tick agent engine wins.
+        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(100), model="sequential")
+        assert isinstance(engine, SequentialEngine)
 
     def test_continuous_on_complete_takes_counts_fast_path(self):
-        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(100), model="continuous")
+        big = CompleteGraph(COUNTS_TICK_CROSSOVER)
+        engine = fastest_engine(TwoChoicesSequential(), big, model="continuous")
         assert isinstance(engine, CountsContinuousEngine)
+        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(100), model="continuous")
+        assert isinstance(engine, ContinuousEngine)
 
     def test_sequential_counts_protocol_direct(self):
         engine = fastest_engine(TwoChoicesSequentialCounts(), CompleteGraph(100))
@@ -289,8 +297,10 @@ class TestDispatch:
             fastest_engine(TwoChoicesCounts(), hypercube(5), model="synchronous")
 
     def test_fast_path_runs_and_converges(self):
-        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(1000), model="sequential")
-        result = engine.run(ColorConfiguration([700, 300]), seed=1)
+        big = CompleteGraph(COUNTS_TICK_CROSSOVER)
+        engine = fastest_engine(TwoChoicesSequential(), big, model="sequential")
+        n = COUNTS_TICK_CROSSOVER
+        result = engine.run(ColorConfiguration([n - 3 * n // 10, 3 * n // 10]), seed=1)
         assert result.converged and result.winner == 0
         assert result.metadata["engine"] == "counts-sequential"
 

@@ -14,13 +14,12 @@ from repro.engine.continuous import ContinuousEngine
 from repro.engine.counts import CountsEngine
 from repro.engine.counts_async import CountsContinuousEngine, CountsSequentialEngine
 from repro.engine.delays import ExponentialDelay, FixedDelay
-from repro.engine.dispatch import fastest_engine
+from repro.engine.dispatch import COUNTS_TICK_CROSSOVER, SPARSE_SEQUENTIAL_CROSSOVER, fastest_engine
 from repro.engine.ensemble import (
     EnsembleCountsContinuousEngine,
     EnsembleCountsEngine,
     EnsembleCountsSequentialEngine,
 )
-from repro.engine.dispatch import SPARSE_SEQUENTIAL_CROSSOVER
 from repro.engine.sequential import SequentialEngine
 from repro.engine.sparse_async import SparseContinuousEngine, SparseSequentialEngine
 from repro.engine.synchronous import SynchronousEngine
@@ -42,6 +41,14 @@ from repro.protocols.undecided_state import UndecidedStateCounts, UndecidedState
 from repro.protocols.voter import VoterCounts, VoterSequential
 
 K_N = CompleteGraph(64)
+# K_n tick specs take the counts companion from n * n_reps >=
+# COUNTS_TICK_CROSSOVER: graphs at and just below it, for one run and
+# for R = 8 stacked replications (complete graphs cost nothing to build).
+R = 8
+BIG_K_N = CompleteGraph(COUNTS_TICK_CROSSOVER)
+SUB_K_N = CompleteGraph(COUNTS_TICK_CROSSOVER - 1)
+BIG_K_N_R = CompleteGraph(-(-COUNTS_TICK_CROSSOVER // R))
+SUB_K_N_R = CompleteGraph(-(-COUNTS_TICK_CROSSOVER // R) - 1)
 RING = ring(64)
 # A ring at/above the sequential-model size crossover: large enough
 # that the hazard-batched engine's block amortisation wins (CSR rings
@@ -84,16 +91,32 @@ ROUTING_TABLE = [
     ("agent/sync/ring/R", TwoChoicesSynchronous, "synchronous", RING, None, 8, SynchronousEngine),
     ("agent-oeb/sync/ring/1", OneExtraBitSynchronous, "synchronous", RING, None, 1, SynchronousEngine),
     # --- sequential model -------------------------------------------------
-    # Tick protocols with a counts companion upgrade on K_n ...
-    ("seq/K_n/1", TwoChoicesSequential, "sequential", K_N, None, 1, CountsSequentialEngine),
-    ("seq/K_n/R", TwoChoicesSequential, "sequential", K_N, None, 8, EnsembleCountsSequentialEngine),
-    ("seq-voter/K_n/1", VoterSequential, "sequential", K_N, None, 1, CountsSequentialEngine),
-    ("seq-voter/K_n/R", VoterSequential, "sequential", K_N, None, 8, EnsembleCountsSequentialEngine),
-    ("seq-3maj/K_n/R", ThreeMajoritySequential, "sequential", K_N, None, 8, EnsembleCountsSequentialEngine),
-    ("seq-usd/K_n/R", UndecidedStateSequential, "sequential", K_N, None, 8, EnsembleCountsSequentialEngine),
-    # ... and counts tick protocols route there directly.
+    # Tick protocols with a counts companion upgrade on K_n from the
+    # counts crossover in n * n_reps; below it the per-tick agent engine
+    # wins (run_replicated loops it for reps > 1) ...
+    ("seq/K_n/1", TwoChoicesSequential, "sequential", K_N, None, 1, SequentialEngine),
+    ("seq/K_n/R", TwoChoicesSequential, "sequential", K_N, None, R, SequentialEngine),
+    ("seq/sub-K_n/1", TwoChoicesSequential, "sequential", SUB_K_N, None, 1, SequentialEngine),
+    ("seq/sub-K_n/R", TwoChoicesSequential, "sequential", SUB_K_N_R, None, R, SequentialEngine),
+    ("seq/big-K_n/1", TwoChoicesSequential, "sequential", BIG_K_N, None, 1, CountsSequentialEngine),
+    ("seq/big-K_n/R", TwoChoicesSequential, "sequential", BIG_K_N_R, None, R, EnsembleCountsSequentialEngine),
+    # n alone does not decide: a graph below the crossover for one run
+    # crosses it with enough replications.
+    ("seq/big-K_n-R/1", TwoChoicesSequential, "sequential", BIG_K_N_R, None, 1, SequentialEngine),
+    ("seq-voter/K_n/1", VoterSequential, "sequential", K_N, None, 1, SequentialEngine),
+    ("seq-voter/K_n/R", VoterSequential, "sequential", K_N, None, R, SequentialEngine),
+    ("seq-voter/big-K_n/1", VoterSequential, "sequential", BIG_K_N, None, 1, CountsSequentialEngine),
+    ("seq-voter/big-K_n/R", VoterSequential, "sequential", BIG_K_N_R, None, R, EnsembleCountsSequentialEngine),
+    ("seq-3maj/K_n/R", ThreeMajoritySequential, "sequential", K_N, None, R, SequentialEngine),
+    ("seq-3maj/sub-K_n/R", ThreeMajoritySequential, "sequential", SUB_K_N_R, None, R, SequentialEngine),
+    ("seq-3maj/big-K_n/R", ThreeMajoritySequential, "sequential", BIG_K_N_R, None, R, EnsembleCountsSequentialEngine),
+    ("seq-usd/K_n/R", UndecidedStateSequential, "sequential", K_N, None, R, SequentialEngine),
+    ("seq-usd/sub-K_n/1", UndecidedStateSequential, "sequential", SUB_K_N, None, 1, SequentialEngine),
+    ("seq-usd/big-K_n/1", UndecidedStateSequential, "sequential", BIG_K_N, None, 1, CountsSequentialEngine),
+    ("seq-usd/big-K_n/R", UndecidedStateSequential, "sequential", BIG_K_N_R, None, R, EnsembleCountsSequentialEngine),
+    # ... while counts tick protocols route there directly at any size.
     ("seq-counts/K_n/1", TwoChoicesSequentialCounts, "sequential", K_N, None, 1, CountsSequentialEngine),
-    ("seq-counts/K_n/R", TwoChoicesSequentialCounts, "sequential", K_N, None, 8, EnsembleCountsSequentialEngine),
+    ("seq-counts/K_n/R", TwoChoicesSequentialCounts, "sequential", K_N, None, R, EnsembleCountsSequentialEngine),
     # Off K_n a declared tick footprint routes by size: below the
     # crossover the zip-apply hooks path of SequentialEngine wins the
     # mixed phase, from the crossover up the hazard-batched engine's
@@ -115,6 +138,7 @@ ROUTING_TABLE = [
     # No counts companion (the phased protocol): agent engine even on K_n.
     ("seq-async-plurality/K_n/1", AsyncPluralityProtocol, "sequential", K_N, None, 1, SequentialEngine),
     ("seq-async-plurality/K_n/R", AsyncPluralityProtocol, "sequential", K_N, None, 8, SequentialEngine),
+    ("seq-async-plurality/big-K_n/1", AsyncPluralityProtocol, "sequential", BIG_K_N, None, 1, SequentialEngine),
     # --- fault wrappers ---------------------------------------------------
     # Wrappers never expose a counts companion (per-node masks have no
     # counts-level law), so even on K_n the agent engines run.  Lossy
@@ -127,6 +151,7 @@ ROUTING_TABLE = [
     ("fault-lossy/big-ring/1", _lossy, "sequential", BIG_RING, None, 1, SequentialEngine),
     ("fault-lossy/ring/cont", _lossy, "continuous", RING, None, 1, ContinuousEngine),
     ("fault-stubborn/K_n/1", _stubborn, "sequential", K_N, None, 1, SequentialEngine),
+    ("fault-stubborn/big-K_n/1", _stubborn, "sequential", BIG_K_N, None, 1, SequentialEngine),
     ("fault-stubborn/ring/1", _stubborn, "sequential", RING, None, 1, SequentialEngine),
     ("fault-stubborn/big-ring/1", _stubborn, "sequential", BIG_RING, None, 1, SparseSequentialEngine),
     ("fault-stubborn/ring/cont", _stubborn, "continuous", RING, None, 1, SparseContinuousEngine),
@@ -143,17 +168,28 @@ ROUTING_TABLE = [
     ("dynamic-big-ring/seq/1", TwoChoicesSequential, "sequential", BIG_DYNAMIC_RING, None, 1, SparseSequentialEngine),
     ("dynamic-ring/seq/stubborn", _stubborn, "sequential", DYNAMIC_RING, None, 1, SequentialEngine),
     # --- continuous model -------------------------------------------------
-    ("cont/K_n/1", TwoChoicesSequential, "continuous", K_N, None, 1, CountsContinuousEngine),
-    ("cont/K_n/R", TwoChoicesSequential, "continuous", K_N, None, 8, EnsembleCountsContinuousEngine),
+    # The counts crossover applies to the Poisson-clock model too; below
+    # it the event-queue engine runs (faster than the counts engines and,
+    # in most measured cells, than the sparse engine on K_n).
+    ("cont/K_n/1", TwoChoicesSequential, "continuous", K_N, None, 1, ContinuousEngine),
+    ("cont/K_n/R", TwoChoicesSequential, "continuous", K_N, None, R, ContinuousEngine),
+    ("cont/sub-K_n/1", TwoChoicesSequential, "continuous", SUB_K_N, None, 1, ContinuousEngine),
+    ("cont/sub-K_n/R", TwoChoicesSequential, "continuous", SUB_K_N_R, None, R, ContinuousEngine),
+    ("cont/big-K_n/1", TwoChoicesSequential, "continuous", BIG_K_N, None, 1, CountsContinuousEngine),
+    ("cont/big-K_n/R", TwoChoicesSequential, "continuous", BIG_K_N_R, None, R, EnsembleCountsContinuousEngine),
+    ("cont-3maj/big-K_n/R", ThreeMajoritySequential, "continuous", BIG_K_N_R, None, R, EnsembleCountsContinuousEngine),
+    ("cont-usd/sub-K_n/R", UndecidedStateSequential, "continuous", SUB_K_N_R, None, R, ContinuousEngine),
     ("cont-counts/K_n/1", TwoChoicesSequentialCounts, "continuous", K_N, None, 1, CountsContinuousEngine),
     ("cont/ring/1", TwoChoicesSequential, "continuous", RING, None, 1, SparseContinuousEngine),
     ("cont-async-plurality/ring/1", AsyncPluralityProtocol, "continuous", RING, None, 1, ContinuousEngine),
     # A zero delay model keeps the batched fast paths ...
-    ("cont-zero-delay/K_n/1", TwoChoicesSequential, "continuous", K_N, FixedDelay(0.0), 1, CountsContinuousEngine),
+    ("cont-zero-delay/K_n/1", TwoChoicesSequential, "continuous", K_N, FixedDelay(0.0), 1, ContinuousEngine),
+    ("cont-zero-delay/big-K_n/1", TwoChoicesSequential, "continuous", BIG_K_N, FixedDelay(0.0), 1, CountsContinuousEngine),
     ("cont-zero-delay/ring/1", TwoChoicesSequential, "continuous", RING, FixedDelay(0.0), 1, SparseContinuousEngine),
     # ... a real one forces the event-queue reference engine.
     ("cont-delay/K_n/1", TwoChoicesSequential, "continuous", K_N, ExponentialDelay(1.0), 1, ContinuousEngine),
     ("cont-delay/K_n/R", TwoChoicesSequential, "continuous", K_N, ExponentialDelay(1.0), 8, ContinuousEngine),
+    ("cont-delay/big-K_n/1", TwoChoicesSequential, "continuous", BIG_K_N, ExponentialDelay(1.0), 1, ContinuousEngine),
     ("cont-delay/ring/1", TwoChoicesSequential, "continuous", RING, ExponentialDelay(1.0), 1, ContinuousEngine),
     ("cont-async-plurality/K_n/1", AsyncPluralityProtocol, "continuous", K_N, None, 1, ContinuousEngine),
 ]

@@ -41,6 +41,7 @@ from repro.engine import (
     fastest_engine,
     run_replicated,
 )
+from repro.engine.dispatch import COUNTS_TICK_CROSSOVER
 from repro.graphs.complete import CompleteGraph
 from repro.graphs.families import hypercube
 from repro.protocols import (
@@ -274,7 +275,18 @@ class TestGridInvariants:
 
 class TestDispatchAndRouting:
     def test_n_reps_routes_to_ensemble_engines(self):
-        graph = CompleteGraph(100)
+        # Tick protocols lift to the ensembles from the counts crossover
+        # in n * n_reps; below it they stay on the looped agent engines.
+        graph = CompleteGraph(-(-COUNTS_TICK_CROSSOVER // 10))
+        small = CompleteGraph(100)
+        assert isinstance(
+            fastest_engine(TwoChoicesSequential(), small, model="sequential", n_reps=10),
+            SequentialEngine,
+        )
+        assert isinstance(
+            fastest_engine(TwoChoicesSequential(), small, model="continuous", n_reps=10),
+            ContinuousEngine,
+        )
         assert isinstance(
             fastest_engine(TwoChoicesSequential(), graph, model="sequential", n_reps=10),
             EnsembleCountsSequentialEngine,
@@ -288,12 +300,12 @@ class TestDispatchAndRouting:
             EnsembleCountsEngine,
         )
         assert isinstance(
-            fastest_engine(TwoChoicesSequentialCounts(), graph, model="sequential", n_reps=10),
+            fastest_engine(TwoChoicesSequentialCounts(), small, model="sequential", n_reps=10),
             EnsembleCountsSequentialEngine,
         )
 
     def test_n_reps_one_keeps_single_run_engines(self):
-        graph = CompleteGraph(100)
+        graph = CompleteGraph(COUNTS_TICK_CROSSOVER)
         assert isinstance(
             fastest_engine(TwoChoicesSequential(), graph, model="sequential", n_reps=1),
             CountsSequentialEngine,
@@ -326,7 +338,7 @@ class TestDispatchAndRouting:
 
     def test_run_replicated_uses_ensemble_when_available(self):
         config = ColorConfiguration([700, 300])
-        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(1000), n_reps=5)
+        engine = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
         results = run_replicated(engine, config, 5, seed=1)
         assert len(results) == 5
         assert all(r.metadata["engine"] == "ensemble-counts-sequential" for r in results)
@@ -342,10 +354,12 @@ class TestDispatchAndRouting:
 
     def test_run_engine_trials_matches_run_replicated(self):
         config = ColorConfiguration([700, 300])
-        engine = fastest_engine(TwoChoicesSequential(), CompleteGraph(1000), n_reps=4)
-        a = run_engine_trials(engine, config, 4, 9)
-        b = run_replicated(engine, config, 4, seed=9)
-        assert [r.rounds for r in a] == [r.rounds for r in b]
+        looped = fastest_engine(TwoChoicesSequential(), CompleteGraph(1000), n_reps=4)
+        ensemble = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
+        for engine in (looped, ensemble):
+            a = run_engine_trials(engine, config, 4, 9)
+            b = run_replicated(engine, config, 4, seed=9)
+            assert [r.rounds for r in a] == [r.rounds for r in b]
 
 
 class TestSeedingContract:
@@ -393,8 +407,8 @@ class TestSeedingContract:
         # Same master seed, different (independent) streams: the two
         # routing paths must not replay each other's draws.
         config = ColorConfiguration([120, 80])
-        single = fastest_engine(TwoChoicesSequential(), CompleteGraph(200), n_reps=1)
-        ensemble = fastest_engine(TwoChoicesSequential(), CompleteGraph(200), n_reps=8)
+        single = CountsSequentialEngine(TwoChoicesSequentialCounts())
+        ensemble = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
         looped = run_replicated(single, config, 8, seed=42)
         ensembled = run_replicated(ensemble, config, 8, seed=42)
         assert [r.rounds for r in looped] != [r.rounds for r in ensembled]
@@ -402,12 +416,15 @@ class TestSeedingContract:
 
 class TestSweepHelper:
     def test_convergence_time_sweep_routes_ensembles(self):
-        out = convergence_time_sweep(TwoChoicesSequential(), [300, 600], reps=6, seed=5)
-        assert sorted(out) == [300, 600]
+        # One grid point on each side of the counts crossover in n * reps.
+        big = -(-COUNTS_TICK_CROSSOVER // 6)
+        out = convergence_time_sweep(TwoChoicesSequential(), [300, big], reps=6, seed=5)
+        assert sorted(out) == [300, big]
+        expected = {300: "sequential", big: "ensemble-counts-sequential"}
         for n, results in out.items():
             assert len(results) == 6
             assert all(r.converged for r in results)
-            assert all(r.metadata["engine"] == "ensemble-counts-sequential" for r in results)
+            assert all(r.metadata["engine"] == expected[n] for r in results)
             assert all(r.parallel_time == r.rounds / n for r in results)
 
     def test_convergence_time_sweep_reproducible(self):
