@@ -1,7 +1,7 @@
 """Tick-kernel perf benchmark (no experiment id — pure wall clock).
 
-Times the hazard tick loop under each available kernel (numpy, C,
-numba) on the fixed Two-Choices torus workload, and persists the
+Times the hazard tick loop under each available kernel (numpy, C)
+on the fixed Two-Choices torus workload, and persists the
 payload to ``BENCH_kernels.json`` at the repo root so the kernel perf
 trajectory is comparable across PRs.
 
@@ -13,10 +13,9 @@ Usage::
 
 The ``full`` pytest scale (and the script without ``--quick``) runs at
 ``n = 1e5`` — the scale the acceptance criterion quotes; quick runs at
-``n = 1e4``.  The headline criterion — fastest compiled kernel at
-least 2x over the numpy loop in the mixed phase — is asserted whenever
-a compiled kernel is available; without one (no C toolchain, numba not
-installed) the assertion is *skipped loudly* so CI logs show exactly
+``n = 1e4``.  The headline criterion — the compiled C kernel at least
+2x over the numpy loop in the mixed phase — is asserted whenever it is
+available; without it (no C toolchain) the assertion is *skipped loudly* so CI logs show exactly
 why no compiled number was recorded.  Bit-identity of compiled
 trajectories against the numpy reference is always asserted.
 """

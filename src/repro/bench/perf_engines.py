@@ -10,8 +10,6 @@ The workload is fixed — asynchronous Two-Choices on ``K_n`` from a
   figures are measured against.
 * ``sequential`` / ``continuous`` — the agent-level engines with the
   vectorised ``seq_tick_batch`` hooks.
-* ``two-choices/fast`` — the event-skipping counts simulator
-  (:func:`repro.protocols.two_choices_fast.two_choices_sequential_fast`).
 * ``counts-sequential`` / ``counts-continuous`` — the batched tick
   engines, built directly: :func:`repro.engine.dispatch.fastest_engine`
   routes ``K_n`` runs below its counts crossover to the agent engines,
@@ -47,7 +45,6 @@ from ..engine.sequential import SequentialEngine
 from ..graphs.complete import CompleteGraph
 from ..protocols.base import SequentialProtocol
 from ..protocols.two_choices import TwoChoicesSequential, TwoChoicesSequentialCounts
-from ..protocols.two_choices_fast import two_choices_sequential_fast
 from ..workloads.initial import benchmark_split
 from .store import bench_environment, save_bench_payload
 
@@ -96,9 +93,6 @@ def _engine_specs():
         engine = ContinuousEngine(TwoChoicesSequential(), CompleteGraph(n))
         return lambda config, seed: engine.run(config, seed=seed)
 
-    def fast(n):
-        return lambda config, seed: two_choices_sequential_fast(config, seed=seed)
-
     def counts_sequential(n):
         engine = CountsSequentialEngine(TwoChoicesSequentialCounts())
         return lambda config, seed: engine.run(config, seed=seed)
@@ -111,7 +105,6 @@ def _engine_specs():
         (_BASELINE, 100_000, per_tick),
         ("sequential", 1_000_000, sequential),
         ("continuous", 1_000_000, continuous),
-        ("two-choices/fast", 100_000, fast),
         ("counts-sequential", None, counts_sequential),
         ("counts-continuous", None, counts_continuous),
     ]

@@ -1,7 +1,7 @@
 """Tick-kernel perf benchmark (no experiment id — pure wall clock).
 
 Times the hazard tick loop under each available kernel (``numpy``,
-``c``, ``numba``) on the fixed Two-Choices torus workload the sparse
+``c``) on the fixed Two-Choices torus workload the sparse
 benchmark uses, in two phases:
 
 - ``mixed``: a fixed ``BUDGET_PARALLEL * n`` tick budget from the 60/40
@@ -17,8 +17,8 @@ differently per kernel) and replays one full run per kernel: with
 identical draws the trajectories must match bit-for-bit, recorded under
 ``criteria["kernel_bit_identical"]``.
 
-The headline criterion — fastest compiled kernel at least 2x faster
-than the numpy loop on the mixed phase — is only asserted when a
+The headline criterion — the compiled C kernel at least 2x faster
+than the numpy loop on the mixed phase — is only asserted when the
 compiled kernel is available; otherwise the payload records a loud
 skip under ``criteria["compiled_kernel_skipped"]``.
 
@@ -60,10 +60,6 @@ QUICK_N = 10_000
 
 #: fixed throughput budget, in units of parallel time (ticks / n).
 BUDGET_PARALLEL = 2
-
-#: kernels the compiled-speedup criterion may pick its winner from.
-COMPILED = ("c", "numba")
-
 
 def _never(counts) -> bool:
     return False
@@ -190,41 +186,30 @@ def benchmark_kernels(
             fingerprint == reference for fingerprint in fingerprints.values()
         )
 
-    # Headline: best compiled kernel >= 2x over the numpy loop (mixed
-    # phase, n = 1e5 torus per the acceptance criterion).
-    compiled = [name for name in selected if name in COMPILED]
+    # Headline: the C kernel >= 2x over the numpy loop (mixed phase,
+    # n = 1e5 torus per the acceptance criterion).
     numpy_mixed = by_key.get(("numpy", "mixed"))
-    if compiled and numpy_mixed is not None:
-        speedups = {
-            name: numpy_mixed["min_seconds"] / by_key[(name, "mixed")]["min_seconds"]
-            for name in compiled
-            if (name, "mixed") in by_key
-        }
-        best = max(speedups, key=speedups.get)
-        criteria["compiled_kernel"] = best
-        criteria["kernel_mixed_speedup_vs_numpy"] = speedups[best]
-        criteria["kernel_speedup_ge_2x"] = speedups[best] >= 2.0
-        consensus_row = by_key.get((best, "consensus"))
+    c_mixed = by_key.get(("c", "mixed"))
+    if c_mixed is not None and numpy_mixed is not None:
+        speedup = numpy_mixed["min_seconds"] / c_mixed["min_seconds"]
+        criteria["compiled_kernel"] = "c"
+        criteria["kernel_mixed_speedup_vs_numpy"] = speedup
+        criteria["kernel_speedup_ge_2x"] = speedup >= 2.0
+        c_consensus = by_key.get(("c", "consensus"))
         numpy_consensus = by_key.get(("numpy", "consensus"))
-        if consensus_row is not None and numpy_consensus is not None:
+        if c_consensus is not None and numpy_consensus is not None:
             criteria["kernel_consensus_speedup_vs_numpy"] = (
-                numpy_consensus["min_seconds"] / consensus_row["min_seconds"]
+                numpy_consensus["min_seconds"] / c_consensus["min_seconds"]
             )
     else:
         criteria["compiled_kernel"] = None
-        excluded = [
-            p.name
-            for p in probes
-            if p.name in COMPILED and p.available and p.name not in selected
-        ]
-        if excluded:
-            criteria["compiled_kernel_skipped"] = f"available but not requested: {excluded}"
+        c_probe = next(p for p in probes if p.name == "c")
+        if c_probe.available and "c" not in selected:
+            criteria["compiled_kernel_skipped"] = "available but not requested: ['c']"
         else:
-            criteria["compiled_kernel_skipped"] = [
-                {"kernel": p.name, "detail": p.detail}
-                for p in probes
-                if p.name in COMPILED and not p.available
-            ]
+            criteria["compiled_kernel_skipped"] = (
+                [] if c_probe.available else [{"kernel": "c", "detail": c_probe.detail}]
+            )
 
     return {
         "benchmark": "kernels/async-two-choices-torus",

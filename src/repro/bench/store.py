@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, TextIO
 import numpy as np
 
 from ..core.exceptions import ExperimentError
+from ..core.hazard_kernel import active_kernel_name
 
 __all__ = [
     "ResultStore",
@@ -30,12 +31,16 @@ __all__ = [
 ]
 
 
-def bench_environment() -> Dict[str, str]:
-    """The environment stamp embedded in every ``BENCH_*.json`` payload."""
+def bench_environment() -> Dict[str, object]:
+    """The environment stamp embedded in every ``BENCH_*.json`` payload:
+    interpreter, numpy, machine, CPU count and the ``REPRO_KERNEL``
+    tick kernel the process resolved."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "kernel": active_kernel_name(),
     }
 
 

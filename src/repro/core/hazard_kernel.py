@@ -16,24 +16,19 @@ draws.  Switching kernels never changes results, only wall-clock time:
 all RNG draws happen *before* the apply, in the same order, whichever
 kernel applies them.
 
-Two compiled implementations are provided, both optional:
+One compiled implementation is provided, and it is optional:
 
 ``c``
     ``_hazard_kernel.c`` compiled on demand with the system C compiler
     (``cc -O3 -shared -fPIC`` — no Python headers needed) into a cached
     shared library loaded through :mod:`ctypes`.  Available wherever a
     C toolchain is installed; zero Python dependencies.
-``numba``
-    The same per-tick loop JIT-compiled by Numba (``pip install
-    repro-consensus[jit]``).  Available wherever the optional extra is
-    installed; first use pays a one-off JIT compile.
 
 Selection order (the capability probe used by
 :func:`repro.engine.dispatch.fastest_engine` and the engines):
 
 1. the ``REPRO_KERNEL`` environment variable — ``numpy`` (default),
-   ``c``, ``numba`` or ``auto`` (fastest available: c, then numba,
-   else numpy);
+   ``c`` or ``auto`` (c when it builds, else numpy);
 2. a requested-but-unavailable compiled kernel *degrades to numpy with
    a warning* — the numpy path is always present and always exact, so
    a missing toolchain can never break a run;
@@ -86,9 +81,9 @@ KERNEL_ENV = "REPRO_KERNEL"
 #: override for the compiled-library cache directory.
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 #: accepted ``REPRO_KERNEL`` values.
-KERNEL_NAMES = ("numpy", "c", "numba", "auto")
+KERNEL_NAMES = ("numpy", "c", "auto")
 #: probe order of ``auto``, fastest first.
-_AUTO_ORDER = ("c", "numba")
+_AUTO_ORDER = ("c",)
 
 #: rule-name -> ABI rule id; must stay in sync with ``_hazard_kernel.c``.
 RULE_IDS: Dict[str, int] = {
@@ -202,26 +197,6 @@ class CTickKernel(TickKernel):
         return 0
 
 
-class NumbaTickKernel(TickKernel):
-    """Numba-njit twin of the C loop (``repro-consensus[jit]`` extra)."""
-
-    name = "numba"
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def apply(self, protocol, state, nodes: np.ndarray, targets: np.ndarray) -> int:
-        colors, nodes, targets = _block_arrays(state, nodes, targets)
-        wrote = self._fn(
-            colors, nodes, targets, RULE_IDS[protocol.tick_kernel], state.k - 1
-        )
-        if wrote < 0:
-            raise KernelUnavailable(
-                f"jitted rule rejected ({protocol.tick_kernel!r}, s={targets.shape[1]})"
-            )
-        return 0
-
-
 # ----------------------------------------------------------------------
 # builders
 # ----------------------------------------------------------------------
@@ -242,7 +217,7 @@ def _find_compiler() -> str:
                 return path
     raise KernelUnavailable(
         "no C compiler on PATH (tried $CC, cc, gcc, clang); "
-        "install a toolchain or use REPRO_KERNEL=numba/numpy"
+        "install a toolchain or use REPRO_KERNEL=numpy"
     )
 
 
@@ -310,72 +285,7 @@ def _load_c_kernel() -> CTickKernel:
     return CTickKernel(fn, str(path))
 
 
-def _build_numba_kernel() -> NumbaTickKernel:
-    try:
-        import numba
-    except ImportError as exc:
-        raise KernelUnavailable(
-            f"numba is not installed (pip install 'repro-consensus[jit]'): {exc}"
-        ) from exc
-
-    @numba.njit(cache=False)
-    def tick_loop(colors, nodes, targets, rule, undecided):  # pragma: no cover - jitted
-        writes = 0
-        m = nodes.shape[0]
-        s = targets.shape[1]
-        if rule == 1 and s == 1:  # voter
-            for t in range(m):
-                node = nodes[t]
-                seen = colors[targets[t, 0]]
-                if seen != colors[node]:
-                    colors[node] = seen
-                    writes += 1
-        elif rule == 2 and s == 2:  # two-choices
-            for t in range(m):
-                node = nodes[t]
-                a = colors[targets[t, 0]]
-                if a == colors[targets[t, 1]] and a != colors[node]:
-                    colors[node] = a
-                    writes += 1
-        elif rule == 3 and s == 3:  # three-majority
-            for t in range(m):
-                node = nodes[t]
-                a = colors[targets[t, 0]]
-                b = colors[targets[t, 1]]
-                c = colors[targets[t, 2]]
-                value = b if (b == c and a != b) else a
-                if value != colors[node]:
-                    colors[node] = value
-                    writes += 1
-        elif rule == 4 and s == 1:  # undecided-state
-            for t in range(m):
-                node = nodes[t]
-                own = colors[node]
-                seen = colors[targets[t, 0]]
-                if own == undecided:
-                    if seen != undecided:
-                        colors[node] = seen
-                        writes += 1
-                elif seen != undecided and seen != own:
-                    colors[node] = undecided
-                    writes += 1
-        else:
-            return -1
-        return writes
-
-    # pay the JIT compile now, on a trivial block, so the first engine
-    # block is not mis-attributed in benchmarks
-    tick_loop(
-        np.zeros(2, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        np.zeros((1, 1), dtype=np.int64),
-        1,
-        1,
-    )
-    return NumbaTickKernel(tick_loop)
-
-
-_BUILDERS = {"c": _load_c_kernel, "numba": _build_numba_kernel}
+_BUILDERS = {"c": _load_c_kernel}
 
 #: built kernels and remembered failures (both per process — a missing
 #: toolchain does not get cheaper by re-probing every block).
@@ -429,7 +339,7 @@ def available_kernels() -> Dict[str, KernelProbe]:
     for name in _BUILDERS:
         try:
             kernel = get_kernel(name)
-            detail = getattr(kernel, "library_path", "jit-compiled")
+            detail = kernel.library_path
             probes[name] = KernelProbe(name, True, detail)
         except KernelUnavailable as exc:
             probes[name] = KernelProbe(name, False, str(exc))
@@ -452,7 +362,7 @@ def active_kernel() -> Optional[TickKernel]:
         name = (os.environ.get(KERNEL_ENV) or "numpy").strip().lower()
         if name not in KERNEL_NAMES:
             raise ConfigurationError(
-                f"{KERNEL_ENV}={name!r}: expected one of {KERNEL_NAMES}"
+                f"{KERNEL_ENV}={name!r}: unknown kernel; expected one of {KERNEL_NAMES}"
             )
         try:
             _active = get_kernel(name)

@@ -120,11 +120,6 @@ Sparse-crossover note (sequential model, off ``K_n``)
     0.50-1.33x the sparse engine's time (median 0.86x, faster in 26 of
     30 cells).
 
-The ensemble rows accept a ``backend=`` parameter (forwarded to the
-:mod:`repro.engine.ensemble` constructors) selecting the count-array
-backend of :mod:`repro.core.backend`; the default follows
-``REPRO_BACKEND`` (numpy unless overridden).
-
 When *n_reps* asks for more than one replication, the counts-level
 rows of the table are additionally lifted to their ensemble twins
 (:mod:`repro.engine.ensemble`), which advance all replications per
@@ -145,7 +140,6 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..core.backend import ArrayBackend
 from ..core.exceptions import ConfigurationError
 from ..graphs.topology import DynamicTopology, Topology
 from ..protocols.base import (
@@ -190,7 +184,6 @@ def fastest_engine(
     model: str = "sequential",
     delay_model: Optional[DelayModel] = None,
     n_reps: int = 1,
-    backend: Union[None, str, ArrayBackend] = None,
 ):
     """Build the fastest exact engine for *protocol* on *topology*.
 
@@ -218,11 +211,6 @@ def fastest_engine(
         ``run``) when an exact ensemble form exists; otherwise the
         single-run engine is returned and the caller loops — use
         :func:`repro.engine.ensemble.run_replicated` to not care which.
-    backend:
-        Count-array backend for the ensemble engines (a name, an
-        :class:`~repro.core.backend.ArrayBackend`, or ``None`` for the
-        ``REPRO_BACKEND`` selection).  Ignored by non-ensemble routes,
-        which have no ``(R, k)`` count matrices.
 
     Returns
     -------
@@ -253,7 +241,7 @@ def fastest_engine(
             if not on_complete:
                 raise ConfigurationError(f"{protocol.name} is counts-level and needs K_n")
             if ensemble and isinstance(protocol, EnsembleCountsProtocol):
-                return EnsembleCountsEngine(protocol, backend=backend)
+                return EnsembleCountsEngine(protocol)
             return CountsEngine(protocol)
         if isinstance(protocol, SynchronousProtocol):
             return SynchronousEngine(protocol, topology)
@@ -268,18 +256,11 @@ def fastest_engine(
     if model == "sequential" and not zero_delay:
         raise ConfigurationError("response delays require the continuous model")
     if ensemble:
-        ensemble_cls = (
+        counts_engine = (
             EnsembleCountsSequentialEngine if model == "sequential" else EnsembleCountsContinuousEngine
         )
-
-        def counts_engine(p):
-            return ensemble_cls(p, backend=backend)
-
     else:
-        single_cls = CountsSequentialEngine if model == "sequential" else CountsContinuousEngine
-
-        def counts_engine(p):
-            return single_cls(p)
+        counts_engine = CountsSequentialEngine if model == "sequential" else CountsContinuousEngine
 
     if isinstance(protocol, SequentialCountsProtocol):
         if not on_complete:

@@ -20,30 +20,20 @@ single-run engine — not merely close:
   ``binomial`` / ``gamma`` call is an independent draw from exactly the
   distribution the single-run engine would use for that replication's
   state, and
-* with ``R == 1`` the whole call sequence collapses to the single-run
-  engine's call sequence (numpy draws stacked arguments row by row, so
-  a one-row call is bit-identical to the scalar call), making a
-  one-replication ensemble reproduce ``CountsEngine`` /
+* for the tick engines there is one loop
+  (:mod:`repro.engine.counts_async`); a single run is its ``R = 1``
+  case, so a one-replication ensemble reproduces
   ``CountsSequentialEngine`` / ``CountsContinuousEngine`` results
-  value-for-value from a shared seed.  ``tests/test_ensemble.py``
-  enforces both clauses.
+  value-for-value from a shared seed.  For the round engine, numpy
+  draws stacked arguments row by row, so a one-row call is
+  bit-identical to the scalar call and a one-replication
+  :class:`EnsembleCountsEngine` replays ``CountsEngine``.
+  ``tests/test_ensemble.py`` enforces both clauses.
 
 The grid invariants of the single-run tick engines carry over
 unchanged: sequential parallel time is exactly ``ticks / n`` (the same
 float grid as :class:`~repro.engine.sequential.SequentialEngine`), and
 stop conditions are evaluated on the ``check_every = n`` tick grid.
-
-Array backends
---------------
-The ``(R, m)`` count-matrix operations run through a pluggable
-:class:`~repro.core.backend.ArrayBackend` (constructor parameter
-``backend=``, default the ``REPRO_BACKEND`` environment selection).
-The numpy backend is a pass-through — every method aliases the exact
-numpy call these engines always made, so the exactness contract above
-is untouched.  The CuPy backend keeps the matrices device-resident
-while drawing variates from the same host generator stream, preserving
-each replication's law but not bitwise equality (float reductions
-reorder on device); ``tests/test_backend.py`` pins both claims.
 
 Masking and compaction
 ----------------------
@@ -60,18 +50,17 @@ same ``n``), which is what makes one stacked draw per batch possible.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
-from ..core.backend import ArrayBackend, resolve_backend
 from ..core.colors import ColorConfiguration
 from ..core.exceptions import ConfigurationError
 from ..core.results import RunResult
 from ..core.rng import SeedLike, as_generator, spawn_seed_sequences, split
-from ..protocols.base import EnsembleCountsProtocol, SequentialCountsProtocol
+from ..protocols.base import EnsembleCountsProtocol
 from .base import StopCondition, build_result, consensus_reached
-from .counts_async import _DEFAULT_BATCH_FRACTION
+from .counts_async import _CountsTickEngine, _stop_flags
 
 __all__ = [
     "EnsembleCountsEngine",
@@ -81,55 +70,11 @@ __all__ = [
 ]
 
 
-def _stop_flags(stop: StopCondition, counts: np.ndarray) -> np.ndarray:
-    """Evaluate a (scalar) stop condition on every row of *counts*."""
-    return np.fromiter((bool(stop(row)) for row in counts), dtype=bool, count=len(counts))
-
-
-def _draw_batch_ensemble(
-    protocol: SequentialCountsProtocol,
-    states,
-    b: int,
-    n: int,
-    rng: np.random.Generator,
-    backend: ArrayBackend,
-) -> np.ndarray:
-    """Advance every row of *states* by *b* ticks (frozen-rate batches).
-
-    The ensemble twin of :func:`repro.engine.counts_async._draw_batch`:
-    actor labels come from one stacked multinomial over the rows'
-    ``c / n`` distributions, outcomes from one stacked multinomial over
-    the rows' transition matrices.  Rows that would overdraw a small
-    label class are re-drawn as two half batches with refreshed rates
-    (recursing on the offending subset only, down to the always-valid
-    ``b == 1``); with one row the call sequence is exactly the
-    single-run helper's.
-
-    *states* lives in *backend* arrays; the transition matrices come
-    from the host-side protocol hook and the variates from the host
-    generator either way (see :mod:`repro.core.backend`), so the numpy
-    backend reproduces the historical call sequence verbatim.
-    """
-    host_states = backend.to_host(states)
-    transition = np.asarray(protocol.tick_transition_matrices(host_states), dtype=float)
-    empty = host_states == 0
-    if empty.any():
-        # Empty classes never act, but every row of every slice must
-        # still be a valid probability vector for the stacked draw.
-        transition[empty] = 0.0
-        rows, labels = np.nonzero(empty)
-        transition[rows, labels, labels] = 1.0
-    actors = backend.multinomial(rng, b, host_states / n)
-    moved = backend.multinomial(rng, actors, backend.asarray(transition))
-    new_states = states - actors + moved.sum(axis=1)
-    bad = backend.to_host(new_states.min(axis=1) < 0)
-    if not bad.any():
-        return new_states
-    half = b // 2
-    keep_bad = backend.asarray(bad)
-    redo = _draw_batch_ensemble(protocol, states[keep_bad], half, n, rng, backend)
-    new_states[keep_bad] = _draw_batch_ensemble(protocol, redo, b - half, n, rng, backend)
-    return new_states
+def _tag_replications(results: List[RunResult]) -> List[RunResult]:
+    """Stamp ensemble metadata (``n_reps``, ``replication``) on *results*."""
+    for rep, result in enumerate(results):
+        result.metadata.update(n_reps=len(results), replication=rep)
+    return results
 
 
 class EnsembleCountsEngine:
@@ -142,17 +87,12 @@ class EnsembleCountsEngine:
     hook.
     """
 
-    def __init__(
-        self,
-        protocol: EnsembleCountsProtocol,
-        backend: Union[None, str, ArrayBackend] = None,
-    ):
+    def __init__(self, protocol: EnsembleCountsProtocol):
         if not isinstance(protocol, EnsembleCountsProtocol):
             raise ConfigurationError(
                 f"{getattr(protocol, 'name', protocol)!r} has no ensemble round hooks"
             )
         self.protocol = protocol
-        self.backend = resolve_backend(backend)
 
     def run_ensemble(
         self,
@@ -171,9 +111,8 @@ class EnsembleCountsEngine:
             raise ConfigurationError(f"max_rounds must be non-negative, got {max_rounds}")
         rng = as_generator(seed)
         protocol = self.protocol
-        backend = self.backend
-        states = backend.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
-        counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
+        states = np.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
+        counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
         initial_counts = counts[0].copy()
         results: List[Optional[RunResult]] = [None] * n_reps
         rep_ids = np.arange(n_reps)
@@ -199,174 +138,27 @@ class EnsembleCountsEngine:
         if stops.any():
             done = np.flatnonzero(stops)
             retire(done, counts, stops[done], 0)
-            keep = ~stops
-            states, rep_ids = states[backend.asarray(keep)], rep_ids[keep]
+            states, rep_ids = states[~stops], rep_ids[~stops]
         rounds = 0
         while rep_ids.size and rounds < max_rounds:
-            states = backend.asarray(
-                protocol.step_ensemble(backend.to_host(states), rng), dtype=np.int64
-            )
+            states = np.asarray(protocol.step_ensemble(states, rng), dtype=np.int64)
             rounds += 1
-            host_states = backend.to_host(states)
-            counts = np.asarray(protocol.color_counts_ensemble(host_states), dtype=np.int64)
+            counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
             stops = _stop_flags(stop, counts)
-            absorbed = np.asarray(protocol.is_absorbed_ensemble(host_states), dtype=bool) & ~stops
+            absorbed = np.asarray(protocol.is_absorbed_ensemble(states), dtype=bool) & ~stops
             done = stops | absorbed
             if done.any():
                 finished = np.flatnonzero(done)
                 retire(finished, counts, stops[finished], rounds)
-                keep = ~done
-                states, rep_ids = states[backend.asarray(keep)], rep_ids[keep]
+                states, rep_ids = states[~done], rep_ids[~done]
         if rep_ids.size:
-            counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
+            counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
             remaining = np.arange(rep_ids.size)
             retire(remaining, counts, np.zeros(rep_ids.size, dtype=bool), rounds)
         return results  # type: ignore[return-value]
 
 
-class _EnsembleTickEngine:
-    """Shared run loop of the ensemble tick engines.
-
-    The batched-tick machinery of
-    :class:`~repro.engine.counts_async._CountsTickEngine` lifted to an
-    ``(A, m)`` active-state matrix; subclasses define how the per-rep
-    wall clocks relate to the shared tick counter.
-    """
-
-    _engine_name = "ensemble-counts-tick"
-
-    def __init__(
-        self,
-        protocol: SequentialCountsProtocol,
-        batch_ticks: Optional[int] = None,
-        batch_fraction: float = _DEFAULT_BATCH_FRACTION,
-        backend: Union[None, str, ArrayBackend] = None,
-    ):
-        if batch_ticks is not None and batch_ticks < 1:
-            raise ConfigurationError(f"batch_ticks must be positive, got {batch_ticks}")
-        if not 0.0 < batch_fraction <= 1.0:
-            raise ConfigurationError(f"batch_fraction must be in (0, 1], got {batch_fraction}")
-        self.protocol = protocol
-        self.batch_ticks = batch_ticks
-        self.batch_fraction = batch_fraction
-        self.backend = resolve_backend(backend)
-
-    def _resolve_batch(self, n: int) -> int:
-        if self.batch_ticks is not None:
-            return self.batch_ticks
-        return max(1, int(round(n * self.batch_fraction)))
-
-    def _advance_clocks(
-        self, times: np.ndarray, total_ticks: int, b: int, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        """Per-rep wall clocks after a batch of *b* ticks (see the
-        single-run engines for the grid/clock semantics)."""
-        raise NotImplementedError
-
-    def _run_ensemble(
-        self,
-        initial: ColorConfiguration,
-        n_reps: int,
-        max_ticks: Optional[int],
-        max_time: Optional[float],
-        stop: StopCondition,
-        check_every: Optional[int],
-        seed: SeedLike,
-    ) -> List[RunResult]:
-        if not isinstance(initial, ColorConfiguration):
-            raise ConfigurationError(f"{type(self).__name__} requires a ColorConfiguration initial state")
-        if n_reps < 1:
-            raise ConfigurationError(f"n_reps must be positive, got {n_reps}")
-        rng = as_generator(seed)
-        n = initial.n
-        if n < 2:
-            raise ConfigurationError("counts tick engines need at least 2 nodes")
-        if max_ticks is None:
-            max_ticks = int(50 * n * max(np.log(n), 1.0))
-        if max_time is None:
-            max_time = float("inf")
-        if check_every is None:
-            check_every = n
-        check_every = max(1, int(check_every))
-        batch = self._resolve_batch(n)
-
-        protocol = self.protocol
-        backend = self.backend
-        states = backend.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
-        counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
-        initial_counts = counts[0].copy()
-        results: List[Optional[RunResult]] = [None] * n_reps
-        rep_ids = np.arange(n_reps)
-        times = np.zeros(n_reps)
-        ticks = 0
-        next_check = check_every
-
-        def retire(local_indices: np.ndarray, counts_now: np.ndarray, flags) -> None:
-            for local, flag in zip(local_indices, flags):
-                rep = int(rep_ids[local])
-                results[rep] = build_result(
-                    converged=bool(flag),
-                    initial_counts=initial_counts,
-                    final_counts=counts_now[local],
-                    rounds=ticks,
-                    parallel_time=float(times[local]),
-                    metadata={
-                        "engine": self._engine_name,
-                        "protocol": protocol.name,
-                        "batch_ticks": batch,
-                        "n_reps": n_reps,
-                        "replication": rep,
-                    },
-                )
-
-        def compact(keep: np.ndarray) -> None:
-            nonlocal states, rep_ids, times
-            states = states[backend.asarray(keep)]
-            rep_ids, times = rep_ids[keep], times[keep]
-
-        stops = _stop_flags(stop, counts)
-        if stops.any():
-            done = np.flatnonzero(stops)
-            retire(done, counts, stops[done])
-            compact(~stops)
-        while rep_ids.size and ticks < max_ticks:
-            if np.isfinite(max_time):
-                # Mirror the single-run loop condition: a replication
-                # whose clock passed the budget stops *before* the next
-                # batch, with one final stop evaluation on its counts.
-                expired = times >= max_time
-                if expired.any():
-                    counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
-                    done = np.flatnonzero(expired)
-                    retire(done, counts, _stop_flags(stop, counts[done]))
-                    compact(~expired)
-                    if not rep_ids.size:
-                        break
-            b = min(batch, max_ticks - ticks, next_check - ticks)
-            states = _draw_batch_ensemble(protocol, states, b, n, rng, backend)
-            ticks += b
-            times = self._advance_clocks(times, ticks, b, rng, n)
-            if ticks >= next_check:
-                next_check += check_every
-                host_states = backend.to_host(states)
-                counts = np.asarray(protocol.color_counts_ensemble(host_states), dtype=np.int64)
-                stops = _stop_flags(stop, counts)
-                absorbed = np.asarray(protocol.is_absorbed_ensemble(host_states), dtype=bool) & ~stops
-                done = stops | absorbed
-                if done.any():
-                    finished = np.flatnonzero(done)
-                    retire(finished, counts, stops[finished])
-                    compact(~done)
-        if rep_ids.size:
-            # Budget ran out between grid checks: one final stop
-            # evaluation, exactly like the single-run engines' epilogue.
-            counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
-            remaining = np.arange(rep_ids.size)
-            retire(remaining, counts, _stop_flags(stop, counts))
-        return results  # type: ignore[return-value]
-
-
-class EnsembleCountsSequentialEngine(_EnsembleTickEngine):
+class EnsembleCountsSequentialEngine(_CountsTickEngine):
     """Ensemble twin of :class:`~repro.engine.counts_async.CountsSequentialEngine`.
 
     All replications share the deterministic sequential clock, so every
@@ -375,11 +167,6 @@ class EnsembleCountsSequentialEngine(_EnsembleTickEngine):
     """
 
     _engine_name = "ensemble-counts-sequential"
-
-    def _advance_clocks(
-        self, times: np.ndarray, total_ticks: int, b: int, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        return np.full(times.shape, total_ticks / n)
 
     def run_ensemble(
         self,
@@ -394,10 +181,11 @@ class EnsembleCountsSequentialEngine(_EnsembleTickEngine):
         *max_ticks* (parameters mirror
         :meth:`CountsSequentialEngine.run <repro.engine.counts_async.CountsSequentialEngine.run>`,
         minus tracing)."""
-        return self._run_ensemble(initial, n_reps, max_ticks, None, stop, check_every, seed)
+        results = self._run(initial, n_reps, max_ticks, None, stop, check_every, seed)
+        return _tag_replications(results)
 
 
-class EnsembleCountsContinuousEngine(_EnsembleTickEngine):
+class EnsembleCountsContinuousEngine(_CountsTickEngine):
     """Ensemble twin of :class:`~repro.engine.counts_async.CountsContinuousEngine`.
 
     Each replication carries its own Poisson wall clock: one stacked
@@ -406,11 +194,7 @@ class EnsembleCountsContinuousEngine(_EnsembleTickEngine):
     """
 
     _engine_name = "ensemble-counts-continuous"
-
-    def _advance_clocks(
-        self, times: np.ndarray, total_ticks: int, b: int, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        return times + rng.gamma(np.full(times.shape, float(b))) / n
+    _continuous = True
 
     def run_ensemble(
         self,
@@ -422,12 +206,10 @@ class EnsembleCountsContinuousEngine(_EnsembleTickEngine):
         seed: SeedLike = None,
     ) -> List[RunResult]:
         """Run *n_reps* replications until each stops or its clock
-        passes *max_time* (default ``50 ln n``, like the single-run
+        reaches *max_time* (default ``50 ln n``, like the single-run
         engine)."""
-        if max_time is None:
-            n = initial.n if isinstance(initial, ColorConfiguration) else 2
-            max_time = 50.0 * max(np.log(n), 1.0)
-        return self._run_ensemble(initial, n_reps, None, max_time, stop, check_every, seed)
+        results = self._run(initial, n_reps, None, max_time, stop, check_every, seed)
+        return _tag_replications(results)
 
 
 def run_replicated(

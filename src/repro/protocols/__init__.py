@@ -53,7 +53,6 @@ from .two_choices import (
     TwoChoicesSequentialCounts,
     TwoChoicesSynchronous,
 )
-from .two_choices_fast import two_choices_sequential_fast
 from .undecided_state import (
     UndecidedStateCounts,
     UndecidedStateSequential,
@@ -107,7 +106,6 @@ __all__ = [
     "TwoChoicesSequential",
     "TwoChoicesSequentialCounts",
     "TwoChoicesSynchronous",
-    "two_choices_sequential_fast",
     "UndecidedStateCounts",
     "UndecidedStateSequential",
     "UndecidedStateSequentialCounts",

@@ -33,9 +33,8 @@ protocol may implement up to three complementary interfaces:
     draws.  Each row's marginal law is identical to :meth:`step` of the
     matching :class:`CountsProtocol`; this is what powers the ensemble
     engines in :mod:`repro.engine.ensemble` (trial replication at the
-    cost of one run).  :class:`SequentialCountsProtocol` carries the
-    tick-side ensemble hooks (:meth:`tick_transition_matrices` and
-    friends) directly, with generic defaults.
+    cost of one run).  :class:`SequentialCountsProtocol` works on the
+    same ``(R, m)`` matrices throughout: a single run is one row.
 
 Protocols are stateless policy objects; all mutable simulation state
 lives in :class:`~repro.core.state.NodeArrayState` (or a subclass), so
@@ -63,7 +62,7 @@ __all__ = [
     "SequentialCountsProtocol",
     "EnsembleCountsProtocol",
     "TickFootprint",
-    "self_excluded_sample_probabilities",
+    "diagonals",
     "self_excluded_sample_probabilities_ensemble",
 ]
 
@@ -364,16 +363,18 @@ class SequentialCountsProtocol(_EnsembleStateHooks, ABC):
     2. given ``i``, the node ends the tick with label ``j`` with
        probability ``P[i, j]`` — a function of ``c`` alone.
 
-    Implementations supply the row-stochastic matrix ``P`` via
-    :meth:`tick_transition_matrix`; the engines in
-    :mod:`repro.engine.counts_async` compose it into exact single-tick
+    Implementations supply ``P`` for every row of an ``(R, m)`` state
+    matrix via :meth:`tick_transition_matrices`; the loop in
+    :mod:`repro.engine.counts_async` composes it into exact single-tick
     chains (batch size 1) or frozen-rate batched multinomial updates
     (the fast path — see the module docstring for the exactness
-    argument and the error budget of batching).
+    argument and the error budget of batching).  A single run is the
+    one-row case.
 
     The label space may be wider than the colour space (Undecided-State
-    appends an "undecided" bucket); :meth:`color_counts` projects the
-    internal histogram to whatever the stop conditions should see.
+    appends an "undecided" bucket); :meth:`color_counts_ensemble`
+    projects the internal histograms to whatever the stop conditions
+    should see.
     """
 
     name: str = "sequential-counts-protocol"
@@ -383,72 +384,40 @@ class SequentialCountsProtocol(_EnsembleStateHooks, ABC):
         """Label histogram (``int64[m]``) for an initial configuration."""
 
     @abstractmethod
-    def tick_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
-        """Row-stochastic ``float[m, m]``: ``P[i, j]`` is the probability
-        that an acting node with label ``i`` ends the tick with label
-        ``j``, given the current histogram *counts*.
-
-        Rows of *empty* label classes are never drawn from and their
-        content is ignored — the engines overwrite them with identity
-        rows before sampling, so implementations need not special-case
-        them.
-        """
-
-    def color_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Project the internal histogram to the reported counts."""
-        return counts
-
-    def is_absorbed(self, counts: np.ndarray) -> bool:
-        """True when the histogram is a fixed point of the tick chain."""
-        return int(counts.max()) == int(counts.sum())
-
-    # ------------------------------------------------------------------
-    # ensemble hooks (R replications per numpy batch) — the state-side
-    # defaults come from _EnsembleStateHooks
-    # ------------------------------------------------------------------
     def tick_transition_matrices(self, states: np.ndarray) -> np.ndarray:
-        """Stacked ``float[R, m, m]`` transition matrices, one per row
-        of *states* — each slice must equal
-        :meth:`tick_transition_matrix` of that row so the ensemble tick
-        engines draw every replication from the exact single-run law.
-        The default stacks per-row calls; protocols override it with a
-        fully vectorised computation (bit-equal per row, which keeps
-        one-replication ensembles value-for-value reproducible).
+        """Stacked row-stochastic ``float[R, m, m]``, one slice per row
+        of *states*: ``P[r, i, j]`` is the probability that an acting
+        node with label ``i`` ends the tick with label ``j``, given the
+        histogram ``states[r]``.
+
+        The engine may write to the returned array.  Slices' rows of
+        *empty* label classes are never drawn from and their content is
+        ignored — the engine overwrites them with identity rows before
+        sampling, so implementations need not special-case them.
         """
-        return np.stack(
-            [np.asarray(self.tick_transition_matrix(row), dtype=float) for row in states]
-        )
 
 
-def self_excluded_sample_probabilities(counts: np.ndarray) -> np.ndarray:
-    """``Q[i, j]``: probability a node of label ``i`` samples label ``j``.
+def diagonals(matrices: np.ndarray) -> np.ndarray:
+    """Writable ``(R, m)`` view of the diagonals of a C-contiguous
+    ``(R, m, m)`` stack — a strided slice, cheaper to read and write
+    than ``matrices[:, idx, idx]`` fancy indexing."""
+    reps, m, _ = matrices.shape
+    return matrices.reshape(reps, m * m)[:, :: m + 1]
+
+
+def self_excluded_sample_probabilities_ensemble(states: np.ndarray) -> np.ndarray:
+    """``Q[r, i, j]``: probability a node of label ``i`` samples label
+    ``j`` under histogram ``states[r]``.
 
     On ``K_n`` a node samples uniformly among its ``n - 1`` neighbours,
     i.e. everyone but itself, so a label-``i`` node sees label-``j``
     mass ``c_j - [i == j]``.  Rows of empty classes are clipped to
     valid (all-zero on the diagonal deficit) — callers overwrite them.
     """
-    counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    q = np.repeat(counts[None, :], counts.size, axis=0)
-    np.fill_diagonal(q, counts - 1.0)
-    q /= n - 1.0
-    return np.clip(q, 0.0, None)
-
-
-def self_excluded_sample_probabilities_ensemble(states: np.ndarray) -> np.ndarray:
-    """Stacked ``Q[r, i, j]`` for an ``(R, m)`` matrix of histograms.
-
-    Row-for-row bit-equal to
-    :func:`self_excluded_sample_probabilities` (same operations in the
-    same order), which is what lets the ensemble engines replay a
-    single run exactly when ``R == 1``.
-    """
     states = np.asarray(states, dtype=float)
     m = states.shape[1]
     n = states.sum(axis=1)
     q = np.repeat(states[:, None, :], m, axis=1)
-    idx = np.arange(m)
-    q[:, idx, idx] = states - 1.0
+    diagonals(q)[...] = states - 1.0
     q /= (n - 1.0)[:, None, None]
-    return np.clip(q, 0.0, None)
+    return np.maximum(q, 0.0, out=q)

@@ -29,7 +29,6 @@ from .base import (
     SequentialProtocol,
     SynchronousProtocol,
     TickFootprint,
-    self_excluded_sample_probabilities,
     self_excluded_sample_probabilities_ensemble,
 )
 
@@ -50,7 +49,7 @@ def _adoption_probabilities(q: np.ndarray) -> np.ndarray:
     """
     s2 = np.sum(q * q, axis=-1, keepdims=True)
     adopt = q**3 + 3.0 * q**2 * (1.0 - q) + q * ((1.0 - q) ** 2 - (s2 - q**2))
-    return np.clip(adopt, 0.0, None)
+    return np.maximum(adopt, 0.0, out=adopt)
 
 
 def _majority_of_three(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -176,17 +175,10 @@ class ThreeMajoritySequentialCounts(SequentialCountsProtocol):
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)
 
-    def tick_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
-        q = self_excluded_sample_probabilities(counts)
-        transition = _adoption_probabilities(q)
-        # The adoption law is exhaustive; renormalise float error away.
-        totals = transition.sum(axis=1, keepdims=True)
-        np.divide(transition, totals, out=transition, where=totals > 0)
-        return transition
-
     def tick_transition_matrices(self, states: np.ndarray) -> np.ndarray:
         q = self_excluded_sample_probabilities_ensemble(states)
         transition = _adoption_probabilities(q)
+        # The adoption law is exhaustive; renormalise float error away.
         totals = transition.sum(axis=-1, keepdims=True)
         np.divide(transition, totals, out=transition, where=totals > 0)
         return transition

@@ -40,7 +40,7 @@ from .base import (
     SequentialProtocol,
     SynchronousProtocol,
     TickFootprint,
-    self_excluded_sample_probabilities,
+    diagonals,
     self_excluded_sample_probabilities_ensemble,
 )
 
@@ -190,19 +190,13 @@ class TwoChoicesSequentialCounts(SequentialCountsProtocol):
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)
 
-    def tick_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
-        q = self_excluded_sample_probabilities(counts)
-        transition = q * q
-        np.fill_diagonal(transition, 0.0)
-        np.fill_diagonal(transition, np.clip(1.0 - transition.sum(axis=1), 0.0, 1.0))
-        return transition
-
     def tick_transition_matrices(self, states: np.ndarray) -> np.ndarray:
         q = self_excluded_sample_probabilities_ensemble(states)
-        transition = q * q
-        idx = np.arange(transition.shape[-1])
-        transition[:, idx, idx] = 0.0
-        transition[:, idx, idx] = np.clip(1.0 - transition.sum(axis=-1), 0.0, 1.0)
+        transition = np.multiply(q, q, out=q)
+        diagonal = diagonals(transition)
+        diagonal[...] = 0.0
+        keep = np.subtract(1.0, transition.sum(axis=-1))
+        diagonal[...] = np.minimum(np.maximum(keep, 0.0, out=keep), 1.0, out=keep)
         return transition
 
 

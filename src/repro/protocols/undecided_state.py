@@ -36,7 +36,7 @@ from .base import (
     SequentialProtocol,
     SynchronousProtocol,
     TickFootprint,
-    self_excluded_sample_probabilities,
+    diagonals,
     self_excluded_sample_probabilities_ensemble,
 )
 
@@ -237,34 +237,18 @@ class UndecidedStateSequentialCounts(SequentialCountsProtocol):
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(list(config.counts) + [0], dtype=np.int64)
 
-    def tick_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
-        m = np.asarray(counts).size
-        undecided = m - 1
-        q = self_excluded_sample_probabilities(counts)
-        transition = np.zeros((m, m))
-        stay = np.clip(q.diagonal() + q[:, undecided], 0.0, 1.0)
-        idx = np.arange(undecided)
-        transition[idx, idx] = stay[:undecided]
-        transition[idx, undecided] = 1.0 - stay[:undecided]
-        transition[undecided, :] = q[undecided]
-        return transition
-
     def tick_transition_matrices(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states)
         reps, m = states.shape
         undecided = m - 1
         q = self_excluded_sample_probabilities_ensemble(states)
         transition = np.zeros((reps, m, m))
-        idx = np.arange(undecided)
-        stay = np.clip(q[:, idx, idx] + q[:, :undecided, undecided], 0.0, 1.0)
-        transition[:, idx, idx] = stay
-        transition[:, idx, undecided] = 1.0 - stay
+        stay = np.add(diagonals(q)[:, :undecided], q[:, :undecided, undecided])
+        np.minimum(np.maximum(stay, 0.0, out=stay), 1.0, out=stay)
+        diagonals(transition)[:, :undecided] = stay
+        transition[:, :undecided, undecided] = 1.0 - stay
         transition[:, undecided, :] = q[:, undecided, :]
         return transition
-
-    def is_absorbed(self, counts: np.ndarray) -> bool:
-        support = int(np.count_nonzero(counts[:-1]))
-        return (support <= 1 and counts[-1] == 0) or support == 0
 
     def is_absorbed_ensemble(self, states: np.ndarray) -> np.ndarray:
         return _absorbed_rows(states)

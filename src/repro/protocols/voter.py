@@ -24,7 +24,6 @@ from .base import (
     SequentialProtocol,
     SynchronousProtocol,
     TickFootprint,
-    self_excluded_sample_probabilities,
     self_excluded_sample_probabilities_ensemble,
 )
 
@@ -127,9 +126,6 @@ class VoterSequentialCounts(SequentialCountsProtocol):
 
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)
-
-    def tick_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
-        return self_excluded_sample_probabilities(counts)
 
     def tick_transition_matrices(self, states: np.ndarray) -> np.ndarray:
         return self_excluded_sample_probabilities_ensemble(states)

@@ -3,8 +3,9 @@
 Three layers of evidence that the batched tick engines draw from the
 sequential model's law:
 
-1. *Tick law*: every protocol's ``tick_transition_matrix`` matches the
-   empirical one-tick behaviour of its agent-level ``seq_tick``.
+1. *Tick law*: every protocol's ``tick_transition_matrices`` (one row)
+   matches the empirical one-tick behaviour of its agent-level
+   ``seq_tick``.
 2. *Chain exactness*: the batched histogram chain agrees with the
    per-tick chain for small ``n`` and ``B`` (exactly at ``B = 1``).
 3. *Run distributions*: KS agreement of convergence-time samples
@@ -66,6 +67,12 @@ def _label_histogram(protocol, counts):
     return np.repeat(np.arange(len(counts)), counts)
 
 
+def _tick_matrix(counts_protocol, counts):
+    """The transition matrix of one histogram: the stacked hook's only slice."""
+    [matrix] = counts_protocol.tick_transition_matrices(np.asarray(counts)[None, :])
+    return matrix
+
+
 class TestTickTransitionMatrix:
     """Layer 1: the matrix is the exact conditional law of one tick."""
 
@@ -73,7 +80,7 @@ class TestTickTransitionMatrix:
     def test_rows_are_stochastic_for_nonempty_classes(self, pair):
         _, counts_protocol = pair
         counts = np.array([17, 9, 4] if "undecided" not in counts_protocol.name else [17, 9, 4, 6])
-        matrix = np.asarray(counts_protocol.tick_transition_matrix(counts))
+        matrix = _tick_matrix(counts_protocol, counts)
         assert (matrix >= 0).all()
         assert np.allclose(matrix.sum(axis=1), 1.0)
 
@@ -88,7 +95,7 @@ class TestTickTransitionMatrix:
         labels = _label_histogram(seq_protocol, counts)
         n = labels.size
         graph = CompleteGraph(n)
-        matrix = np.asarray(counts_protocol.tick_transition_matrix(counts))
+        matrix = _tick_matrix(counts_protocol, counts)
         rng = np.random.default_rng(7)
         trials = 3000
         for label in range(counts.size):

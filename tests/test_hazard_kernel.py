@@ -17,9 +17,8 @@ Evidence layers for the kernel contract (see
    ``SparseSequentialEngine`` run is bit-identical whichever kernel
    applies the blocks.
 
-Compiled-kernel layers skip loudly when no C toolchain (and no numba)
-is present; the selection/fallback layers run everywhere by stubbing
-the builders.
+Compiled-kernel layers skip loudly when no C toolchain is present; the
+selection/fallback layers run everywhere by stubbing the builders.
 """
 
 import numpy as np
@@ -72,7 +71,7 @@ COMPILED_AVAILABLE = [
 
 needs_compiled = pytest.mark.skipif(
     not COMPILED_AVAILABLE,
-    reason="no compiled kernel available (no C toolchain and no numba) — "
+    reason="no compiled kernel available (no C toolchain) — "
     "numpy fallback covered by the selection tests",
 )
 
@@ -164,8 +163,16 @@ class TestSelection:
     def test_probe_always_lists_numpy(self):
         probes = available_kernels()
         assert probes["numpy"].available
-        assert set(probes) == {"numpy", "c", "numba"}
-        assert set(KERNEL_NAMES) == {"numpy", "c", "numba", "auto"}
+        assert set(probes) == {"numpy", "c"}
+        assert set(KERNEL_NAMES) == {"numpy", "c", "auto"}
+
+    def test_numba_is_an_unknown_kernel(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            get_kernel("numba")
+        monkeypatch.setenv(KERNEL_ENV, "numba")
+        reset_active_kernel()
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            active_kernel()
 
 
 class TestCapabilityProbe:
