@@ -76,8 +76,8 @@ def main() -> int:
     print("expanders track the clique; the ring pays its Theta(n) mixing time.")
 
     # --- the asynchronous model on the torus ---------------------------------
-    # fastest_engine routes off-K_n tick runs to the hazard-batched
-    # SparseSequentialEngine automatically (DESIGN.md section 2.6).
+    # fastest_engine routes off-K_n tick runs to SequentialEngine, whose
+    # blocks run through the hazard-batched core (DESIGN.md section 2.6).
     torus_grid = torus(side, side)
     actual_n = torus_grid.n
     engine = fastest_engine(TwoChoicesSequential(), torus_grid, model="sequential")

@@ -8,13 +8,14 @@ benchmark uses, in two phases:
   split — the throughput number the acceptance criterion quotes;
 - ``consensus``: a full run to consensus — the end-to-end number.
 
-Kernels are selected through the real machinery (``REPRO_KERNEL`` +
-``reset_active_kernel``), so the benchmark exercises the same resolution
-path production runs use.  A separate identity section pins the engine
-block size (adaptive sizing feeds on the hazard-cut count, which only
-the numpy path reports, so free-running blocks lay out the RNG stream
-differently per kernel) and replays one full run per kernel: with
-identical draws the trajectories must match bit-for-bit, recorded under
+Both phases time :class:`~repro.engine.sequential.SequentialEngine`,
+the engine every sparse sequential spec routes to.  Kernels are
+selected through the real machinery (``REPRO_KERNEL`` +
+``reset_active_kernel``), so the benchmark exercises the same
+resolution path production runs use.  A separate identity section
+replays one free-running full run per kernel: the engine's fixed blocks
+draw the identical RNG stream under every kernel, so the trajectories
+must match bit-for-bit, recorded under
 ``criteria["kernel_bit_identical"]``.
 
 The headline criterion — the compiled C kernel at least 2x faster
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..core.exceptions import ConfigurationError
 from ..core.hazard_kernel import KERNEL_ENV, available_kernels, reset_active_kernel
-from ..engine.sparse_async import SparseSequentialEngine
+from ..engine.sequential import SequentialEngine
 from ..graphs.sparse import torus
 from ..protocols.two_choices import TwoChoicesSequential
 from ..workloads.initial import benchmark_split
@@ -75,7 +76,7 @@ def _run_rows(
 ) -> List[Dict]:
     """Time one kernel on the mixed-phase budget (and optionally to
     consensus), returning one result row per phase."""
-    engine = SparseSequentialEngine(TwoChoicesSequential(), _torus(n))
+    engine = SequentialEngine(TwoChoicesSequential(), _torus(n))
     config = benchmark_split(n)
     budget_ticks = BUDGET_PARALLEL * n
     rows: List[Dict] = []
@@ -110,22 +111,15 @@ def _run_rows(
 #: identity-check scale: small enough to replay per kernel in well
 #: under a second, large enough to cross many block boundaries.
 _IDENTITY_N = 4096
-_IDENTITY_BLOCK = 1024
 
 
 def _identity_fingerprint(seed: int) -> tuple:
-    """One full fixed-block run's trajectory fingerprint.
+    """One free-running full run's trajectory fingerprint.
 
-    The block size is pinned because adaptive sizing feeds on the
-    hazard-cut count — a numpy-path observable the compiled loop has no
-    reason to recompute — so free-running engines lay out their RNG
-    draws differently per kernel.  With the boundaries pinned, every
-    kernel consumes the identical presampled draws and the whole run
-    must replay bit-for-bit (see :mod:`repro.core.hazard_kernel`).
+    Every kernel consumes the identical presampled draws, so the whole
+    run must replay bit-for-bit (see :mod:`repro.core.hazard_kernel`).
     """
-    engine = SparseSequentialEngine(
-        TwoChoicesSequential(), _torus(_IDENTITY_N), block_ticks=_IDENTITY_BLOCK
-    )
+    engine = SequentialEngine(TwoChoicesSequential(), _torus(_IDENTITY_N))
     config = benchmark_split(_IDENTITY_N)
     result = engine.run(config, seed=seed)
     return (result.rounds, result.winner, tuple(result.final.counts))
@@ -178,8 +172,8 @@ def benchmark_kernels(
     criteria["kernels_available"] = runnable
     criteria["kernels_measured"] = selected
 
-    # Bit-identity: on pinned block boundaries every kernel must replay
-    # the numpy trajectory exactly (rounds, winner, final counts).
+    # Bit-identity: every kernel must replay the numpy trajectory
+    # exactly (rounds, winner, final counts).
     if "numpy" in fingerprints and len(fingerprints) > 1:
         reference = fingerprints["numpy"]
         criteria["kernel_bit_identical"] = all(

@@ -11,20 +11,12 @@ and a random 8-regular graph.  Engines covered, slowest to fastest:
 * ``sequential/zip-apply`` — the PR-1-era hooks: presampled target
   identities, one Python ``zip`` apply-loop per tick (the fastest
   off-``K_n`` path before the hazard batches).
-* ``sequential/batched-hooks`` — today's ``SequentialEngine``: the
-  default ``seq_tick_batch`` now routes through the hazard-free batch
-  core in fixed 8192-tick blocks.
-* ``sparse-sequential`` / ``sparse-continuous`` — the adaptive
-  hazard-batched engines of :mod:`repro.engine.sparse_async`, timed
-  directly at every ``n`` (above *and* below the dispatch crossover, so
-  the crossover constant stays calibrated).
 * ``routed/fastest-engine`` — whatever
   :func:`~repro.engine.dispatch.fastest_engine` resolves for the
-  workload: the zip-apply hooks engine below the size crossover, the
-  hazard-batched engine above.  Its mixed-phase speedup against the
-  zip-apply baseline is the *healed* ``sparse_seq_mixed_phase`` number
-  — routing around the small-``n`` regression of the raw sparse engine
-  (recorded separately as ``sparse_engine_mixed_phase_*``).
+  workload: :class:`~repro.engine.sequential.SequentialEngine`, whose
+  default ``seq_tick_batch`` applies fixed 8192-tick blocks through the
+  hazard-free batch core.  Its mixed-phase speedup against the
+  zip-apply baseline is the ``sparse_seq_mixed_phase`` number.
 
 Two sections:
 
@@ -34,13 +26,12 @@ Two sections:
   the hazard batches — the write rate is at its highest, so chunks are
   at their shortest;
 * ``consensus`` — full runs to consensus, the workload the motivation
-  quotes: the sparse-sequential engine at the largest ``n``, and the
-  zip-apply baseline at a capped ``n`` (its Python-loop cost per tick
-  is phase- and n-independent, so its per-tick figure anchors the
+  quotes: the routed engine at the largest ``n``, and the zip-apply
+  baseline at a capped ``n`` (its Python-loop cost per tick is phase-
+  and n-independent, so its per-tick figure anchors the
   consensus-speedup criterion without a 16-second baseline run).  The
   coarsening and near-consensus phases that dominate these runs are
-  where the actual-write hazard batches widen and the adaptive blocks
-  pay off.
+  where the actual-write hazard batches widen.
 
 ``python -m repro sparse`` and ``benchmarks/bench_sparse.py`` both call
 :func:`benchmark_sparse` and persist the payload (``BENCH_sparse.json``
@@ -54,12 +45,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.colors import ColorConfiguration
 from ..engine.dispatch import fastest_engine
 from ..engine.sequential import SequentialEngine
-from ..engine.sparse_async import SparseContinuousEngine, SparseSequentialEngine
 from ..graphs.families import random_regular
-from ..graphs.sparse import AdjacencyTopology, torus
+from ..graphs.sparse import torus
 from ..protocols.base import SequentialProtocol
 from ..protocols.two_choices import TwoChoicesSequential
 from ..workloads.initial import benchmark_split
@@ -132,22 +121,6 @@ def _engine_specs():
         engine = SequentialEngine(_ZipApplyTwoChoices(), topology)
         return lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=_never, seed=seed)
 
-    def batched_hooks(topology, budget_ticks):
-        engine = SequentialEngine(TwoChoicesSequential(), topology)
-        return lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=_never, seed=seed)
-
-    def sparse_sequential(topology, budget_ticks):
-        # Built directly (not through dispatch): the engine must stay
-        # measured below the routing crossover too, so the crossover
-        # constant remains calibrated against fresh numbers.
-        engine = SparseSequentialEngine(TwoChoicesSequential(), topology)
-        return lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=_never, seed=seed)
-
-    def sparse_continuous(topology, budget_ticks):
-        engine = SparseContinuousEngine(TwoChoicesSequential(), topology)
-        budget_time = budget_ticks / topology.n
-        return lambda config, seed: engine.run(config, max_time=budget_time, stop=_never, seed=seed)
-
     def routed(topology, budget_ticks):
         engine = fastest_engine(TwoChoicesSequential(), topology, model="sequential")
         runner = lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=_never, seed=seed)  # noqa: E731
@@ -157,9 +130,6 @@ def _engine_specs():
     return [
         (_PER_TICK, True, per_tick),
         (_ZIP_APPLY, False, zip_apply),
-        ("sequential/batched-hooks", False, batched_hooks),
-        ("sparse-sequential", False, sparse_sequential),
-        ("sparse-continuous", False, sparse_continuous),
         (_ROUTED, False, routed),
     ]
 
@@ -175,8 +145,8 @@ def benchmark_sparse(
 
     Every engine runs the identical fixed budget of
     ``BUDGET_PARALLEL * n`` ticks from the 60/40 split (the throughput
-    table the speedups come from); the sparse-sequential engine is then
-    run to consensus at the largest ``n`` per topology.  The per-tick
+    table the speedups come from); the routed engine is then run to
+    consensus at the largest ``n`` per topology.  The per-tick
     baseline is capped at *per_tick_max_n* for quick CI runs (its cost
     per tick is n-independent, so the speedup it anchors is too).
     """
@@ -219,7 +189,7 @@ def benchmark_sparse(
             consensus_engines = []
             if consensus and n == max(ns):
                 consensus_engines.append(
-                    ("sparse-sequential", SparseSequentialEngine(TwoChoicesSequential(), topology))
+                    (_ROUTED, fastest_engine(TwoChoicesSequential(), topology, model="sequential"))
                 )
             zip_ns = [m for m in ns if m <= ZIP_CONSENSUS_MAX_N]
             if consensus and zip_ns and n == max(zip_ns):
@@ -280,56 +250,41 @@ def benchmark_sparse(
     # at the largest n where that baseline ran, on both topologies.
     for topo_name in ("torus", "random-regular"):
         table = speedups.get(topo_name, {})
-        anchored = [
-            int(n) for n, row in table.items() if f"sparse-sequential vs {_PER_TICK}" in row
-        ]
+        anchored = [int(n) for n, row in table.items() if f"{_ROUTED} vs {_PER_TICK}" in row]
         if not anchored:
             continue
         n_ref = max(anchored)
-        per_tick_speedup = table[str(n_ref)][f"sparse-sequential vs {_PER_TICK}"]
-        zip_speedup = table[str(n_ref)].get(f"sparse-sequential vs {_ZIP_APPLY}")
+        per_tick_speedup = table[str(n_ref)][f"{_ROUTED} vs {_PER_TICK}"]
         slug = topo_name.replace("-", "_")
         criteria[f"sparse_seq_reference_n_{slug}"] = n_ref
         criteria[f"sparse_seq_speedup_vs_per_tick_{slug}"] = per_tick_speedup
         criteria[f"sparse_seq_ge_10x_vs_per_tick_{slug}"] = per_tick_speedup >= 10.0
-        # The mixed-phase regression and its heal, both at the smallest
-        # swept n (the regression lived below the routing crossover):
-        # the raw sparse engine's number documents the cliff dispatch
-        # used to walk off; the routed number is what fastest_engine
-        # actually resolves there now.  "Healed" asserts that routing
-        # strictly improves on the old always-sparse dispatch and stays
-        # within 25% of the phase-independent zip-apply loop — the raw
-        # engine sat around 0.65-0.77x, the routed path around
-        # 0.83-0.98x on these hosts.
+        # The mixed phase at the smallest swept n, where the hazard
+        # chunks are shortest: the routed engine stays within 25% of the
+        # phase-independent zip-apply loop.
         n_mixed = min(int(m) for m in table)
-        mixed_row = table[str(n_mixed)]
-        engine_speedup = mixed_row.get(f"sparse-sequential vs {_ZIP_APPLY}")
-        routed_speedup = mixed_row.get(f"{_ROUTED} vs {_ZIP_APPLY}")
-        if engine_speedup is not None:
-            criteria[f"sparse_engine_mixed_phase_speedup_vs_zip_apply_{slug}"] = engine_speedup
+        routed_speedup = table[str(n_mixed)].get(f"{_ROUTED} vs {_ZIP_APPLY}")
         if routed_speedup is not None:
             criteria[f"sparse_seq_mixed_phase_n_{slug}"] = n_mixed
             criteria[f"sparse_seq_mixed_phase_speedup_vs_zip_apply_{slug}"] = routed_speedup
-            criteria[f"sparse_seq_mixed_phase_healed_{slug}"] = routed_speedup >= max(
-                0.75, engine_speedup if engine_speedup is not None else 0.0
-            )
+            criteria[f"sparse_seq_mixed_phase_healed_{slug}"] = routed_speedup >= 0.75
     # The consensus workload (what the motivation quotes): per-tick
-    # wall cost of full runs, sparse vs the phase-independent zip loop.
+    # wall cost of full runs, routed vs the phase-independent zip loop.
     for topo_name in ("torus", "random-regular"):
         rows = {
             r["engine"]: r for r in consensus_rows if r["topology"] == topo_name
         }
-        sparse_row = rows.get("sparse-sequential")
+        routed_row = rows.get(_ROUTED)
         zip_row = rows.get(_ZIP_APPLY)
         slug = topo_name.replace("-", "_")
-        if sparse_row and zip_row:
-            speedup = zip_row["min_ns_per_tick"] / sparse_row["min_ns_per_tick"]
+        if routed_row and zip_row:
+            speedup = zip_row["min_ns_per_tick"] / routed_row["min_ns_per_tick"]
             criteria[f"consensus_speedup_vs_zip_apply_{slug}"] = speedup
             criteria[f"consensus_faster_than_zip_apply_{slug}"] = speedup > 1.0
     regular_consensus = [
         r
         for r in consensus_rows
-        if r["topology"] == "random-regular" and r["engine"] == "sparse-sequential"
+        if r["topology"] == "random-regular" and r["engine"] == _ROUTED
     ]
     if regular_consensus:
         criteria["consensus_random_regular_converged"] = bool(
@@ -340,7 +295,7 @@ def benchmark_sparse(
         "benchmark": "sparse-engines/async-two-choices",
         "workload": (
             f"Two-Choices, counts (0.6n, 0.4n), {BUDGET_PARALLEL}n-tick throughput budget "
-            "+ sparse-sequential run to consensus at max n"
+            "+ routed run to consensus at max n"
         ),
         "topologies": ["torus", "random-regular (degree 8)"],
         "ns": [int(n) for n in ns],
@@ -457,7 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="benchmark the sparse-topology hazard-batched engines"
+        description="benchmark the sparse-topology hazard-batched tick path"
     )
     add_cli_arguments(parser)
     args = parser.parse_args(argv)

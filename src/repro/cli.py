@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sparse_cmd = sub.add_parser(
         "sparse",
-        help="benchmark the sparse-topology hazard-batched engines on torus and random-regular",
+        help="benchmark the sparse-topology hazard-batched tick path on torus and random-regular",
     )
     from .bench.perf_sparse import add_cli_arguments as add_sparse_cli_arguments
 

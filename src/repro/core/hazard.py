@@ -85,10 +85,9 @@ class HazardScratch:
     def reads_buffer(self, m: int, width: int) -> np.ndarray:
         """A reusable ``int64[m, width]`` read-set buffer.
 
-        Grown on demand and shared across blocks (and, through the
-        engines' ``run_replicated``, across replications), so the per-
-        block presample assembly never re-allocates once the block size
-        stabilises.  The content is overwritten by every caller — only
+        Grown on demand and shared across the blocks of a run, so the
+        per-block presample assembly never re-allocates once the block
+        size stabilises.  The content is overwritten by every caller — only
         the storage is shared.
         """
         buffer = self._reads
@@ -195,8 +194,8 @@ def apply_hazard_free(
     omitted the per-run table cached on *state* is reused
     (:meth:`HazardScratch.for_state`), so repeated calls never pay the
     ``O(n)`` table allocation twice.  Returns the number of hazard cuts
-    (0 when the whole block applied cleanly) — callers may use it to
-    adapt their block size.
+    (0 when the whole block applied cleanly, and always 0 from a
+    compiled kernel, which applies tick by tick).
 
     When a compiled kernel is active (``REPRO_KERNEL`` — see
     :mod:`repro.core.hazard_kernel`) and supports *protocol*, the whole

@@ -20,7 +20,6 @@ from .ensemble import (
 )
 from .events import EventQueue
 from .sequential import SequentialEngine
-from .sparse_async import SparseContinuousEngine, SparseSequentialEngine
 from .synchronous import SynchronousEngine
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "run_replicated",
     "EventQueue",
     "SequentialEngine",
-    "SparseContinuousEngine",
-    "SparseSequentialEngine",
     "SynchronousEngine",
     "fastest_engine",
 ]

@@ -224,11 +224,14 @@ class ContinuousEngine:
                     busy[request.node] = False
                     protocol.tick_apply(state, request.node, np.asarray(request.observed, dtype=np.int64))
             events += 1
+            # As on the instantaneous path, the trace cadence is
+            # independent of the stop-check cadence.
+            if trace is not None and time >= next_trace:
+                trace.record(time, state.counts())
+                while next_trace <= time:
+                    next_trace += trace_every
             if events % check_every == 0:
                 counts = state.counts()
-                if trace is not None and time >= next_trace:
-                    trace.record(time, counts)
-                    next_trace += trace_every
                 if stop(counts):
                     converged = True
         counts = state.counts()

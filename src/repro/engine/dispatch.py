@@ -13,17 +13,17 @@ model               on ``K_n``                 elsewhere / with delays
 ``"synchronous"``   CountsEngine (counts       SynchronousEngine
                     protocols) else
                     SynchronousEngine
-``"sequential"``    CountsSequentialEngine     footprint protocols: Sparse-
-                    when the protocol has a    SequentialEngine from
-                    counts-level tick law and  ``n >= 30_000``, the zip-apply
-                    ``n * n_reps >= 100_000``  SequentialEngine below (see the
-                    (counts crossover), else   sparse crossover note); else
-                    SequentialEngine           SequentialEngine
-``"continuous"``    CountsContinuousEngine     zero-delay: SparseContinuous-
-                    when zero-delay, a         Engine when a tick footprint is
-                    counts-level tick law and  declared, else ContinuousEngine;
-                    ``n * n_reps >= 100_000``  a real delay model always forces
-                    else ContinuousEngine      ContinuousEngine
+``"sequential"``    CountsSequentialEngine     SequentialEngine
+                    when the protocol has a
+                    counts-level tick law and
+                    ``n * n_reps >= 100_000``
+                    (counts crossover), else
+                    SequentialEngine
+``"continuous"``    CountsContinuousEngine     ContinuousEngine (block path
+                    when zero-delay, a         when zero-delay, event queue
+                    counts-level tick law and  under a real delay model)
+                    ``n * n_reps >= 100_000``
+                    else ContinuousEngine
 ==================  =========================  ===============================
 
 Protocols built directly as counts tick protocols
@@ -92,33 +92,37 @@ Counts-crossover note (asynchronous models, on ``K_n``)
     ============  =======  ================  ================  ================  ================
 
     The routed engine is within 1.33x of the fastest exact engine
-    (counts, agent or sparse) in every cell; routing every cell to the
-    counts engines was up to 28x off.  Per-cell crossovers sit
-    near ``n = 5e4`` at ``R = 1`` and fall roughly as ``1 / R``, so one
-    constant in ``n * R`` fits both models and all three protocols.
+    (counts, agent or the since-deleted adaptive-block engine) in every
+    cell; routing every cell to the counts engines was up to 28x off.
+    Per-cell crossovers sit near ``n = 5e4`` at ``R = 1`` and fall
+    roughly as ``1 / R``, so one constant in ``n * R`` fits both models
+    and all three protocols.
     Voter, left out of the grid for its ``Theta(n)`` parallel time,
     agrees where it is cheap to time: sequential, ``R = 1``, counts 269
     vs agent 19 ms at ``n = 100`` and 3623 vs 294 ms at ``n = 10^3``.
 
-Sparse-crossover note (sequential model, off ``K_n``)
-    The hazard-batched sparse engine amortises its per-block scan work
-    over ``~sqrt(n)``-wide chunks, so it wins for large ``n`` (1.4x at
-    ``n = 10^5`` on a torus) but *loses* to the fixed-batch zip-apply
-    hooks path in the mixed phase at ``n ~ 10^4`` (0.77x, BENCH_sparse)
-    — blocks are too short to amortise.  ``fastest_engine`` therefore
-    routes by size: :data:`SPARSE_SEQUENTIAL_CROSSOVER` (30k nodes) and
-    up go to the sparse engine, below stays on
-    :class:`~repro.engine.sequential.SequentialEngine`.  A compiled
-    tick kernel (``REPRO_KERNEL`` — :mod:`repro.core.hazard_kernel`)
-    accelerates *both* routes through the shared
-    :func:`~repro.core.hazard.apply_hazard_free` entry point, and both
-    engines remain law-exact, so the crossover only tunes the numpy
-    fallback's constant factors.  The continuous model keeps the sparse
-    engine at every ``n`` off ``K_n``; on ``K_n`` below the counts
-    crossover the per-event :class:`~repro.engine.continuous.ContinuousEngine`
-    runs instead: in the grid's cells below that crossover it took
-    0.50-1.33x the sparse engine's time (median 0.86x, faster in 26 of
-    30 cells).
+One agent engine per clock
+    Every agent tick run that does not take the counts route, at every
+    ``n`` and on every topology, runs on
+    :class:`~repro.engine.sequential.SequentialEngine` or
+    :class:`~repro.engine.continuous.ContinuousEngine`.  Both apply
+    fixed blocks (8192 / 4096 ticks) through the protocol's
+    ``seq_tick_batch``: footprint protocols presample the block's
+    targets and apply hazard-free chunks
+    (:func:`~repro.core.hazard.apply_hazard_free`, or the compiled
+    ``REPRO_KERNEL`` loop), the others loop per tick.  An adaptive-block
+    twin of each engine, routed off ``K_n`` from ``n >= 30_000``
+    (sequential) or at every ``n`` (continuous), was measured against
+    them and deleted (numpy kernel, one pinned CPU of a 2-vCPU
+    container, EXPERIMENTS.md "One agent engine per clock"): 2.38 s
+    routed through it vs 2.17 s on these engines for the first ten
+    perfbench sparse-topologies specs (min of 5 alternating runs), and
+    a tie within the machine's noise on ``n ~ 10^5`` torus and
+    random-regular runs, for 40 units of parallel time and to
+    consensus.  Its block sizer also fed on the numpy path's hazard-cut
+    count, which the C kernel does not report, so its values depended
+    on ``REPRO_KERNEL``; fixed blocks make free-running runs
+    bit-identical under every kernel.
 
 When *n_reps* asks for more than one replication, the counts-level
 rows of the table are additionally lifted to their ensemble twins
@@ -159,17 +163,11 @@ from .ensemble import (
     EnsembleCountsSequentialEngine,
 )
 from .sequential import SequentialEngine
-from .sparse_async import SparseContinuousEngine, SparseSequentialEngine
 from .synchronous import SynchronousEngine
 
-__all__ = ["fastest_engine", "COUNTS_TICK_CROSSOVER", "SPARSE_SEQUENTIAL_CROSSOVER"]
+__all__ = ["fastest_engine", "COUNTS_TICK_CROSSOVER"]
 
 AnyProtocol = Union[SynchronousProtocol, CountsProtocol, SequentialProtocol, SequentialCountsProtocol]
-
-#: node count from which the hazard-batched sparse engine beats the
-#: zip-apply hooks path in the sequential model (see the sparse-crossover
-#: note above; calibrated by benchmarks/bench_sparse.py's mixed-phase rows).
-SPARSE_SEQUENTIAL_CROSSOVER = 30_000
 
 #: ``n * n_reps`` from which a tick protocol's counts companion beats
 #: the per-tick agent engines on ``K_n`` (see the counts-crossover note
@@ -276,20 +274,6 @@ def fastest_engine(
         companion = protocol.as_sequential_counts()
         if companion is not None:
             return counts_engine(companion)
-
-    footprint = protocol.tick_footprint
-    if zero_delay and not on_complete and footprint is not None and footprint.writes_self_only:
-        # Off K_n with presampleable self-writing ticks: the hazard-
-        # batched engines (law-exact, see repro.engine.sparse_async).
-        # They have no ensemble form; run_replicated reuses their
-        # scratch buffers across replications.
-        if model == "continuous":
-            return SparseContinuousEngine(protocol, topology)
-        if topology.n >= SPARSE_SEQUENTIAL_CROSSOVER:
-            return SparseSequentialEngine(protocol, topology)
-        # Below the crossover the zip-apply hooks path is faster in the
-        # mixed phase (see the sparse-crossover note above); it shares the
-        # hazard/kernel core, so exactness is unaffected.
 
     if model == "continuous":
         return ContinuousEngine(protocol, topology, delay_model=delay_model)

@@ -231,17 +231,9 @@ def run_replicated(
     mutually independent — streams, so only the *distribution* of
     results is shared, not the values; see DESIGN.md for the seeding
     contract.
-
-    Engines that expose their own ``run_replicated`` (the sparse hazard
-    engines, which reuse scratch and presample buffers across
-    replications) take precedence over the generic loop; they follow
-    the same spawn-child seeding, so the values are identical to the
-    generic loop too.
     """
     if hasattr(engine, "run_ensemble"):
         return engine.run_ensemble(initial, n_reps=n_reps, seed=split(seed, "ensemble"), **run_kwargs)
-    if hasattr(engine, "run_replicated"):
-        return engine.run_replicated(initial, n_reps, seed=seed, **run_kwargs)
     return [
         engine.run(initial, seed=child, **run_kwargs)
         for child in spawn_seed_sequences(seed, n_reps)

@@ -72,8 +72,8 @@ class TickFootprint:
     """Declared read/write footprint of one sequential tick.
 
     Declaring a footprint on a :class:`SequentialProtocol` asserts the
-    contract the hazard-batched fast paths rely on (see
-    :mod:`repro.core.hazard` and :mod:`repro.engine.sparse_async`):
+    contract the hazard-batched block path of :meth:`SequentialProtocol.
+    seq_tick_batch` relies on (see :mod:`repro.core.hazard`):
 
     * :meth:`~SequentialProtocol.tick_targets` draws exactly *samples*
       i.i.d. uniform neighbours of the acting node — the identities are

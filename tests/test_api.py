@@ -407,10 +407,9 @@ class TestSimulateSurface:
         with pytest.raises(ConfigurationError, match="SimulationSpec"):
             simulate({"protocol": "voter", "n": 10})
 
-    def test_sparse_topology_routes_by_size_crossover(self):
-        # Below the dispatch crossover the zip-apply hooks engine wins
-        # on sparse topologies; the hazard-batched engine takes over
-        # from SPARSE_SEQUENTIAL_CROSSOVER nodes (see engine/dispatch).
+    def test_sparse_topology_routes_to_sequential_engine(self):
+        # Sparse sequential specs run on SequentialEngine at every n
+        # (see engine/dispatch).
         spec = SimulationSpec(
             protocol="voter",
             n=32,

@@ -6,7 +6,7 @@ more.  The agent engines stop their event loop at the budget; the
 counts engines cut their last batch with a binomial thinning of its
 ticks (:mod:`repro.engine.counts_async`).  The routes are reached
 through :func:`repro.api.simulate`, and each case asserts the engine it
-landed on, so the table keeps covering all four.
+landed on, so the table keeps covering all three, on and off ``K_n``.
 """
 
 import numpy as np
@@ -17,12 +17,18 @@ from repro.core.colors import ColorConfiguration
 from repro.engine import EnsembleCountsContinuousEngine
 from repro.protocols import TwoChoicesSequentialCounts
 
+#: (case id, routed engine, spec fields).
 ROUTES = [
-    ("CountsContinuousEngine", dict(n=200_000)),
-    ("EnsembleCountsContinuousEngine", dict(n=50_000, reps=4)),
-    ("ContinuousEngine", dict(n=2_000, reps=3)),
-    ("SparseContinuousEngine", dict(n=2_500, topology="torus", topology_params={"rows": 50}, reps=3)),
+    ("CountsContinuousEngine", "CountsContinuousEngine", dict(n=200_000)),
+    ("EnsembleCountsContinuousEngine", "EnsembleCountsContinuousEngine", dict(n=50_000, reps=4)),
+    ("ContinuousEngine", "ContinuousEngine", dict(n=2_000, reps=3)),
+    (
+        "ContinuousEngine-torus",
+        "ContinuousEngine",
+        dict(n=2_500, topology="torus", topology_params={"rows": 50}, reps=3),
+    ),
 ]
+ROUTE_PARAMS = [pytest.param(engine, fields, id=case) for case, engine, fields in ROUTES]
 
 
 def _simulate(fields, max_time):
@@ -30,7 +36,7 @@ def _simulate(fields, max_time):
     return simulate(spec)
 
 
-@pytest.mark.parametrize("engine,fields", ROUTES, ids=[engine for engine, _ in ROUTES])
+@pytest.mark.parametrize("engine,fields", ROUTE_PARAMS)
 def test_budget_hit_stops_at_exactly_max_time(engine, fields):
     result = _simulate(fields, 0.5)
     assert result.engine == engine
@@ -39,7 +45,7 @@ def test_budget_hit_stops_at_exactly_max_time(engine, fields):
         assert run.parallel_time == 0.5
 
 
-@pytest.mark.parametrize("engine,fields", ROUTES, ids=[engine for engine, _ in ROUTES])
+@pytest.mark.parametrize("engine,fields", ROUTE_PARAMS)
 def test_no_run_reports_time_past_the_budget(engine, fields):
     max_time = 14.0
     result = _simulate(fields, max_time)

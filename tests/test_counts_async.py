@@ -29,7 +29,6 @@ from repro.engine import (
     CountsEngine,
     CountsSequentialEngine,
     SequentialEngine,
-    SparseSequentialEngine,
     SynchronousEngine,
     fastest_engine,
 )
@@ -265,14 +264,13 @@ class TestDispatch:
         engine = fastest_engine(TwoChoicesSequentialCounts(), CompleteGraph(100))
         assert isinstance(engine, CountsSequentialEngine)
 
-    def test_sparse_topology_routes_by_size_crossover(self):
-        # Small sparse topologies stay on the zip-apply hooks engine;
-        # the hazard-batched engine engages from the dispatch crossover
-        # (full table: tests/test_dispatch_routing.py).
-        engine = fastest_engine(TwoChoicesSequential(), hypercube(5), model="sequential")
-        assert isinstance(engine, SequentialEngine)
-        engine = fastest_engine(TwoChoicesSequential(), hypercube(15), model="sequential")
-        assert isinstance(engine, SparseSequentialEngine)
+    def test_sparse_topology_routes_to_sequential_engine(self):
+        # Off K_n the size does not route: small and large sparse
+        # topologies both take SequentialEngine (full table:
+        # tests/test_dispatch_routing.py).
+        for topology in (hypercube(5), hypercube(15)):
+            engine = fastest_engine(TwoChoicesSequential(), topology, model="sequential")
+            assert type(engine) is SequentialEngine
 
     def test_protocol_without_companion_falls_back(self):
         engine = fastest_engine(AsyncPluralityProtocol(), CompleteGraph(100), model="sequential")

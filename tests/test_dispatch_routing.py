@@ -14,14 +14,13 @@ from repro.engine.continuous import ContinuousEngine
 from repro.engine.counts import CountsEngine
 from repro.engine.counts_async import CountsContinuousEngine, CountsSequentialEngine
 from repro.engine.delays import ExponentialDelay, FixedDelay
-from repro.engine.dispatch import COUNTS_TICK_CROSSOVER, SPARSE_SEQUENTIAL_CROSSOVER, fastest_engine
+from repro.engine.dispatch import COUNTS_TICK_CROSSOVER, fastest_engine
 from repro.engine.ensemble import (
     EnsembleCountsContinuousEngine,
     EnsembleCountsEngine,
     EnsembleCountsSequentialEngine,
 )
 from repro.engine.sequential import SequentialEngine
-from repro.engine.sparse_async import SparseContinuousEngine, SparseSequentialEngine
 from repro.engine.synchronous import SynchronousEngine
 from repro.graphs.complete import CompleteGraph
 from repro.graphs.dynamic import ChurnTopology
@@ -50,12 +49,11 @@ SUB_K_N = CompleteGraph(COUNTS_TICK_CROSSOVER - 1)
 BIG_K_N_R = CompleteGraph(-(-COUNTS_TICK_CROSSOVER // R))
 SUB_K_N_R = CompleteGraph(-(-COUNTS_TICK_CROSSOVER // R) - 1)
 RING = ring(64)
-# A ring at/above the sequential-model size crossover: large enough
-# that the hazard-batched engine's block amortisation wins (CSR rings
-# are cheap to build at this size).
-BIG_RING = ring(SPARSE_SEQUENTIAL_CROSSOVER)
+# Off K_n the size does not route: a big ring takes the same per-tick
+# engines as a small one (CSR rings are cheap to build at this size).
+BIG_RING = ring(30_000)
 DYNAMIC_RING = ChurnTopology(ring(64), churn_rate=0.1)
-BIG_DYNAMIC_RING = ChurnTopology(ring(SPARSE_SEQUENTIAL_CROSSOVER), churn_rate=0.1)
+BIG_DYNAMIC_RING = ChurnTopology(ring(30_000), churn_rate=0.1)
 
 
 def _lossy():
@@ -117,21 +115,19 @@ ROUTING_TABLE = [
     # ... while counts tick protocols route there directly at any size.
     ("seq-counts/K_n/1", TwoChoicesSequentialCounts, "sequential", K_N, None, 1, CountsSequentialEngine),
     ("seq-counts/K_n/R", TwoChoicesSequentialCounts, "sequential", K_N, None, R, EnsembleCountsSequentialEngine),
-    # Off K_n a declared tick footprint routes by size: below the
-    # crossover the zip-apply hooks path of SequentialEngine wins the
-    # mixed phase, from the crossover up the hazard-batched engine's
-    # block amortisation wins (see the dispatch crossover note).  Both
-    # are single-run engines; run_replicated handles reps.
+    # Off K_n every tick protocol runs on SequentialEngine at every n;
+    # footprint protocols take its hazard-batched blocks, the others
+    # its per-tick loop.  run_replicated loops it for reps.
     ("seq/ring/1", TwoChoicesSequential, "sequential", RING, None, 1, SequentialEngine),
     ("seq/ring/R", TwoChoicesSequential, "sequential", RING, None, 8, SequentialEngine),
     ("seq-voter/ring/1", VoterSequential, "sequential", RING, None, 1, SequentialEngine),
     ("seq-3maj/ring/1", ThreeMajoritySequential, "sequential", RING, None, 1, SequentialEngine),
     ("seq-usd/ring/1", UndecidedStateSequential, "sequential", RING, None, 1, SequentialEngine),
-    ("seq/big-ring/1", TwoChoicesSequential, "sequential", BIG_RING, None, 1, SparseSequentialEngine),
-    ("seq/big-ring/R", TwoChoicesSequential, "sequential", BIG_RING, None, 8, SparseSequentialEngine),
-    ("seq-voter/big-ring/1", VoterSequential, "sequential", BIG_RING, None, 1, SparseSequentialEngine),
-    ("seq-3maj/big-ring/1", ThreeMajoritySequential, "sequential", BIG_RING, None, 1, SparseSequentialEngine),
-    ("seq-usd/big-ring/1", UndecidedStateSequential, "sequential", BIG_RING, None, 1, SparseSequentialEngine),
+    ("seq/big-ring/1", TwoChoicesSequential, "sequential", BIG_RING, None, 1, SequentialEngine),
+    ("seq/big-ring/R", TwoChoicesSequential, "sequential", BIG_RING, None, 8, SequentialEngine),
+    ("seq-voter/big-ring/1", VoterSequential, "sequential", BIG_RING, None, 1, SequentialEngine),
+    ("seq-3maj/big-ring/1", ThreeMajoritySequential, "sequential", BIG_RING, None, 1, SequentialEngine),
+    ("seq-usd/big-ring/1", UndecidedStateSequential, "sequential", BIG_RING, None, 1, SequentialEngine),
     # No footprint (phase-dependent sampling): the per-tick reference
     # engine remains the only exact option off K_n.
     ("seq-async-plurality/ring/1", AsyncPluralityProtocol, "sequential", RING, None, 1, SequentialEngine),
@@ -143,9 +139,8 @@ ROUTING_TABLE = [
     # Wrappers never expose a counts companion (per-node masks have no
     # counts-level law), so even on K_n the agent engines run.  Lossy
     # has no footprint — its sampling depends on the loss draws — so it
-    # stays on the per-tick SequentialEngine at every size; the
-    # mask-based wrappers delegate the inner footprint and ride the
-    # size crossover like the bare protocol.
+    # takes SequentialEngine's per-tick loop; the mask-based wrappers
+    # delegate the inner footprint and take its hazard-batched blocks.
     ("fault-lossy/K_n/1", _lossy, "sequential", K_N, None, 1, SequentialEngine),
     ("fault-lossy/ring/1", _lossy, "sequential", RING, None, 1, SequentialEngine),
     ("fault-lossy/big-ring/1", _lossy, "sequential", BIG_RING, None, 1, SequentialEngine),
@@ -153,24 +148,22 @@ ROUTING_TABLE = [
     ("fault-stubborn/K_n/1", _stubborn, "sequential", K_N, None, 1, SequentialEngine),
     ("fault-stubborn/big-K_n/1", _stubborn, "sequential", BIG_K_N, None, 1, SequentialEngine),
     ("fault-stubborn/ring/1", _stubborn, "sequential", RING, None, 1, SequentialEngine),
-    ("fault-stubborn/big-ring/1", _stubborn, "sequential", BIG_RING, None, 1, SparseSequentialEngine),
-    ("fault-stubborn/ring/cont", _stubborn, "continuous", RING, None, 1, SparseContinuousEngine),
-    ("fault-byzantine/big-ring/1", _byzantine, "sequential", BIG_RING, None, 1, SparseSequentialEngine),
+    ("fault-stubborn/big-ring/1", _stubborn, "sequential", BIG_RING, None, 1, SequentialEngine),
+    ("fault-stubborn/ring/cont", _stubborn, "continuous", RING, None, 1, ContinuousEngine),
+    ("fault-byzantine/big-ring/1", _byzantine, "sequential", BIG_RING, None, 1, SequentialEngine),
     # Composition inherits the innermost footprint-less seam: a lossy
     # layer anywhere in the stack pins the per-tick engine.
     ("fault-stubborn-lossy/big-ring/1", _stubborn_lossy, "sequential", BIG_RING, None, 1, SequentialEngine),
     # --- dynamic topologies -----------------------------------------------
-    # The epoch clock rides the sequential engines' block loops, and the
-    # size crossover applies unchanged (ChurnTopology keeps the CSR
-    # presampling fast path).
+    # The epoch clock rides SequentialEngine's block loop (ChurnTopology
+    # keeps the CSR presampling fast path).
     ("dynamic-ring/seq/1", TwoChoicesSequential, "sequential", DYNAMIC_RING, None, 1, SequentialEngine),
     ("dynamic-ring/seq/R", TwoChoicesSequential, "sequential", DYNAMIC_RING, None, 8, SequentialEngine),
-    ("dynamic-big-ring/seq/1", TwoChoicesSequential, "sequential", BIG_DYNAMIC_RING, None, 1, SparseSequentialEngine),
+    ("dynamic-big-ring/seq/1", TwoChoicesSequential, "sequential", BIG_DYNAMIC_RING, None, 1, SequentialEngine),
     ("dynamic-ring/seq/stubborn", _stubborn, "sequential", DYNAMIC_RING, None, 1, SequentialEngine),
     # --- continuous model -------------------------------------------------
     # The counts crossover applies to the Poisson-clock model too; below
-    # it the event-queue engine runs (faster than the counts engines and,
-    # in most measured cells, than the sparse engine on K_n).
+    # it and off K_n ContinuousEngine runs.
     ("cont/K_n/1", TwoChoicesSequential, "continuous", K_N, None, 1, ContinuousEngine),
     ("cont/K_n/R", TwoChoicesSequential, "continuous", K_N, None, R, ContinuousEngine),
     ("cont/sub-K_n/1", TwoChoicesSequential, "continuous", SUB_K_N, None, 1, ContinuousEngine),
@@ -180,12 +173,12 @@ ROUTING_TABLE = [
     ("cont-3maj/big-K_n/R", ThreeMajoritySequential, "continuous", BIG_K_N_R, None, R, EnsembleCountsContinuousEngine),
     ("cont-usd/sub-K_n/R", UndecidedStateSequential, "continuous", SUB_K_N_R, None, R, ContinuousEngine),
     ("cont-counts/K_n/1", TwoChoicesSequentialCounts, "continuous", K_N, None, 1, CountsContinuousEngine),
-    ("cont/ring/1", TwoChoicesSequential, "continuous", RING, None, 1, SparseContinuousEngine),
+    ("cont/ring/1", TwoChoicesSequential, "continuous", RING, None, 1, ContinuousEngine),
     ("cont-async-plurality/ring/1", AsyncPluralityProtocol, "continuous", RING, None, 1, ContinuousEngine),
     # A zero delay model keeps the batched fast paths ...
     ("cont-zero-delay/K_n/1", TwoChoicesSequential, "continuous", K_N, FixedDelay(0.0), 1, ContinuousEngine),
     ("cont-zero-delay/big-K_n/1", TwoChoicesSequential, "continuous", BIG_K_N, FixedDelay(0.0), 1, CountsContinuousEngine),
-    ("cont-zero-delay/ring/1", TwoChoicesSequential, "continuous", RING, FixedDelay(0.0), 1, SparseContinuousEngine),
+    ("cont-zero-delay/ring/1", TwoChoicesSequential, "continuous", RING, FixedDelay(0.0), 1, ContinuousEngine),
     # ... a real one forces the event-queue reference engine.
     ("cont-delay/K_n/1", TwoChoicesSequential, "continuous", K_N, ExponentialDelay(1.0), 1, ContinuousEngine),
     ("cont-delay/K_n/R", TwoChoicesSequential, "continuous", K_N, ExponentialDelay(1.0), 8, ContinuousEngine),

@@ -8,7 +8,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.engine.base import consensus_reached, near_consensus, plurality_fraction_at_least
 from repro.engine.continuous import ContinuousEngine
 from repro.engine.counts import CountsEngine
-from repro.engine.delays import FixedDelay
+from repro.engine.delays import ExponentialDelay, FixedDelay
 from repro.engine.sequential import SequentialEngine
 from repro.engine.synchronous import SynchronousEngine
 from repro.graphs.complete import CompleteGraph
@@ -161,6 +161,27 @@ class TestContinuousEngine:
         result = engine.run(ColorConfiguration([65, 15]), seed=2, max_time=500.0)
         assert result.converged
         assert result.winner == 0
+
+    def test_delayed_trace_honours_trace_every(self):
+        # The event-queue path traces on every event, not only on the
+        # stop checks, which land about every 13 time units here.
+        n = 2000
+        engine = ContinuousEngine(
+            TwoChoicesSequential(), CompleteGraph(n), delay_model=ExponentialDelay(0.5)
+        )
+        result = engine.run(
+            ColorConfiguration([1200, 800]),
+            record_trace=True,
+            trace_every=1.0,
+            check_every=20 * n,
+            max_time=30.0,
+            seed=1,
+        )
+        times = result.trace.times()
+        # A record lands on the first event at or past its grid point,
+        # and events arrive at rate >= n, so one event gap is << 0.01.
+        assert len(times) >= 31
+        assert np.all(np.diff(times) <= 1.0 + 0.01)
 
     def test_max_time_budget(self):
         engine = ContinuousEngine(VoterSequential(), CompleteGraph(100))

@@ -36,7 +36,6 @@ from repro.engine import (
     EnsembleCountsEngine,
     EnsembleCountsSequentialEngine,
     SequentialEngine,
-    SparseSequentialEngine,
     SynchronousEngine,
     fastest_engine,
     run_replicated,
@@ -317,15 +316,15 @@ class TestDispatchAndRouting:
 
     def test_ineligible_protocols_fall_back_to_single_engines(self):
         # OneExtraBit has no ensemble round hooks; sparse topologies
-        # have no counts path (their hazard-batched tick engine is a
-        # single-run engine run_replicated loops over).
+        # have no counts path (SequentialEngine is a single-run engine
+        # run_replicated loops over).
         assert isinstance(
             fastest_engine(OneExtraBitCounts(), CompleteGraph(100), model="synchronous", n_reps=10),
             CountsEngine,
         )
         assert isinstance(
             fastest_engine(TwoChoicesSequential(), hypercube(15), model="sequential", n_reps=10),
-            SparseSequentialEngine,
+            SequentialEngine,
         )
         assert isinstance(
             fastest_engine(TwoChoicesSynchronous(), hypercube(5), model="synchronous", n_reps=10),

@@ -13,13 +13,15 @@ Evidence layers for the kernel contract (see
    replays ``apply_hazard_free``'s numpy path (itself pinned against
    the per-tick loop) bit-for-bit — on the adversarial topologies
    (star, 3-ring, torus) for all four footprint protocols.
-4. *Engine identity*: with pinned block boundaries a full
-   ``SparseSequentialEngine`` run is bit-identical whichever kernel
-   applies the blocks.
+4. *Engine identity*: a full ``SequentialEngine`` run, and every
+   free-running ``simulate`` payload on sparse topologies, is
+   bit-identical whichever kernel applies the blocks.
 
 Compiled-kernel layers skip loudly when no C toolchain is present; the
 selection/fallback layers run everywhere by stubbing the builders.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -40,7 +42,8 @@ from repro.core.hazard_kernel import (
     kernel_for,
     reset_active_kernel,
 )
-from repro.engine.sparse_async import SparseSequentialEngine
+from repro.api import SimulationSpec, simulate
+from repro.engine.sequential import SequentialEngine
 from repro.graphs.families import star
 from repro.graphs.sparse import ring, torus
 from repro.protocols.base import TickFootprint
@@ -146,7 +149,7 @@ class TestSelection:
         _fail_builders(monkeypatch)
         monkeypatch.setenv(KERNEL_ENV, "c")
         reset_active_kernel()
-        engine = SparseSequentialEngine(TwoChoicesSequential(), torus(5, 6))
+        engine = SequentialEngine(TwoChoicesSequential(), torus(5, 6))
         with pytest.warns(RuntimeWarning):
             result = engine.run(benchmark_split(30), seed=3)
         assert result.final.n == 30
@@ -233,16 +236,15 @@ class TestBitExactness:
 
     @pytest.mark.parametrize("kernel_name", COMPILED_AVAILABLE)
     def test_fixed_block_engine_runs_are_identical(self, monkeypatch, kernel_name):
-        # Adaptive block sizing feeds on the hazard-cut count, which
-        # only the numpy path observes — so identity across kernels
-        # holds exactly when the block boundaries are pinned.
+        # SequentialEngine's block boundaries depend on nothing a kernel
+        # computes, so every kernel replays the same draws.
         topology = torus(16, 16)
         config = benchmark_split(topology.n)
         fingerprints = {}
         for name in ("numpy", kernel_name):
             monkeypatch.setenv(KERNEL_ENV, name)
             reset_active_kernel()
-            engine = SparseSequentialEngine(TwoChoicesSequential(), topology, block_ticks=128)
+            engine = SequentialEngine(TwoChoicesSequential(), topology)
             result = engine.run(config, seed=11)
             fingerprints[name] = (result.rounds, result.winner, result.final.counts)
         assert fingerprints["numpy"] == fingerprints[kernel_name]
@@ -262,3 +264,48 @@ class TestBitExactness:
         apply_hazard_free(protocol, state_kernel, nodes, targets, kernel=kernel)
         apply_hazard_free(protocol, state_numpy, nodes, targets, kernel=None)
         assert np.array_equal(state_kernel.colors, state_numpy.colors)
+
+
+CROSS_KERNEL_TOPOLOGIES = [
+    ("torus", {}),
+    ("random-regular", {"degree": 4}),
+    ("ring", {}),
+]
+
+
+def _canonical_payload(spec) -> str:
+    """Canonical JSON of ``simulate(spec)`` minus the wall clock."""
+    payload = simulate(spec).to_dict()
+    payload.pop("elapsed_seconds")
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.skipif("c" not in COMPILED_AVAILABLE, reason="the c kernel cannot build here")
+class TestCrossKernelRuns:
+    """A seeded spec's payload does not depend on ``REPRO_KERNEL``."""
+
+    @pytest.mark.parametrize(
+        "topology,topology_params",
+        CROSS_KERNEL_TOPOLOGIES,
+        ids=[name for name, _ in CROSS_KERNEL_TOPOLOGIES],
+    )
+    @pytest.mark.parametrize("model", ["sequential", "continuous"])
+    @pytest.mark.parametrize(
+        "protocol", ["voter", "two-choices", "three-majority", "undecided-state"]
+    )
+    def test_free_running_payloads_match(self, monkeypatch, protocol, model, topology, topology_params):
+        spec = SimulationSpec(
+            protocol=protocol,
+            n=400,
+            topology=topology,
+            topology_params=topology_params,
+            model=model,
+            seed=17,
+        )
+        payloads = {}
+        for name in ("numpy", "c"):
+            monkeypatch.setenv(KERNEL_ENV, name)
+            reset_active_kernel()
+            payloads[name] = _canonical_payload(spec)
+        assert json.loads(payloads["numpy"])["engine"] in ("SequentialEngine", "ContinuousEngine")
+        assert payloads["numpy"] == payloads["c"]

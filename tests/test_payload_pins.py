@@ -1,14 +1,19 @@
-"""Byte-level pins of seeded ``K_n`` payloads on the counts tick routes.
+"""Byte-level pins of seeded ``K_n`` payloads on the tick routes.
 
 Each case is a seeded :class:`~repro.api.SimulationSpec` whose
 canonical ``simulate(spec).to_dict()`` (minus the wall-clock
 ``elapsed_seconds``) must hash to the recorded SHA-256.  Together the
-cases reach all four counts tick routes — ``CountsSequentialEngine``,
-``CountsContinuousEngine`` and their ensemble twins — over the four
-protocols with counts tick laws, both asynchronous models, one and six
-replications, one traced run and two sequential ``max_steps`` budget
-hits.  A refactor of the tick loop, a transition hook or the RNG call
-sequence that changes any value shows up here as a hash mismatch.
+:data:`PINS` cases reach all four counts tick routes —
+``CountsSequentialEngine``, ``CountsContinuousEngine`` and their
+ensemble twins — over the four protocols with counts tick laws, both
+asynchronous models, one and six replications, one traced run and two
+sequential ``max_steps`` budget hits.  The :data:`AGENT_PINS` cases
+reach the per-tick agent routes below the counts crossover
+(``SequentialEngine``, ``ContinuousEngine``) over the same protocols
+and models, one and three (looped) replications, one traced run and
+one ``max_steps`` budget hit.  A refactor of a tick loop, a transition
+hook or the RNG call sequence that changes any value shows up here as
+a hash mismatch.
 
 Continuous specs that run into their ``max_time`` budget are left out
 on purpose: the budget cut (see :mod:`repro.engine.counts_async`)
@@ -111,6 +116,75 @@ PINS = [
 ]
 
 
+#: (spec fields, routed engine, sha256) on the per-tick agent routes.
+AGENT_PINS = [
+    (
+        dict(protocol="two-choices", n=2_000, model="sequential", seed=21),
+        "SequentialEngine",
+        "1ac3b25aa4de3fc1e23f979df3bae67407cf2de78afd53896f4eab279237c995",
+    ),
+    (
+        dict(protocol="two-choices", n=2_000, model="continuous", reps=3, seed=22),
+        "ContinuousEngine",
+        "d63892dade555686c3c9d49b9c31694cec0209802be6ca23032421f4e9741fee",
+    ),
+    (
+        dict(protocol="three-majority", n=3_000, model="continuous", seed=23, **BIAS_3),
+        "ContinuousEngine",
+        "0675159de5d7bfe0b34ce1b8a7fa33c60dca586098f3c1fcc44b5940c1049f9e",
+    ),
+    (
+        dict(protocol="three-majority", n=2_000, model="sequential", reps=3, seed=24),
+        "SequentialEngine",
+        "6b9f41012f586ec11269b78f15e367d87d7b41c5d7d6d12ddfbc3e4f7d6bbf9b",
+    ),
+    (
+        dict(protocol="undecided-state", n=2_000, model="sequential", seed=25, **BIAS_3),
+        "SequentialEngine",
+        "a05d5e2c04781bc39b7202bd399c23b42c5e11f6375c8b49dd1ab79951500270",
+    ),
+    (
+        dict(protocol="undecided-state", n=2_000, model="continuous", reps=3, seed=26),
+        "ContinuousEngine",
+        "7c7f939a1c976054c17ff961a7f31544e870b8fd911f26ce3e4938bc09eac8ff",
+    ),
+    (
+        dict(protocol="voter", n=300, model="sequential", reps=3, seed=27),
+        "SequentialEngine",
+        "b67dec12ef332aea09517d797a3683f869f6f751bf70541127a1c0fd6d96836a",
+    ),
+    (
+        dict(
+            protocol="voter",
+            n=100,
+            model="continuous",
+            seed=28,
+            initial="two-colors",
+            initial_params={"gap": 60},
+        ),
+        "ContinuousEngine",
+        "72f34df1a57d738ab9fdfac1ba1e7ff3cb423ff3d673d865f0ca48be657ffe07",
+    ),
+    (
+        dict(
+            protocol="two-choices",
+            n=2_000,
+            model="continuous",
+            seed=29,
+            record_trace=True,
+            trace_every=2.0,
+        ),
+        "ContinuousEngine",
+        "455f6fd665e8936236bccee648a4406c88fc9d785bea9ea5ac9b6b3b98d24536",
+    ),
+    (
+        dict(protocol="three-majority", n=5_000, model="sequential", reps=3, seed=30, max_steps=8_000),
+        "SequentialEngine",
+        "1cd99aad35ed5a76dd9a3d15e0d24d6af45871b1bd33ef5c3c887b93c4b25302",
+    ),
+]
+
+
 def _digest(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -130,7 +204,11 @@ def test_pins_reach_every_counts_tick_route():
     }
 
 
-@pytest.mark.parametrize("case", PINS, ids=_case_id)
+def test_agent_pins_reach_both_agent_tick_routes():
+    assert {engine for _, engine, _ in AGENT_PINS} == {"SequentialEngine", "ContinuousEngine"}
+
+
+@pytest.mark.parametrize("case", PINS + AGENT_PINS, ids=_case_id)
 def test_payload_hash_is_pinned(case):
     fields, engine, expected = case
     result = simulate(SimulationSpec(**fields))

@@ -1,7 +1,7 @@
 """The sparse-topology hazard-batched fast path.
 
 Four layers of guarantees, mirroring the exactness argument in
-``repro/core/hazard.py`` and ``repro/engine/sparse_async.py``:
+``repro/core/hazard.py``:
 
 1. *Unit*: ``HazardScratch.prefix_length`` on hand-built blocks,
    including write-mask and stale-epoch cases.
@@ -10,13 +10,14 @@ Four layers of guarantees, mirroring the exactness argument in
    for node — exercised on adversarial graphs where collisions are the
    common case (star hub, 3-ring) for every footprint protocol, and
    for the conservative no-``tick_values`` path.
-3. *Law*: the hazard-batched engines draw convergence times from the
-   same distribution as the reference engines (KS permutation tests)
-   for Voter / Two-Choices / 3-Majority on ring, torus and
-   random-regular.
-4. *Plumbing*: routing, budgets, trace and check cadences, and the
-   construction fast paths (``sample_neighbors_block``, ``from_csr``,
-   networkx import).
+3. *Law*: ``SequentialEngine`` and ``ContinuousEngine``, whose blocks
+   run through the hazard path, draw convergence times from the same
+   distribution as the same engines driving one Python ``seq_tick`` per
+   node (KS permutation tests) for Voter / Two-Choices / 3-Majority /
+   Undecided-State on ring, torus and random-regular.
+4. *Plumbing*: the per-tick engines on sparse graphs (routing, budgets,
+   trace and check cadences) and the construction fast paths
+   (``sample_neighbors_block``, ``from_csr``, networkx import).
 """
 
 import numpy as np
@@ -26,13 +27,7 @@ from repro.analysis.statistics import ks_permutation_test
 from repro.core.colors import ColorConfiguration
 from repro.core.exceptions import ConfigurationError, TopologyError
 from repro.core.hazard import HazardScratch, apply_hazard_free
-from repro.engine import (
-    ContinuousEngine,
-    SequentialEngine,
-    SparseContinuousEngine,
-    SparseSequentialEngine,
-    fastest_engine,
-)
+from repro.engine import ContinuousEngine, SequentialEngine, fastest_engine
 from repro.graphs.complete import CompleteGraph
 from repro.graphs.families import hypercube, random_regular, star
 from repro.graphs.sparse import AdjacencyTopology, ring, torus
@@ -211,8 +206,13 @@ class TestFootprints:
         assert abs(np.mean(batch_majority) - np.mean(loop_majority)) < 4 * sem + 1e-9
 
 
-class _PerTickTwoChoices(TwoChoicesSequential):
-    seq_tick_batch = SequentialProtocol.seq_tick_batch_loop
+def _per_tick(proto_cls):
+    """*proto_cls* driving one Python ``seq_tick`` per node (the seed loop)."""
+    return type(
+        f"PerTick{proto_cls.__name__}",
+        (proto_cls,),
+        {"seq_tick_batch": SequentialProtocol.seq_tick_batch_loop},
+    )
 
 
 KS_PROTOCOLS = [
@@ -228,7 +228,7 @@ KS_TOPOLOGIES = [
 
 
 class TestCrossEngineLaw:
-    """Batched vs reference engines: same convergence-time law."""
+    """Hazard-batched blocks vs the per-tick loop: same convergence-time law."""
 
     @pytest.mark.parametrize("proto_name,proto_cls,per_n_budget", KS_PROTOCOLS)
     @pytest.mark.parametrize("topo_name,topo_factory", KS_TOPOLOGIES)
@@ -240,86 +240,76 @@ class TestCrossEngineLaw:
         config = ColorConfiguration([int(0.7 * n), n - int(0.7 * n)])
         max_ticks = per_n_budget * n
         trials = 40
-        reference = SequentialEngine(proto_cls(), topology)
-        batched = SparseSequentialEngine(proto_cls(), topology)
-        ref_rounds, sparse_rounds = [], []
+        reference = SequentialEngine(_per_tick(proto_cls)(), topology)
+        batched = SequentialEngine(proto_cls(), topology)
+        ref_rounds, batched_rounds = [], []
         for trial in range(trials):
             ref = reference.run(config, seed=1000 + trial, max_ticks=max_ticks)
-            spr = batched.run(config, seed=9000 + trial, max_ticks=max_ticks)
-            assert ref.converged and spr.converged, (proto_name, topo_name, trial)
+            bat = batched.run(config, seed=9000 + trial, max_ticks=max_ticks)
+            assert ref.converged and bat.converged, (proto_name, topo_name, trial)
             ref_rounds.append(ref.rounds)
-            sparse_rounds.append(spr.rounds)
-        stat, p_value = ks_permutation_test(ref_rounds, sparse_rounds, seed=5)
+            batched_rounds.append(bat.rounds)
+        stat, p_value = ks_permutation_test(ref_rounds, batched_rounds, seed=5)
         assert p_value > 0.01, (proto_name, topo_name, stat, p_value)
 
     def test_sparse_matches_true_per_tick_loop(self):
-        # One cell against the seed per-tick loop itself (not just the
-        # vectorised SequentialEngine path): voter on a small ring.
+        # Two-Choices on a small ring, where blocks cut often.
         topology = ring(16)
         config = ColorConfiguration([11, 5])
-        reference = SequentialEngine(_PerTickTwoChoices(), topology)
-        batched = SparseSequentialEngine(TwoChoicesSequential(), topology)
+        reference = SequentialEngine(_per_tick(TwoChoicesSequential)(), topology)
+        batched = SequentialEngine(TwoChoicesSequential(), topology)
         max_ticks = 16**3 * 40
-        ref_rounds, sparse_rounds = [], []
+        ref_rounds, batched_rounds = [], []
         for trial in range(40):
             ref = reference.run(config, seed=300 + trial, max_ticks=max_ticks)
-            spr = batched.run(config, seed=7300 + trial, max_ticks=max_ticks)
-            assert ref.converged and spr.converged
+            bat = batched.run(config, seed=7300 + trial, max_ticks=max_ticks)
+            assert ref.converged and bat.converged
             ref_rounds.append(ref.rounds)
-            sparse_rounds.append(spr.rounds)
-        stat, p_value = ks_permutation_test(ref_rounds, sparse_rounds, seed=5)
+            batched_rounds.append(bat.rounds)
+        stat, p_value = ks_permutation_test(ref_rounds, batched_rounds, seed=5)
         assert p_value > 0.01, (stat, p_value)
 
     def test_sparse_continuous_matches_continuous(self):
         topology = torus(5, 5)
-        n = topology.n
         config = ColorConfiguration([18, 7])
-        reference = ContinuousEngine(TwoChoicesSequential(), topology)
-        batched = SparseContinuousEngine(TwoChoicesSequential(), topology)
-        ref_times, sparse_times = [], []
+        reference = ContinuousEngine(_per_tick(TwoChoicesSequential)(), topology)
+        batched = ContinuousEngine(TwoChoicesSequential(), topology)
+        ref_times, batched_times = [], []
         for trial in range(40):
             ref = reference.run(config, seed=100 + trial, max_time=4000.0)
-            spr = batched.run(config, seed=8100 + trial, max_time=4000.0)
-            assert ref.converged and spr.converged
+            bat = batched.run(config, seed=8100 + trial, max_time=4000.0)
+            assert ref.converged and bat.converged
             ref_times.append(ref.parallel_time)
-            sparse_times.append(spr.parallel_time)
-        stat, p_value = ks_permutation_test(ref_times, sparse_times, seed=5)
+            batched_times.append(bat.parallel_time)
+        stat, p_value = ks_permutation_test(ref_times, batched_times, seed=5)
         assert p_value > 0.01, (stat, p_value)
 
     def test_undecided_state_law_on_torus(self):
         topology = torus(5, 5)
         n = topology.n
         config = ColorConfiguration([17, 8])
-        reference = SequentialEngine(UndecidedStateSequential(), topology)
-        batched = SparseSequentialEngine(UndecidedStateSequential(), topology)
+        reference = SequentialEngine(_per_tick(UndecidedStateSequential)(), topology)
+        batched = SequentialEngine(UndecidedStateSequential(), topology)
         max_ticks = 4000 * n
-        ref_rounds, sparse_rounds = [], []
+        ref_rounds, batched_rounds = [], []
         for trial in range(40):
             ref = reference.run(config, seed=500 + trial, max_ticks=max_ticks)
-            spr = batched.run(config, seed=6500 + trial, max_ticks=max_ticks)
-            assert ref.converged and spr.converged
+            bat = batched.run(config, seed=6500 + trial, max_ticks=max_ticks)
+            assert ref.converged and bat.converged
             ref_rounds.append(ref.rounds)
-            sparse_rounds.append(spr.rounds)
-        stat, p_value = ks_permutation_test(ref_rounds, sparse_rounds, seed=5)
+            batched_rounds.append(bat.rounds)
+        stat, p_value = ks_permutation_test(ref_rounds, batched_rounds, seed=5)
         assert p_value > 0.01, (stat, p_value)
 
 
 class TestEnginePlumbing:
-    def test_rejects_protocol_without_footprint(self):
-        with pytest.raises(ConfigurationError, match="footprint"):
-            SparseSequentialEngine(AsyncPluralityProtocol(), ring(16))
-
-    def test_rejects_bad_block_ticks(self):
-        with pytest.raises(ConfigurationError, match="block_ticks"):
-            SparseSequentialEngine(VoterSequential(), ring(16), block_ticks=0)
-
     def test_rejects_size_mismatch(self):
-        engine = SparseSequentialEngine(VoterSequential(), ring(16))
+        engine = SequentialEngine(VoterSequential(), ring(16))
         with pytest.raises(ConfigurationError, match="16"):
             engine.run(ColorConfiguration([5, 5]), seed=0)
 
     def test_tick_budget_and_parallel_time_grid(self):
-        engine = SparseSequentialEngine(VoterSequential(), ring(32))
+        engine = SequentialEngine(VoterSequential(), ring(32))
         result = engine.run(
             ColorConfiguration([16, 16]), max_ticks=1000, stop=lambda counts: False, seed=3
         )
@@ -328,15 +318,15 @@ class TestEnginePlumbing:
         assert not result.converged
 
     def test_convergence_lands_on_check_grid(self):
-        engine = SparseSequentialEngine(TwoChoicesSequential(), torus(5, 5))
+        engine = SequentialEngine(TwoChoicesSequential(), torus(5, 5))
         result = engine.run(ColorConfiguration([20, 5]), seed=2, max_ticks=25 * 20000)
         assert result.converged
-        # Stop conditions fire on the check_every (= n) cadence, like
-        # SequentialEngine, unless absorption ended the run earlier.
+        # Stop conditions fire on the check_every (= n) cadence, unless
+        # absorption ended the run earlier.
         assert result.rounds % 25 == 0
 
     def test_continuous_respects_max_time(self):
-        engine = SparseContinuousEngine(VoterSequential(), ring(64))
+        engine = ContinuousEngine(VoterSequential(), ring(64))
         result = engine.run(
             ColorConfiguration([32, 32]), max_time=2.5, stop=lambda counts: False, seed=4
         )
@@ -344,7 +334,7 @@ class TestEnginePlumbing:
         assert not result.converged
 
     def test_trace_cadence(self):
-        engine = SparseSequentialEngine(VoterSequential(), ring(50))
+        engine = SequentialEngine(VoterSequential(), ring(50))
         result = engine.run(
             ColorConfiguration([25, 25]),
             max_ticks=50 * 10,
@@ -356,7 +346,7 @@ class TestEnginePlumbing:
         assert len(result.trace) >= 10
 
     def test_continuous_trace_cadence_with_large_check_every(self):
-        engine = SparseContinuousEngine(TwoChoicesSequential(), torus(8, 8))
+        engine = ContinuousEngine(TwoChoicesSequential(), torus(8, 8))
         result = engine.run(
             ColorConfiguration([40, 24]),
             seed=5,
@@ -368,22 +358,14 @@ class TestEnginePlumbing:
         assert len(result.trace) >= 5
 
     def test_metadata_names_engine(self):
-        seq = SparseSequentialEngine(VoterSequential(), ring(16)).run(
+        seq = SequentialEngine(VoterSequential(), ring(16)).run(
             ColorConfiguration([10, 6]), seed=0, max_ticks=400
         )
-        assert seq.metadata["engine"] == "sparse-sequential"
-        cont = SparseContinuousEngine(VoterSequential(), ring(16)).run(
+        assert seq.metadata["engine"] == "sequential"
+        cont = ContinuousEngine(VoterSequential(), ring(16)).run(
             ColorConfiguration([10, 6]), seed=0, max_time=30.0
         )
-        assert cont.metadata["engine"] == "sparse-continuous"
-
-    def test_fixed_block_ticks_is_honoured_exactly(self):
-        # A fixed block size disables adaptation but not correctness.
-        engine = SparseSequentialEngine(VoterSequential(), ring(32), block_ticks=7)
-        result = engine.run(
-            ColorConfiguration([16, 16]), max_ticks=200, stop=lambda counts: False, seed=6
-        )
-        assert result.rounds == 200
+        assert cont.metadata["engine"] == "continuous"
 
 
 class TestSamplingBlocks:
@@ -499,10 +481,8 @@ class TestDispatchIntegration:
             max_steps=64 * 4000,
         )
         sim = simulate(spec)
-        # n=64 sits below the dispatch size crossover, so the spec
-        # resolves to the zip-apply hooks engine (the sparse engine
-        # engages from SPARSE_SEQUENTIAL_CROSSOVER nodes — routing
-        # table: tests/test_dispatch_routing.py).
+        # Sparse sequential specs run on SequentialEngine at every n
+        # (routing table: tests/test_dispatch_routing.py).
         assert sim.engine == "SequentialEngine"
         assert sim.reps == 3
         assert all(run.converged for run in sim.runs)
@@ -513,4 +493,4 @@ class TestDispatchIntegration:
         engine = fastest_engine(
             VoterSequential(), ring(32), model="continuous", delay_model=FixedDelay(0.0)
         )
-        assert isinstance(engine, SparseContinuousEngine)
+        assert type(engine) is ContinuousEngine
