@@ -13,8 +13,9 @@ colour* register and the Sync Gadget's sample buffer; those live in
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -95,9 +96,14 @@ class AsyncNodeState(NodeArrayState):
         the two samples disagreed), adopted at the commit step.
     terminated:
         Nodes that finished the endgame and froze their colour.
-    sync_samples:
-        Per-node list of aged real-time samples collected during the
-        current Sync-Gadget sub-phase (cleared at each jump step).
+    schedule:
+        The compiled :class:`~repro.protocols.schedule.PhaseSchedule`.
+    buffers:
+        Per-node :class:`~repro.protocols.sync_gadget.SyncSampleBuffer`
+        of aged real-time samples collected during the current
+        Sync-Gadget sub-phase (cleared at each jump step).
+    pending_targets:
+        Targets drawn by ``tick_targets``, awaiting ``tick_apply``.
     """
 
     working_time: np.ndarray = None
@@ -105,7 +111,9 @@ class AsyncNodeState(NodeArrayState):
     bit: np.ndarray = None
     intermediate: np.ndarray = None
     terminated: np.ndarray = None
-    sync_samples: List[list] = field(default_factory=list)
+    schedule: Any = None
+    buffers: List[Any] = field(default_factory=list)
+    pending_targets: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         super().__post_init__()
@@ -120,8 +128,6 @@ class AsyncNodeState(NodeArrayState):
             self.intermediate = np.full(n, NO_COLOR, dtype=np.int64)
         if self.terminated is None:
             self.terminated = np.zeros(n, dtype=bool)
-        if not self.sync_samples:
-            self.sync_samples = [[] for _ in range(n)]
         for name in ("working_time", "real_time", "bit", "intermediate", "terminated"):
             arr = getattr(self, name)
             if arr.shape != (n,):
@@ -152,5 +158,7 @@ class AsyncNodeState(NodeArrayState):
             bit=self.bit.copy(),
             intermediate=self.intermediate.copy(),
             terminated=self.terminated.copy(),
-            sync_samples=[list(s) for s in self.sync_samples],
+            schedule=self.schedule,
+            buffers=deepcopy(self.buffers),
+            pending_targets=dict(self.pending_targets),
         )

@@ -110,7 +110,10 @@ One agent engine per clock
     ``seq_tick_batch``: footprint protocols presample the block's
     targets and apply hazard-free chunks
     (:func:`~repro.core.hazard.apply_hazard_free`, or the compiled
-    ``REPRO_KERNEL`` loop), the others loop per tick.  An adaptive-block
+    ``REPRO_KERNEL`` loop); async-plurality has its own block path
+    (:func:`~repro.protocols.async_plurality.apply_tick_block`, two
+    presampled neighbours per tick, scalar over list state, no
+    footprint and no kernel); the others loop per tick.  An adaptive-block
     twin of each engine, routed off ``K_n`` from ``n >= 30_000``
     (sequential) or at every ``n`` (continuous), was measured against
     them and deleted (numpy kernel, one pinned CPU of a 2-vCPU

@@ -22,19 +22,29 @@ Structure (Section 3.1):
   terminates, w.h.p. (Section 3.2) — the run records both event times
   so experiment T9 can check exactly that.
 
-Two realisations:
+One tick rule, two callers.  :func:`apply_tick_block` applies a block
+of instantaneous ticks — each with a presampled actor and two
+presampled neighbours — to plain-list state; both classes run it:
 
-:class:`AsyncPluralityConsensus`
-    A self-contained optimised runner for the sequential model (Python
-    scalar hot loop over list state, batched RNG).  This is what the
-    benchmarks drive; ``n = 10^4`` runs take seconds.
 :class:`AsyncPluralityProtocol`
-    The same per-tick semantics behind the generic
-    :class:`~repro.protocols.base.SequentialProtocol` interface, so the
-    protocol also runs on the generic sequential engine and on the
-    continuous-time engine *with response delays* (experiment T12).
-    A distribution-level agreement test between the two realisations
-    lives in ``tests/test_async_cross_validation.py``.
+    The generic :class:`~repro.protocols.base.SequentialProtocol`
+    form.  Its ``seq_tick_batch`` converts the state arrays to lists
+    once per engine block, so ``simulate()``,
+    :class:`~repro.engine.sequential.SequentialEngine` and the
+    zero-delay :class:`~repro.engine.continuous.ContinuousEngine` run
+    the rule on any topology.  Its ``tick_targets`` / ``tick_apply``
+    pair is the per-tick form, used by the continuous-time engine with
+    response delays (experiment T12) and as the oracle the block path
+    is tested against.
+:class:`AsyncPluralityConsensus`
+    A sequential-model runner on ``K_n`` that holds list state for the
+    whole run and adds what the experiments measure: clock skew, the
+    working-time spread trace, and the first-consensus /
+    first-termination times.  T6, T7 and A1-A4 drive it.
+
+``tests/test_async_block.py`` tests the block path against the per-tick
+loop (value for value on shared draws, and in law);
+``tests/test_async_protocol_adapter.py`` tests the runner against it.
 """
 
 from __future__ import annotations
@@ -46,12 +56,13 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..api.registry import ParamSpec, register_protocol
-from ..core.colors import ColorConfiguration, assignment_from_counts
-from ..core.exceptions import ConfigurationError, ProtocolError
+from ..core.colors import ColorConfiguration
+from ..core.exceptions import ConfigurationError
 from ..core.results import RunResult, Trace
 from ..core.rng import SeedLike, as_generator
 from ..core.state import NO_COLOR, AsyncNodeState
-from ..engine.base import build_result
+from ..engine.base import build_result, materialize_initial
+from ..graphs.complete import CompleteGraph
 from ..graphs.topology import Topology
 from .base import SequentialProtocol
 from .schedule import (
@@ -65,7 +76,7 @@ from .schedule import (
 )
 from .sync_gadget import SyncSampleBuffer, jump_target
 
-__all__ = ["ClockSkew", "AsyncPluralityConsensus", "AsyncPluralityProtocol"]
+__all__ = ["ClockSkew", "AsyncPluralityConsensus", "AsyncPluralityProtocol", "apply_tick_block"]
 
 
 @dataclass(frozen=True)
@@ -136,11 +147,15 @@ class _ScheduleParams:
 
 
 class AsyncPluralityConsensus:
-    """Optimised sequential-model runner for the phased protocol.
+    """Sequential-model runner on ``K_n`` for the experiments.
 
-    All keyword arguments parameterise the
-    :class:`~repro.protocols.schedule.PhaseSchedule` (see DESIGN.md §4);
-    ``sync_enabled=False`` disables the Sync Gadget for the T7 ablation.
+    Runs :func:`apply_tick_block` on list state it holds for the whole
+    run, in chunks that end on its consensus-check cadence, and records
+    what the experiments measure (clock skew, spread trace, first
+    consensus and first termination).  All keyword arguments
+    parameterise the :class:`~repro.protocols.schedule.PhaseSchedule`
+    (see DESIGN.md §4); ``sync_enabled=False`` disables the Sync Gadget
+    for the T7 ablation.
     """
 
     def __init__(
@@ -211,16 +226,12 @@ class AsyncPluralityConsensus:
             Parallel time is then measured against the aggregate rate.
         """
         rng = as_generator(seed)
-        colors_arr, k = _materialize(initial, rng)
+        colors_arr, k = materialize_initial(initial, rng)
         n = colors_arr.size
         if n < 2:
             raise ConfigurationError("the protocol needs at least 2 nodes")
         schedule = self.schedule_for(n)
-        part_one = schedule.part_one_length
         total_wt = schedule.total_length
-        phase_len = schedule.phase_length
-        actions = schedule.actions.tolist()
-        sync_starts = schedule.sync_starts
         delta = schedule.delta
 
         skew = skew if skew is not None else ClockSkew()
@@ -236,8 +247,9 @@ class AsyncPluralityConsensus:
             max_parallel_time = (1.5 * total_wt + 20.0 * max(math.log(n), 1.0)) * slack
         max_ticks = int(max_parallel_time * tick_rate)
 
-        # Hot-loop state lives in plain Python lists: scalar list access
-        # is several times faster than numpy scalar indexing.
+        # The run holds list state throughout: list access beats numpy
+        # scalar indexing, and an array round trip per chunk would cost
+        # more than the chunk's ticks at this check cadence.
         colors: List[int] = colors_arr.tolist()
         counts: List[int] = np.bincount(colors_arr, minlength=k).tolist()
         initial_counts = list(counts)
@@ -267,10 +279,7 @@ class AsyncPluralityConsensus:
         # termination when comparing the two (Section 3.2).
         check_stride = max(1, int(tick_rate) // 4)
         batch = 8192
-        # Neighbour-draw buffer: draws in [0, n-2], shifted around self.
-        nbr = rng.integers(0, n - 1, size=4 * batch).tolist()
-        nbr_ptr = 0
-        nbr_len = len(nbr)
+        graph = CompleteGraph(n)
 
         if slow_count and not skew.is_uniform:
             # Two-tier selection: a tick belongs to the slow group with
@@ -283,121 +292,50 @@ class AsyncPluralityConsensus:
             slow_ids = fast_ids = None
             p_slow = 0.0
 
-        stop = False
-        while not stop and alive > 0 and ticks < max_ticks:
-            if slow_ids is None:
-                picks = rng.integers(0, n, size=batch).tolist()
-            else:
-                in_slow = rng.random(batch) < p_slow
-                slow_picks = slow_ids[rng.integers(0, slow_ids.size, size=batch)]
-                fast_picks = fast_ids[rng.integers(0, fast_ids.size, size=batch)]
-                picks = np.where(in_slow, slow_picks, fast_picks).tolist()
-            for u in picks:
-                ticks += 1
-                if not terminated[u]:
-                    if nbr_ptr + 2 > nbr_len:
-                        nbr = rng.integers(0, n - 1, size=4 * batch).tolist()
-                        nbr_ptr = 0
-                    w = wt[u]
-                    if w < part_one:
-                        a = actions[w]
-                        if a == ACTION_NOP:
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        elif a == ACTION_BP:
-                            if not bit[u]:
-                                r = nbr[nbr_ptr]
-                                nbr_ptr += 1
-                                v = r + 1 if r >= u else r
-                                if bit[v]:
-                                    c = colors[v]
-                                    old = colors[u]
-                                    if c != old:
-                                        counts[old] -= 1
-                                        counts[c] += 1
-                                        colors[u] = c
-                                    bit[u] = True
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        elif a == ACTION_TC_SAMPLE:
-                            r = nbr[nbr_ptr]
-                            v1 = r + 1 if r >= u else r
-                            r = nbr[nbr_ptr + 1]
-                            v2 = r + 1 if r >= u else r
-                            nbr_ptr += 2
-                            c1 = colors[v1]
-                            inter[u] = c1 if c1 == colors[v2] else NO_COLOR
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        elif a == ACTION_TC_COMMIT:
-                            ic = inter[u]
-                            if ic >= 0:
-                                old = colors[u]
-                                if ic != old:
-                                    counts[old] -= 1
-                                    counts[ic] += 1
-                                    colors[u] = ic
-                                bit[u] = True
-                            else:
-                                bit[u] = False
-                            inter[u] = NO_COLOR
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        elif a == ACTION_SYNC_SAMPLE:
-                            r = nbr[nbr_ptr]
-                            nbr_ptr += 1
-                            v = r + 1 if r >= u else r
-                            buffers[u].collect(w // phase_len, rt[v], rt[u])
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        else:  # ACTION_SYNC_JUMP
-                            phase = w // phase_len
-                            target = jump_target(buffers[u], phase, rt[u], sync_starts[phase])
-                            buffers[u].clear()
-                            wt[u] = w + 1 if target is None else target
-                            rt[u] += 1
-                    else:
-                        # Endgame: plain asynchronous Two-Choices.
-                        r = nbr[nbr_ptr]
-                        v1 = r + 1 if r >= u else r
-                        r = nbr[nbr_ptr + 1]
-                        v2 = r + 1 if r >= u else r
-                        nbr_ptr += 2
-                        c1 = colors[v1]
-                        if c1 == colors[v2]:
-                            old = colors[u]
-                            if c1 != old:
-                                counts[old] -= 1
-                                counts[c1] += 1
-                                colors[u] = c1
-                        w += 1
-                        wt[u] = w
-                        rt[u] += 1
-                        if w >= total_wt:
-                            terminated[u] = True
-                            alive -= 1
-                            if first_termination_tick is None:
-                                first_termination_tick = ticks
-                            if alive == 0:
-                                stop = True
-                                break
-                if ticks % check_stride == 0:
-                    if first_consensus_tick is None and max(counts) == n:
-                        first_consensus_tick = ticks
-                        if stop_at_consensus:
-                            stop = True
-                            break
-                    if record_spread and ticks >= next_spread_tick:
-                        next_spread_tick += spread_stride
-                        spread_trace.append(
-                            _spread_snapshot(ticks / tick_rate, wt, terminated, delta, alive)
-                        )
-                    if trace is not None and ticks >= next_trace_tick:
-                        next_trace_tick += trace_stride
-                        trace.record(ticks / tick_rate, counts)
-                if ticks >= max_ticks:
-                    stop = True
+        picks = first = second = []
+        pos = 0
+        while alive > 0 and ticks < max_ticks:
+            if pos == len(picks):
+                # Presample a batch of actors and two neighbours per tick.
+                if slow_ids is None:
+                    drawn = rng.integers(0, n, size=batch)
+                else:
+                    in_slow = rng.random(batch) < p_slow
+                    slow_picks = slow_ids[rng.integers(0, slow_ids.size, size=batch)]
+                    fast_picks = fast_ids[rng.integers(0, fast_ids.size, size=batch)]
+                    drawn = np.where(in_slow, slow_picks, fast_picks)
+                pairs = graph.sample_neighbors_block(drawn, 2, rng)
+                picks, first, second = drawn.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()
+                pos = 0
+            # Chunks end on check_stride boundaries, the run's check cadence.
+            chunk = min(check_stride - ticks % check_stride, max_ticks - ticks, len(picks) - pos)
+            end = pos + chunk
+            ends = apply_tick_block(
+                schedule, picks[pos:end], first[pos:end], second[pos:end],
+                counts, buffers, colors, bit, inter, wt, rt, terminated,
+            )
+            pos = end
+            if ends:
+                if first_termination_tick is None:
+                    first_termination_tick = ticks + ends[0] + 1
+                alive -= len(ends)
+                if alive == 0:
+                    ticks += ends[-1] + 1
                     break
+            ticks += chunk
+            if ticks % check_stride == 0:
+                if first_consensus_tick is None and max(counts) == n:
+                    first_consensus_tick = ticks
+                    if stop_at_consensus:
+                        break
+                if record_spread and ticks >= next_spread_tick:
+                    next_spread_tick += spread_stride
+                    spread_trace.append(
+                        _spread_snapshot(ticks / tick_rate, wt, terminated, delta)
+                    )
+                if trace is not None and ticks >= next_trace_tick:
+                    next_trace_tick += trace_stride
+                    trace.record(ticks / tick_rate, counts)
 
         final_counts = np.asarray(counts, dtype=np.int64)
         consensus = int(final_counts.max()) == n
@@ -438,23 +376,79 @@ class AsyncPluralityConsensus:
         )
 
 
-def _spread_snapshot(parallel_time: float, wt: List[int], terminated: List[bool], delta: int, alive: int) -> Dict:
-    """Working-time dispersion among active nodes at one instant.
+def apply_tick_block(
+    schedule: PhaseSchedule, nodes: List[int], first: List[int], second: List[int],
+    counts: List[int], buffers: List[SyncSampleBuffer], colors: List[int], bit: List[bool],
+    inter: List[int], wt: List[int], rt: List[int], terminated: List[bool],
+) -> List[int]:
+    """Apply one instantaneous tick per ``nodes[t]``, in order, to list state.
+
+    The protocol's one tick rule, run by :class:`AsyncPluralityProtocol`
+    and :class:`AsyncPluralityConsensus`.  Tick ``t``'s actor observes
+    the presampled neighbours ``first[t]`` and ``second[t]`` with the
+    semantics of :meth:`AsyncPluralityProtocol.tick_apply`: one-sample
+    actions use ``first[t]``, and terminated actors and non-sampling
+    actions discard their draws.  *counts* (the colour histogram) is
+    kept in step with *colors*; *buffers* are mutated in place.  Returns
+    the in-block offsets of the ticks that terminated their actor.
+    """
+    actions = schedule.actions.tolist()
+    part_one = schedule.part_one_length
+    total_wt = schedule.total_length
+    phase_len = schedule.phase_length
+    ends: List[int] = []
+    for t, u in enumerate(nodes):
+        if terminated[u]:
+            continue
+        w = wt[u]
+        wt[u] = w + 1
+        c = NO_COLOR  # the colour u adopts this tick, if any
+        if w >= part_one:
+            # Endgame: plain asynchronous Two-Choices, then termination.
+            c = colors[first[t]]
+            if c != colors[second[t]]:
+                c = NO_COLOR
+            if w + 1 >= total_wt:
+                terminated[u] = True
+                ends.append(t)
+        else:
+            a = actions[w]
+            if a == ACTION_NOP:
+                pass
+            elif a == ACTION_BP:
+                if not bit[u] and bit[first[t]]:
+                    c = colors[first[t]]
+                    bit[u] = True
+            elif a == ACTION_SYNC_SAMPLE:
+                buffers[u].collect(w // phase_len, rt[first[t]], rt[u])
+            elif a == ACTION_TC_SAMPLE:
+                inter[u] = colors[first[t]] if colors[first[t]] == colors[second[t]] else NO_COLOR
+            elif a == ACTION_TC_COMMIT:
+                c = inter[u]
+                bit[u] = c != NO_COLOR
+                inter[u] = NO_COLOR
+            else:  # ACTION_SYNC_JUMP
+                phase = w // phase_len
+                target = jump_target(buffers[u], phase, rt[u], schedule.sync_starts[phase])
+                buffers[u].clear()
+                if target is not None:
+                    wt[u] = target
+        rt[u] += 1
+        if c != NO_COLOR and c != colors[u]:
+            counts[colors[u]] -= 1
+            counts[c] += 1
+            colors[u] = c
+    return ends
+
+
+def _spread_snapshot(parallel_time: float, wt: List[int], terminated: List[bool], delta: int) -> Dict:
+    """Working-time dispersion among active nodes (at least one) at one instant.
 
     ``poor_fraction`` uses the paper's threshold ``Delta``;
     ``poor_fraction_2x`` / ``poor_fraction_4x`` loosen it, which matters
     at laptop-scale ``n`` where the Poisson noise within a single phase
     already exceeds the asymptotic ``Delta`` (see EXPERIMENTS.md, T7).
     """
-    if alive == 0:
-        return {
-            "time": parallel_time,
-            "spread": 0,
-            "spread_core": 0,
-            "poor_fraction": 0.0,
-            "poor_fraction_2x": 0.0,
-            "poor_fraction_4x": 0.0,
-        }
     active = np.array([w for w, t in zip(wt, terminated) if not t], dtype=np.int64)
     median = np.median(active)
     deviation = np.abs(active - median)
@@ -469,22 +463,16 @@ def _spread_snapshot(parallel_time: float, wt: List[int], terminated: List[bool]
     }
 
 
-def _materialize(initial, rng: np.random.Generator):
-    if isinstance(initial, ColorConfiguration):
-        return assignment_from_counts(initial, rng=rng), initial.k
-    colors = np.asarray(initial, dtype=np.int64)
-    if colors.ndim != 1 or colors.size == 0:
-        raise ConfigurationError("explicit colour arrays must be non-empty and 1-D")
-    return colors, int(colors.max()) + 1
-
-
 class AsyncPluralityProtocol(SequentialProtocol):
     """Tick-interface realisation of the phased protocol.
 
-    Semantically identical to :class:`AsyncPluralityConsensus` but
-    expressed through :class:`~repro.protocols.base.SequentialProtocol`
-    so the generic engines can drive it — in particular the
-    continuous-time engine with response delays (experiment T12).
+    The same tick rule as :class:`AsyncPluralityConsensus`, expressed
+    through :class:`~repro.protocols.base.SequentialProtocol` so the
+    generic engines drive it: :meth:`seq_tick_batch` runs
+    :func:`apply_tick_block` for the instantaneous models, and
+    :meth:`tick_targets` / :meth:`tick_apply` serve the continuous-time
+    engine with response delays (experiment T12) and the per-tick
+    oracle loop.
 
     Under delayed responses, a node whose request is in flight skips
     protocol actions while its clock ticks (see
@@ -499,11 +487,28 @@ class AsyncPluralityProtocol(SequentialProtocol):
 
     # -- state -----------------------------------------------------------
     def make_state(self, colors: np.ndarray, k: int) -> AsyncNodeState:
-        state = AsyncNodeState(colors=np.asarray(colors, dtype=np.int64), k=k)
-        state.schedule = self.params.compile(state.n)
-        state.buffers = [SyncSampleBuffer() for _ in range(state.n)]
-        state.pending_targets = {}
-        return state
+        colors = np.asarray(colors, dtype=np.int64)
+        return AsyncNodeState(
+            colors=colors,
+            k=k,
+            schedule=self.params.compile(colors.size),
+            buffers=[SyncSampleBuffer() for _ in range(colors.size)],
+        )
+
+    def seq_tick_batch(self, state: AsyncNodeState, nodes: np.ndarray, topology: Topology, rng: np.random.Generator) -> None:
+        """One instantaneous tick per entry of *nodes* through
+        :func:`apply_tick_block`: one ``sample_neighbors_block`` call,
+        and one array-to-list round trip of the state per block."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        targets = topology.sample_neighbors_block(nodes, 2, rng)
+        arrays = (state.colors, state.bit, state.intermediate, state.working_time, state.real_time, state.terminated)
+        lists = [array.tolist() for array in arrays]
+        apply_tick_block(
+            state.schedule, nodes.tolist(), targets[:, 0].tolist(), targets[:, 1].tolist(),
+            state.counts().tolist(), state.buffers, *lists,
+        )
+        for array, values in zip(arrays, lists):
+            array[:] = values
 
     # -- tick interface ----------------------------------------------------
     def tick_targets(self, state: AsyncNodeState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
@@ -511,18 +516,15 @@ class AsyncPluralityProtocol(SequentialProtocol):
         if state.terminated[node]:
             return np.empty(0, dtype=np.int64)
         w = int(state.working_time[node])
-        if w >= schedule.part_one_length:
-            targets = topology.sample_neighbors(node, 2, rng)
+        # The endgame samples two neighbours, like a Two-Choices step.
+        action = ACTION_TC_SAMPLE if w >= schedule.part_one_length else schedule.action_at(w)
+        if action == ACTION_TC_SAMPLE:
+            count = 2
+        elif action == ACTION_SYNC_SAMPLE or (action == ACTION_BP and not state.bit[node]):
+            count = 1
         else:
-            action = schedule.action_at(w)
-            if action == ACTION_TC_SAMPLE:
-                targets = topology.sample_neighbors(node, 2, rng)
-            elif action == ACTION_BP and not state.bit[node]:
-                targets = topology.sample_neighbors(node, 1, rng)
-            elif action == ACTION_SYNC_SAMPLE:
-                targets = topology.sample_neighbors(node, 1, rng)
-            else:
-                targets = np.empty(0, dtype=np.int64)
+            count = 0
+        targets = topology.sample_neighbors(node, count, rng) if count else np.empty(0, dtype=np.int64)
         state.pending_targets[node] = targets
         return targets
 
@@ -531,53 +533,39 @@ class AsyncPluralityProtocol(SequentialProtocol):
         if state.terminated[node]:
             return
         targets = state.pending_targets.pop(node, np.empty(0, dtype=np.int64))
+        agree = len(observed_colors) == 2 and observed_colors[0] == observed_colors[1]
         w = int(state.working_time[node])
-        phase_len = schedule.phase_length
-        if w >= schedule.part_one_length:
-            if len(observed_colors) == 2 and observed_colors[0] == observed_colors[1]:
-                state.colors[node] = observed_colors[0]
-            state.working_time[node] = w + 1
-            state.real_time[node] += 1
-            if w + 1 >= schedule.total_length:
-                state.terminated[node] = True
-            return
+        state.working_time[node] = w + 1
         action = schedule.action_at(w)
-        if action == ACTION_TC_SAMPLE:
-            if len(observed_colors) == 2 and observed_colors[0] == observed_colors[1]:
-                state.intermediate[node] = observed_colors[0]
-            else:
-                state.intermediate[node] = NO_COLOR
+        if w >= schedule.part_one_length:
+            if agree:
+                state.colors[node] = observed_colors[0]
+            state.terminated[node] = w + 1 >= schedule.total_length
+        elif action == ACTION_TC_SAMPLE:
+            state.intermediate[node] = observed_colors[0] if agree else NO_COLOR
         elif action == ACTION_TC_COMMIT:
             ic = int(state.intermediate[node])
+            state.bit[node] = ic != NO_COLOR
             if ic != NO_COLOR:
                 state.colors[node] = ic
-                state.bit[node] = True
-            else:
-                state.bit[node] = False
             state.intermediate[node] = NO_COLOR
         elif action == ACTION_BP:
-            if not state.bit[node] and len(targets):
-                target = int(targets[0])
-                # Bit and colour are read together at response time.
-                if state.bit[target]:
-                    state.colors[node] = state.colors[target]
-                    state.bit[node] = True
-        elif action == ACTION_SYNC_SAMPLE:
-            if len(targets):
-                target = int(targets[0])
-                state.buffers[node].collect(
-                    w // phase_len, int(state.real_time[target]), int(state.real_time[node])
-                )
+            # Bit and colour are read together at response time.
+            if not state.bit[node] and len(targets) and state.bit[targets[0]]:
+                state.colors[node] = state.colors[targets[0]]
+                state.bit[node] = True
+        elif action == ACTION_SYNC_SAMPLE and len(targets):
+            state.buffers[node].collect(
+                w // schedule.phase_length, int(state.real_time[targets[0]]), int(state.real_time[node])
+            )
         elif action == ACTION_SYNC_JUMP:
-            phase = w // phase_len
+            phase = w // schedule.phase_length
             target_wt = jump_target(
                 state.buffers[node], phase, int(state.real_time[node]), schedule.sync_starts[phase]
             )
             state.buffers[node].clear()
-            state.real_time[node] += 1
-            state.working_time[node] = w + 1 if target_wt is None else target_wt
-            return
-        state.working_time[node] = w + 1
+            if target_wt is not None:
+                state.working_time[node] = target_wt
         state.real_time[node] += 1
 
     def is_absorbed(self, state: AsyncNodeState) -> bool:

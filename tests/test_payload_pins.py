@@ -11,7 +11,10 @@ sequential ``max_steps`` budget hits.  The :data:`AGENT_PINS` cases
 reach the per-tick agent routes below the counts crossover
 (``SequentialEngine``, ``ContinuousEngine``) over the same protocols
 and models, one and three (looped) replications, one traced run and
-one ``max_steps`` budget hit.  A refactor of a tick loop, a transition
+one ``max_steps`` budget hit.  The :data:`ASYNC_PINS` cases run the
+phased protocol of Theorem 1.3 on both agent routes: the sequential
+and zero-delay continuous block path, and the delayed continuous
+event-queue path.  A refactor of a tick loop, a transition
 hook or the RNG call sequence that changes any value shows up here as
 a hash mismatch.
 
@@ -185,6 +188,52 @@ AGENT_PINS = [
 ]
 
 
+#: (spec fields, routed engine, sha256) for async-plurality.  The
+#: delayed path runs tick_targets / tick_apply, so its hash does not
+#: depend on the block path and was recorded before that path existed;
+#: the zero-delay hashes lock the block path's stream.
+ASYNC_PINS = [
+    (
+        dict(
+            protocol="async-plurality",
+            n=150,
+            model="continuous",
+            seed=31,
+            delay="exponential",
+            delay_params={"rate": 2.0},
+            initial="multiplicative-bias",
+            initial_params={"k": 4, "ratio": 2.0},
+        ),
+        "ContinuousEngine",
+        "477582fe1e3a8060f45254551a1248ac06ef89f23ebd665db2d1afb89144da50",
+    ),
+    (
+        dict(
+            protocol="async-plurality",
+            n=300,
+            model="sequential",
+            seed=32,
+            initial="multiplicative-bias",
+            initial_params={"k": 4, "ratio": 2.0},
+        ),
+        "SequentialEngine",
+        "e4bfef556b8a44bc23b6a83715b62fc1e72b837e03450bc69feb789aa9251fa3",
+    ),
+    (
+        dict(
+            protocol="async-plurality",
+            n=250,
+            model="continuous",
+            seed=33,
+            initial="multiplicative-bias",
+            initial_params={"k": 4, "ratio": 2.0},
+        ),
+        "ContinuousEngine",
+        "9402993c2e8a73ad775ada7d7e1e6cb87ee1be48e9e14d35b581d2c1cb9cd8d2",
+    ),
+]
+
+
 def _digest(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -208,7 +257,7 @@ def test_agent_pins_reach_both_agent_tick_routes():
     assert {engine for _, engine, _ in AGENT_PINS} == {"SequentialEngine", "ContinuousEngine"}
 
 
-@pytest.mark.parametrize("case", PINS + AGENT_PINS, ids=_case_id)
+@pytest.mark.parametrize("case", PINS + AGENT_PINS + ASYNC_PINS, ids=_case_id)
 def test_payload_hash_is_pinned(case):
     fields, engine, expected = case
     result = simulate(SimulationSpec(**fields))

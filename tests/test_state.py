@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.state import NO_COLOR, AsyncNodeState, NodeArrayState
+from repro.protocols.sync_gadget import SyncSampleBuffer
 
 
 class TestNodeArrayState:
@@ -56,7 +57,7 @@ class TestAsyncNodeState:
         assert not state.bit.any()
         assert (state.intermediate == NO_COLOR).all()
         assert not state.terminated.any()
-        assert len(state.sync_samples) == 3
+        assert state.buffers == []
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
@@ -87,10 +88,10 @@ class TestAsyncNodeState:
         assert state.working_time_spread() == 0
 
     def test_copy_deep(self):
-        state = AsyncNodeState(colors=np.array([0, 1]), k=2)
-        state.sync_samples[0].append(3)
+        state = AsyncNodeState(colors=np.array([0, 1]), k=2, buffers=[SyncSampleBuffer(), SyncSampleBuffer()])
+        state.buffers[0].collect(0, 3, 0)
         clone = state.copy()
-        clone.sync_samples[0].append(4)
+        clone.buffers[0].collect(0, 4, 0)
         clone.bit[1] = True
-        assert state.sync_samples[0] == [3]
+        assert state.buffers[0].offsets == [3]
         assert not state.bit[1]
