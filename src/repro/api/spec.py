@@ -142,6 +142,13 @@ class SimulationSpec:
             raise ConfigurationError("the continuous model budgets time, not steps; use max_time")
         if self.record_trace and self.reps != 1:
             raise ConfigurationError("record_trace requires reps == 1 (ensemble engines do not trace)")
+        if self.trace_every is not None:
+            if not self.trace_every > 0:
+                raise ConfigurationError(f"trace_every must be positive, got {self.trace_every}")
+            if self.model == "synchronous" and self.trace_every < 1:
+                raise ConfigurationError(
+                    f"synchronous trace_every counts rounds and must be at least 1, got {self.trace_every}"
+                )
         if self.seed is not None and not isinstance(self.seed, int):
             raise ConfigurationError(f"seed must be an int or None, got {type(self.seed).__name__}")
         if self.faults and self.model == "synchronous":

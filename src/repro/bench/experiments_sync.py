@@ -71,10 +71,9 @@ def _stats(sim):
     """Mean rounds-to-consensus, win rate, counts, and the initial config.
 
     The campaign routed each cell through ``simulate`` with
-    ``n_reps=trials``, so protocols with ensemble round hooks
-    (Two-Choices, Voter, 3-Majority, USD) advance all replications per
-    numpy batch; the rest (OneExtraBit) fall back to the looped
-    single-run engine.  The initial configuration is taken from the
+    ``n_reps=trials``, so every counts protocol (Two-Choices, Voter,
+    3-Majority, USD, OneExtraBit) advances all replications per numpy
+    batch on the ensemble round engine.  The initial configuration is taken from the
     runs themselves, so theory predictions are computed on the
     simulated workload rather than a second hand-built copy.
     """

@@ -71,6 +71,8 @@ class ContinuousEngine:
         which the stop condition was first observed; ``rounds`` counts
         processed tick events.
         """
+        if record_trace and not trace_every > 0:
+            raise ConfigurationError(f"trace_every must be positive, got {trace_every}")
         rng = as_generator(seed)
         colors, k = materialize_initial(initial, rng)
         n = colors.size

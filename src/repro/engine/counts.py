@@ -13,29 +13,31 @@ agent engine excludes the caller from its own sample (neighbours of
 ``u`` on ``K_n``), so sample probabilities are ``c_j - [own colour]``
 over ``n - 1``.  The counts engine accounts for that exactly by using
 per-group sampling distributions.
+
+:class:`CountsEngine` is a declaration, not a loop of its own: one run
+is the one-replication case, plus tracing, of the round loop in
+:mod:`repro.engine.ensemble` that
+:class:`~repro.engine.ensemble.EnsembleCountsEngine` runs for ``R``
+replications.  Both drive the protocol's one round hook,
+:meth:`~repro.protocols.base.CountsProtocol.step_ensemble`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
-
-import numpy as np
-
 from ..core.colors import ColorConfiguration
-from ..core.exceptions import ConfigurationError
-from ..core.results import RunResult, Trace
-from ..core.rng import SeedLike, as_generator
-from ..protocols.base import CountsProtocol
-from .base import StopCondition, build_result, consensus_reached
+from ..core.results import RunResult
+from ..core.rng import SeedLike
+from .base import StopCondition, consensus_reached
+from .ensemble import _CountsRoundEngine
 
 __all__ = ["CountsEngine"]
 
 
-class CountsEngine:
-    """Round-based driver for exact counts-level protocols on ``K_n``."""
+class CountsEngine(_CountsRoundEngine):
+    """Round-based driver for exact counts-level protocols on ``K_n``:
+    the one-replication case of the round loop, plus tracing."""
 
-    def __init__(self, protocol: CountsProtocol):
-        self.protocol = protocol
+    _engine_name = "counts"
 
     def run(
         self,
@@ -47,38 +49,5 @@ class CountsEngine:
         seed: SeedLike = None,
     ) -> RunResult:
         """Execute rounds until *stop* holds or *max_rounds* is hit."""
-        if not isinstance(initial, ColorConfiguration):
-            raise ConfigurationError("CountsEngine requires a ColorConfiguration initial state")
-        if max_rounds < 0:
-            raise ConfigurationError(f"max_rounds must be non-negative, got {max_rounds}")
-        rng = as_generator(seed)
-        counts_state = self.protocol.init_counts(initial)
-        counts = np.asarray(self.protocol.color_counts(counts_state), dtype=np.int64)
-        initial_counts = counts.copy()
-        trace = Trace() if record_trace else None
-        if trace is not None:
-            trace.record(0, counts)
-
-        rounds = 0
-        converged = stop(counts)
-        while not converged and rounds < max_rounds:
-            counts_state = self.protocol.step(counts_state, rng)
-            rounds += 1
-            counts = np.asarray(self.protocol.color_counts(counts_state), dtype=np.int64)
-            if trace is not None and rounds % trace_every == 0:
-                trace.record(rounds, counts)
-            converged = stop(counts)
-            if not converged and self.protocol.is_absorbed(counts_state):
-                break
-        if trace is not None and rounds % trace_every != 0:
-            trace.record(rounds, counts)
-
-        return build_result(
-            converged=converged,
-            initial_counts=initial_counts,
-            final_counts=counts,
-            rounds=rounds,
-            parallel_time=float(rounds),
-            trace=trace,
-            metadata={"engine": "counts", "protocol": self.protocol.name},
-        )
+        [result] = self._run(initial, 1, max_rounds, stop, seed, trace_every if record_trace else None)
+        return result

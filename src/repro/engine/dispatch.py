@@ -11,7 +11,9 @@ automatically instead of hard-coding engine classes:
 model               on ``K_n``                 elsewhere / with delays
 ==================  =========================  ===============================
 ``"synchronous"``   CountsEngine (counts       SynchronousEngine
-                    protocols) else
+                    protocols, all five
+                    with an ensemble
+                    twin) else
                     SynchronousEngine
 ``"sequential"``    CountsSequentialEngine     SequentialEngine
                     when the protocol has a
@@ -130,9 +132,10 @@ One agent engine per clock
 When *n_reps* asks for more than one replication, the counts-level
 rows of the table are additionally lifted to their ensemble twins
 (:mod:`repro.engine.ensemble`), which advance all replications per
-numpy batch and expose ``run_ensemble`` instead of ``run``; rows with
-no exact ensemble form return the single-run engine and the caller
-loops (see :func:`repro.engine.ensemble.run_replicated`).
+numpy batch and expose ``run_ensemble`` instead of ``run``.  Every
+counts protocol, round or tick, has one ``(R, m)`` hook, so every
+counts row has its twin; the agent rows return single-run engines and
+the caller loops (see :func:`repro.engine.ensemble.run_replicated`).
 
 Every returned engine draws from the *same law* as the engine it
 replaces, up to the counts batches' ``O(B / n)`` error (see the
@@ -151,7 +154,6 @@ from ..core.exceptions import ConfigurationError
 from ..graphs.topology import DynamicTopology, Topology
 from ..protocols.base import (
     CountsProtocol,
-    EnsembleCountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
     SynchronousProtocol,
@@ -209,8 +211,8 @@ def fastest_engine(
         n_reps >= COUNTS_TICK_CROSSOVER``.  With
         ``n_reps > 1`` the counts-level routes return the
         ensemble-vectorised engines (``run_ensemble`` instead of
-        ``run``) when an exact ensemble form exists; otherwise the
-        single-run engine is returned and the caller loops — use
+        ``run``); the agent routes return single-run engines and the
+        caller loops — use
         :func:`repro.engine.ensemble.run_replicated` to not care which.
 
     Returns
@@ -241,9 +243,7 @@ def fastest_engine(
         if isinstance(protocol, CountsProtocol):
             if not on_complete:
                 raise ConfigurationError(f"{protocol.name} is counts-level and needs K_n")
-            if ensemble and isinstance(protocol, EnsembleCountsProtocol):
-                return EnsembleCountsEngine(protocol)
-            return CountsEngine(protocol)
+            return EnsembleCountsEngine(protocol) if ensemble else CountsEngine(protocol)
         if isinstance(protocol, SynchronousProtocol):
             return SynchronousEngine(protocol, topology)
         raise ConfigurationError(f"{protocol.name} does not implement the synchronous model")

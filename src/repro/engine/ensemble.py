@@ -20,15 +20,18 @@ single-run engine — not merely close:
   ``binomial`` / ``gamma`` call is an independent draw from exactly the
   distribution the single-run engine would use for that replication's
   state, and
-* for the tick engines there is one loop
-  (:mod:`repro.engine.counts_async`); a single run is its ``R = 1``
-  case, so a one-replication ensemble reproduces
-  ``CountsSequentialEngine`` / ``CountsContinuousEngine`` results
-  value-for-value from a shared seed.  For the round engine, numpy
-  draws stacked arguments row by row, so a one-row call is
-  bit-identical to the scalar call and a one-replication
-  :class:`EnsembleCountsEngine` replays ``CountsEngine``.
-  ``tests/test_ensemble.py`` enforces both clauses.
+* there is one loop per time unit, and a single run is its ``R = 1``
+  case: the tick loop in :mod:`repro.engine.counts_async` and the
+  round loop here (``_CountsRoundEngine``), of which
+  :class:`~repro.engine.counts.CountsEngine` is the one-replication,
+  tracing declaration.  A one-replication ensemble therefore
+  reproduces ``CountsEngine`` / ``CountsSequentialEngine`` /
+  ``CountsContinuousEngine`` results value-for-value from a shared
+  seed.  ``tests/test_ensemble.py`` enforces both clauses.
+
+Every round protocol has one hook,
+:meth:`~repro.protocols.base.CountsProtocol.step_ensemble`, which draws
+all colour classes of all rows in one class-major call.
 
 The grid invariants of the single-run tick engines carry over
 unchanged: sequential parallel time is exactly ``ticks / n`` (the same
@@ -40,10 +43,11 @@ Masking and compaction
 Replications finish at different times.  A replication is *retired* —
 its :class:`~repro.core.results.RunResult` is recorded and its row is
 compacted out of the state matrix — as soon as its stop condition
-holds at a grid check, it reaches an absorbing non-stop state, or its
-tick/time/round budget runs out.  The active set therefore shrinks as
-the ensemble drains, and the per-batch cost falls with it; the engine
-returns when the last replication retires.  All replications advance
+holds (after any round, or at a tick grid check), it reaches an
+absorbing non-stop state, or its tick/time/round budget runs out.  The
+active set therefore shrinks as the ensemble drains, and the per-batch
+cost falls with it; the engine returns when the last replication
+retires.  All replications advance
 in lockstep on the shared tick grid (they run the same protocol on the
 same ``n``), which is what makes one stacked draw per batch possible.
 """
@@ -56,9 +60,9 @@ import numpy as np
 
 from ..core.colors import ColorConfiguration
 from ..core.exceptions import ConfigurationError
-from ..core.results import RunResult
+from ..core.results import RunResult, Trace
 from ..core.rng import SeedLike, as_generator, spawn_seed_sequences, split
-from ..protocols.base import EnsembleCountsProtocol
+from ..protocols.base import CountsProtocol
 from .base import StopCondition, build_result, consensus_reached
 from .counts_async import _CountsTickEngine, _stop_flags
 
@@ -77,22 +81,108 @@ def _tag_replications(results: List[RunResult]) -> List[RunResult]:
     return results
 
 
-class EnsembleCountsEngine:
+class _CountsRoundEngine:
+    """The round loop shared by :class:`~repro.engine.counts.CountsEngine`
+    and :class:`EnsembleCountsEngine`.
+
+    :meth:`_run` advances ``n_reps`` replications as one ``(R, m)``
+    state matrix, one synchronous round per
+    :meth:`~repro.protocols.base.CountsProtocol.step_ensemble` call,
+    and retires each replication as soon as its stop condition holds,
+    it reaches an absorbing non-stop state, or the round budget runs
+    out.  A single run is the ``R = 1`` case, plus tracing.
+    """
+
+    _engine_name = "counts-round"
+
+    def __init__(self, protocol: CountsProtocol):
+        if not isinstance(protocol, CountsProtocol):
+            raise ConfigurationError(
+                f"{getattr(protocol, 'name', protocol)!r} has no counts round hook"
+            )
+        self.protocol = protocol
+
+    def _run(
+        self,
+        initial: ColorConfiguration,
+        n_reps: int,
+        max_rounds: int,
+        stop: StopCondition,
+        seed: SeedLike,
+        trace_every: Optional[int] = None,
+    ) -> List[RunResult]:
+        """Run *n_reps* replications; results in replication order.
+
+        A *trace_every* (rounds) records a trace; only the single-run
+        entry point passes one.
+        """
+        if not isinstance(initial, ColorConfiguration):
+            raise ConfigurationError(f"{type(self).__name__} requires a ColorConfiguration initial state")
+        if n_reps < 1:
+            raise ConfigurationError(f"n_reps must be positive, got {n_reps}")
+        if max_rounds < 0:
+            raise ConfigurationError(f"max_rounds must be non-negative, got {max_rounds}")
+        if trace_every is not None and trace_every < 1:
+            raise ConfigurationError(f"trace_every must be at least one round, got {trace_every}")
+        rng = as_generator(seed)
+        protocol = self.protocol
+        states = np.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
+        counts = protocol.color_counts_ensemble(states)
+        initial_counts = counts[0].copy()
+        results: List[Optional[RunResult]] = [None] * n_reps
+        rep_ids = np.arange(n_reps)
+        metadata = {"engine": self._engine_name, "protocol": protocol.name}
+        trace = None
+        if trace_every is not None:
+            trace = Trace()
+            trace.record(0, counts[0])
+
+        def retire(local: np.ndarray, counts_now: np.ndarray, flags, rounds: int) -> None:
+            if trace is not None and rounds % trace_every:
+                trace.record(rounds, counts_now[0])
+            for i, flag in zip(local, flags):
+                results[int(rep_ids[i])] = build_result(
+                    converged=bool(flag),
+                    initial_counts=initial_counts,
+                    final_counts=counts_now[i],
+                    rounds=rounds,
+                    parallel_time=float(rounds),
+                    trace=trace,
+                    metadata=dict(metadata),
+                )
+
+        rounds = 0
+        stops = _stop_flags(stop, counts)
+        done = stops
+        while True:
+            if done.any():
+                finished = np.flatnonzero(done)
+                retire(finished, counts, stops[finished], rounds)
+                states, rep_ids = states[~done], rep_ids[~done]
+            if not rep_ids.size or rounds >= max_rounds:
+                break
+            states = protocol.step_ensemble(states, rng)
+            rounds += 1
+            counts = protocol.color_counts_ensemble(states)
+            if trace is not None and rounds % trace_every == 0:
+                trace.record(rounds, counts[0])
+            stops = _stop_flags(stop, counts)
+            done = stops | protocol.is_absorbed_ensemble(states)
+        if rep_ids.size:
+            counts = protocol.color_counts_ensemble(states)
+            retire(np.arange(rep_ids.size), counts, np.zeros(rep_ids.size, dtype=bool), rounds)
+        return results  # type: ignore[return-value]
+
+
+class EnsembleCountsEngine(_CountsRoundEngine):
     """Round-based ensemble driver for ``K_n`` counts protocols.
 
     Advances R independent replications of
     :class:`~repro.engine.counts.CountsEngine`'s chain in lockstep, one
-    synchronous round per step for every active replication, through
-    the protocol's :meth:`~repro.protocols.base.EnsembleCountsProtocol.step_ensemble`
-    hook.
+    synchronous round per step for every active replication.
     """
 
-    def __init__(self, protocol: EnsembleCountsProtocol):
-        if not isinstance(protocol, EnsembleCountsProtocol):
-            raise ConfigurationError(
-                f"{getattr(protocol, 'name', protocol)!r} has no ensemble round hooks"
-            )
-        self.protocol = protocol
+    _engine_name = "ensemble-counts"
 
     def run_ensemble(
         self,
@@ -103,59 +193,7 @@ class EnsembleCountsEngine:
         seed: SeedLike = None,
     ) -> List[RunResult]:
         """Run *n_reps* replications to completion; results in rep order."""
-        if not isinstance(initial, ColorConfiguration):
-            raise ConfigurationError("EnsembleCountsEngine requires a ColorConfiguration initial state")
-        if n_reps < 1:
-            raise ConfigurationError(f"n_reps must be positive, got {n_reps}")
-        if max_rounds < 0:
-            raise ConfigurationError(f"max_rounds must be non-negative, got {max_rounds}")
-        rng = as_generator(seed)
-        protocol = self.protocol
-        states = np.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
-        counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
-        initial_counts = counts[0].copy()
-        results: List[Optional[RunResult]] = [None] * n_reps
-        rep_ids = np.arange(n_reps)
-
-        def retire(local_indices: np.ndarray, counts_now: np.ndarray, flags, rounds: int) -> None:
-            for local, flag in zip(local_indices, flags):
-                rep = int(rep_ids[local])
-                results[rep] = build_result(
-                    converged=bool(flag),
-                    initial_counts=initial_counts,
-                    final_counts=counts_now[local],
-                    rounds=rounds,
-                    parallel_time=float(rounds),
-                    metadata={
-                        "engine": "ensemble-counts",
-                        "protocol": protocol.name,
-                        "n_reps": n_reps,
-                        "replication": rep,
-                    },
-                )
-
-        stops = _stop_flags(stop, counts)
-        if stops.any():
-            done = np.flatnonzero(stops)
-            retire(done, counts, stops[done], 0)
-            states, rep_ids = states[~stops], rep_ids[~stops]
-        rounds = 0
-        while rep_ids.size and rounds < max_rounds:
-            states = np.asarray(protocol.step_ensemble(states, rng), dtype=np.int64)
-            rounds += 1
-            counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
-            stops = _stop_flags(stop, counts)
-            absorbed = np.asarray(protocol.is_absorbed_ensemble(states), dtype=bool) & ~stops
-            done = stops | absorbed
-            if done.any():
-                finished = np.flatnonzero(done)
-                retire(finished, counts, stops[finished], rounds)
-                states, rep_ids = states[~done], rep_ids[~done]
-        if rep_ids.size:
-            counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
-            remaining = np.arange(rep_ids.size)
-            retire(remaining, counts, np.zeros(rep_ids.size, dtype=bool), rounds)
-        return results  # type: ignore[return-value]
+        return _tag_replications(self._run(initial, n_reps, max_rounds, stop, seed))
 
 
 class EnsembleCountsSequentialEngine(_CountsTickEngine):

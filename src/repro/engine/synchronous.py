@@ -69,6 +69,8 @@ class SynchronousEngine:
         """
         if max_rounds < 0:
             raise ConfigurationError(f"max_rounds must be non-negative, got {max_rounds}")
+        if record_trace and trace_every < 1:
+            raise ConfigurationError(f"trace_every must be at least one round, got {trace_every}")
         rng = as_generator(seed)
         colors, k = materialize_initial(initial, rng)
         if colors.size != self.topology.n:

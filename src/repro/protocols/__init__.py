@@ -11,7 +11,6 @@
 from .async_plurality import AsyncPluralityConsensus, AsyncPluralityProtocol, ClockSkew
 from .base import (
     CountsProtocol,
-    EnsembleCountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
     SynchronousProtocol,
@@ -21,7 +20,6 @@ from .faults import ByzantineProtocol, FaultMaskedState, StubbornProtocol
 from .lossy import LossyProtocol
 from .one_extra_bit import (
     OneExtraBitCounts,
-    OneExtraBitCountsState,
     OneExtraBitState,
     OneExtraBitSynchronous,
     default_bp_rounds,
@@ -66,7 +64,6 @@ __all__ = [
     "ClockSkew",
     "AsyncPluralityProtocol",
     "CountsProtocol",
-    "EnsembleCountsProtocol",
     "SequentialCountsProtocol",
     "SequentialProtocol",
     "SynchronousProtocol",
@@ -77,7 +74,6 @@ __all__ = [
     "StubbornProtocol",
     "LossyProtocol",
     "OneExtraBitCounts",
-    "OneExtraBitCountsState",
     "OneExtraBitState",
     "OneExtraBitSynchronous",
     "default_bp_rounds",

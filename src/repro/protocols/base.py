@@ -1,17 +1,20 @@
 """Protocol interfaces.
 
 The paper's processes are driven by three different machines, so a
-protocol may implement up to three complementary interfaces:
+protocol may implement up to four complementary interfaces:
 
 :class:`SynchronousProtocol`
     Round-based, agent-level: ``round_update`` rewrites the whole state
     vector once per synchronous round (Theorems 1.1 and 1.2 substrate).
 :class:`CountsProtocol`
-    Round-based on ``K_n`` at the level of colour *counts*.  On the
+    Round-based on ``K_n`` at the level of label *histograms*.  On the
     complete graph with uniform sampling the round transition of every
-    protocol here depends only on the counts vector, so a round can be
+    protocol here depends only on the histogram, so a round can be
     drawn *exactly* from a handful of multinomials — this is what lets
-    the benchmarks sweep ``n`` up to ``10^9``.
+    the benchmarks sweep ``n`` up to ``10^9``.  The state of ``R``
+    independent replications is an ``(R, m)`` matrix and one
+    :meth:`~CountsProtocol.step_ensemble` call advances every row; a
+    single run is the one-row case.
 :class:`SequentialProtocol`
     Tick-based: one uniformly random node acts per tick (the paper's
     sequential model, equivalent in run time to the Poisson-clock model
@@ -23,18 +26,10 @@ protocol may implement up to three complementary interfaces:
     Tick-based on ``K_n`` at the level of colour *counts*: the exact
     conditional law of a single tick given the histogram, expressed as
     a row-stochastic transition matrix.  This is the asynchronous
-    counterpart of :class:`CountsProtocol` and what powers the batched
-    tick engines in :mod:`repro.engine.counts_async` (paper-scale
-    asynchronous sweeps at ``n`` up to ``10^8`` and beyond).
-:class:`EnsembleCountsProtocol`
-    Round-based on ``K_n`` for *R replications at once*: the state is
-    an ``(R, m)`` matrix of histograms and one step advances every row
-    by one synchronous round through shared vectorised multinomial
-    draws.  Each row's marginal law is identical to :meth:`step` of the
-    matching :class:`CountsProtocol`; this is what powers the ensemble
-    engines in :mod:`repro.engine.ensemble` (trial replication at the
-    cost of one run).  :class:`SequentialCountsProtocol` works on the
-    same ``(R, m)`` matrices throughout: a single run is one row.
+    counterpart of :class:`CountsProtocol`, on the same ``(R, m)``
+    matrices, and what powers the batched tick engines in
+    :mod:`repro.engine.counts_async` (paper-scale asynchronous sweeps
+    at ``n`` up to ``10^8`` and beyond).
 
 Protocols are stateless policy objects; all mutable simulation state
 lives in :class:`~repro.core.state.NodeArrayState` (or a subclass), so
@@ -45,12 +40,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.colors import ColorConfiguration
-from ..core.exceptions import ProtocolError
 from ..core.hazard import apply_hazard_free
 from ..core.state import NodeArrayState
 from ..graphs.topology import Topology
@@ -60,9 +54,9 @@ __all__ = [
     "CountsProtocol",
     "SequentialProtocol",
     "SequentialCountsProtocol",
-    "EnsembleCountsProtocol",
     "TickFootprint",
     "diagonals",
+    "draw_classes",
     "self_excluded_sample_probabilities_ensemble",
 ]
 
@@ -124,89 +118,74 @@ class SynchronousProtocol(ABC):
 
 
 class CountsProtocol(ABC):
-    """Exact counts-level protocol on the complete graph.
+    """Exact counts-level round protocol on the complete graph.
 
-    The internal *counts state* is protocol-specific (e.g. OneExtraBit
-    tracks counts for every ``(colour, bit)`` pair plus its position in
-    the phase schedule); :meth:`color_counts` projects it back to the
-    plain colour histogram used for reporting.
+    The state of ``R`` independent replications is an ``(R, m)`` int64
+    matrix, one *internal* histogram per row.  For most protocols a row
+    is the plain label histogram; OneExtraBit widens it to bit-set and
+    bit-unset counts per colour plus its position in the phase
+    schedule.  :meth:`color_counts_ensemble` projects the rows back to
+    the colour histograms the stop conditions see.
+
+    :meth:`step_ensemble` is the one round rule, and its contract is
+    exactness per row: every row of the result is drawn from the
+    agent-based round law on ``K_n`` given that row.  Stacked numpy
+    ``multinomial`` / ``binomial`` calls satisfy it, because the
+    generator draws their rows one after the other, each from its own
+    arguments.  A class with no members draws nothing from the
+    generator, so its rows need no masking.  A single run is the
+    one-row case: :meth:`step`, :meth:`color_counts` and
+    :meth:`is_absorbed` are that case on a 1-D state.
     """
 
     name: str = "counts-protocol"
 
     @abstractmethod
-    def init_counts(self, config: ColorConfiguration) -> Any:
-        """Build the internal counts state for an initial configuration."""
-
-    @abstractmethod
-    def step(self, counts_state: Any, rng: np.random.Generator) -> Any:
-        """Advance by one synchronous round; returns the new state.
-
-        Implementations draw the next state from the exact distribution
-        of the agent-based round transition on ``K_n``.
-        """
-
-    @abstractmethod
-    def color_counts(self, counts_state: Any) -> np.ndarray:
-        """Project the internal state to a colour-counts vector."""
-
-    def is_absorbed(self, counts_state: Any) -> bool:
-        """True when the projected configuration is a fixed point."""
-        counts = self.color_counts(counts_state)
-        return int(counts.max()) == int(counts.sum())
-
-
-class _EnsembleStateHooks:
-    """Shared state hooks of the ensemble interfaces.
-
-    Both ensemble families — round-based
-    (:class:`EnsembleCountsProtocol`) and tick-based
-    (:class:`SequentialCountsProtocol`) — carry their R replications as
-    an ``(R, m)`` histogram matrix; these defaults cover initialising,
-    projecting and absorption-testing that matrix for every protocol
-    whose internal counts state is the plain label histogram.
-    """
-
-    def init_ensemble(self, config: ColorConfiguration, n_reps: int) -> np.ndarray:
-        """``(n_reps, m)`` stacked initial histograms (all rows equal)."""
-        row = np.asarray(self.init_counts(config), dtype=np.int64)  # type: ignore[attr-defined]
-        return np.repeat(row[None, :], n_reps, axis=0)
-
-    def color_counts_ensemble(self, states: np.ndarray) -> np.ndarray:
-        """Project the ``(R, m)`` internal states to reported counts."""
-        return states
-
-    def is_absorbed_ensemble(self, states: np.ndarray) -> np.ndarray:
-        """Row-wise fixed-point test (``bool[R]``)."""
-        return states.max(axis=1) == states.sum(axis=1)
-
-
-class EnsembleCountsProtocol(_EnsembleStateHooks, ABC):
-    """Round-based ensemble hook: R histogram chains per numpy batch.
-
-    Mixed into a :class:`CountsProtocol` whose internal counts state is
-    the plain label histogram, this interface advances an ``(R, m)``
-    matrix of *independent* replications by one synchronous round per
-    :meth:`step_ensemble` call.  The contract binding it to the
-    single-run protocol is exactness per row:
-
-    * every row of the result is drawn from the same law as
-      :meth:`CountsProtocol.step` applied to that row, and
-    * with ``R == 1`` the implementation must consume the generator
-      *identically* to :meth:`CountsProtocol.step` (same RNG calls in
-      the same order, with zero-size colour classes skipped the same
-      way), so an ensemble of one replays a single run value-for-value
-      from a shared seed.
-
-    Vectorised ``numpy`` multinomial/binomial calls with stacked
-    ``n``/``pvals`` arguments satisfy both clauses: the generator draws
-    row by row, so each row is an independent exact draw and the
-    one-row call is bit-identical to the scalar call.
-    """
+    def init_counts(self, config: ColorConfiguration) -> np.ndarray:
+        """Internal histogram (``int64[m]``) for an initial configuration."""
 
     @abstractmethod
     def step_ensemble(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Advance every row of *states* by one synchronous round."""
+        """Advance every row of the ``(R, m)`` *states* by one round."""
+
+    def init_ensemble(self, config: ColorConfiguration, n_reps: int) -> np.ndarray:
+        """``(n_reps, m)`` stacked initial histograms (all rows equal)."""
+        row = np.asarray(self.init_counts(config), dtype=np.int64)
+        return np.repeat(row[None, :], n_reps, axis=0)
+
+    def color_counts_ensemble(self, states: np.ndarray) -> np.ndarray:
+        """Project the ``(R, m)`` internal states to colour counts."""
+        return states
+
+    def is_absorbed_ensemble(self, states: np.ndarray) -> np.ndarray:
+        """Row-wise fixed-point test (``bool[R]``): one colour holds everyone."""
+        counts = self.color_counts_ensemble(states)
+        return counts.max(axis=1) == counts.sum(axis=1)
+
+    def step(self, counts_state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One round of a single run: the one-row :meth:`step_ensemble`."""
+        return self.step_ensemble(np.asarray(counts_state, dtype=np.int64)[None, :], rng)[0]
+
+    def color_counts(self, counts_state: np.ndarray) -> np.ndarray:
+        """Colour counts of a single run's internal histogram."""
+        return self.color_counts_ensemble(np.asarray(counts_state)[None, :])[0]
+
+    def is_absorbed(self, counts_state: np.ndarray) -> bool:
+        """True when a single run's state is a fixed point."""
+        return bool(self.is_absorbed_ensemble(np.asarray(counts_state)[None, :])[0])
+
+
+def draw_classes(rng: np.random.Generator, states: np.ndarray, pvals: np.ndarray) -> np.ndarray:
+    """One multinomial per (row, class) of an ``(R, m)`` state matrix.
+
+    Class ``i`` of row ``r`` sends its ``states[r, i]`` members to the
+    outcomes of ``pvals[r, i]`` (shape ``(R, m, d)``).  Returns the
+    ``(m, R, d)`` outcome counts, drawn class-major: class 0 of every
+    row, then class 1, and so on.  A class with no members consumes
+    nothing from the generator, and one call replaces ``m`` stacked
+    calls at the same stream.
+    """
+    return rng.multinomial(states.T, pvals.transpose(1, 0, 2))
 
 
 class SequentialProtocol(ABC):
@@ -351,7 +330,7 @@ class SequentialProtocol(ABC):
         return state.is_consensus()
 
 
-class SequentialCountsProtocol(_EnsembleStateHooks, ABC):
+class SequentialCountsProtocol(ABC):
     """Exact counts-level form of a sequential tick rule on ``K_n``.
 
     A tick of the sequential model picks a uniformly random acting node
@@ -395,6 +374,11 @@ class SequentialCountsProtocol(_EnsembleStateHooks, ABC):
         ignored — the engine overwrites them with identity rows before
         sampling, so implementations need not special-case them.
         """
+
+    # The tick chain runs on the round interface's histogram matrices.
+    init_ensemble = CountsProtocol.init_ensemble
+    color_counts_ensemble = CountsProtocol.color_counts_ensemble
+    is_absorbed_ensemble = CountsProtocol.is_absorbed_ensemble
 
 
 def diagonals(matrices: np.ndarray) -> np.ndarray:

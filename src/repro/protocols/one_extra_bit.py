@@ -28,12 +28,14 @@ matches the paper's stated concentration ``c_1^2 / n`` for bit-set
 nodes that re-adopted their own colour.
 
 Both an agent-based and an exact counts-based realisation are provided;
-the counts state tracks ``(A_j, B_j)`` — bit-set / bit-unset nodes per
-colour — and the position inside the phase.
+a counts state row holds ``(A_j, B_j)`` — bit-set / bit-unset nodes per
+colour — and the round index, which fixes the position inside the
+phase.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +45,22 @@ from ..core.colors import ColorConfiguration
 from ..core.exceptions import ConfigurationError
 from ..core.state import NodeArrayState
 from ..graphs.topology import Topology
-from .base import CountsProtocol, SynchronousProtocol
+from .base import (
+    CountsProtocol,
+    SynchronousProtocol,
+    draw_classes,
+    self_excluded_sample_probabilities_ensemble,
+)
 
 __all__ = [
     "default_bp_rounds",
     "OneExtraBitState",
     "OneExtraBitSynchronous",
-    "OneExtraBitCountsState",
     "OneExtraBitCounts",
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def default_bp_rounds(n: int, k: int, extra: int = 2) -> int:
     """The paper's ``Theta(log k + log log n)`` Bit-Propagation length.
 
@@ -141,21 +148,14 @@ class OneExtraBitSynchronous(SynchronousProtocol):
         state.bit[winners] = True
 
 
-@dataclass
-class OneExtraBitCountsState:
-    """Counts state: bit-set / bit-unset histograms + phase position."""
-
-    bit_set: np.ndarray
-    bit_unset: np.ndarray
-    round_index: int = 0
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.bit_set + self.bit_unset
-
-
 class OneExtraBitCounts(CountsProtocol):
-    """Exact counts-level OneExtraBit on ``K_n``."""
+    """Exact counts-level OneExtraBit on ``K_n``.
+
+    A state row is ``int64[2k + 1]``: bit-set counts per colour
+    (``A_j``), bit-unset counts per colour (``B_j``), then the round
+    index.  Replications advance in lockstep from round 0, so every row
+    of an ensemble sits at the same position in the phase schedule.
+    """
 
     name = "one-extra-bit/counts"
 
@@ -167,77 +167,67 @@ class OneExtraBitCounts(CountsProtocol):
     def bp_rounds_for(self, n: int, k: int) -> int:
         return self._bp_rounds if self._bp_rounds is not None else default_bp_rounds(n, k)
 
-    def init_counts(self, config: ColorConfiguration) -> OneExtraBitCountsState:
+    def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         counts = np.asarray(config.counts, dtype=np.int64)
-        return OneExtraBitCountsState(
-            bit_set=np.zeros_like(counts),
-            bit_unset=counts.copy(),
-            round_index=0,
-        )
+        return np.concatenate([np.zeros_like(counts), counts, [0]])
 
-    def step(self, counts_state: OneExtraBitCountsState, rng: np.random.Generator) -> OneExtraBitCountsState:
-        totals = counts_state.total
-        n = int(totals.sum())
-        k = totals.size
-        phase_length = 1 + self.bp_rounds_for(n, k)
-        position = counts_state.round_index % phase_length
-        if position == 0:
-            new_state = self._two_choices_step(counts_state, rng)
+    def color_counts_ensemble(self, states: np.ndarray) -> np.ndarray:
+        k = states.shape[1] // 2
+        return states[:, :k] + states[:, k : 2 * k]
+
+    def step_ensemble(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Advance R replications one round: the phase's Two-Choices
+        round or one Bit-Propagation round, by the shared round index."""
+        k = states.shape[1] // 2
+        totals = self.color_counts_ensemble(states)
+        n = int(totals[0].sum())
+        round_index = int(states[0, 2 * k])
+        if round_index % (1 + self.bp_rounds_for(n, k)) == 0:
+            new_states = self._two_choices_step(totals, rng)
         else:
-            new_state = self._bit_propagation_step(counts_state, rng)
-        new_state.round_index = counts_state.round_index + 1
-        return new_state
+            new_states = self._bit_propagation_step(states, rng)
+        new_states[:, 2 * k] = round_index + 1
+        return new_states
 
-    def _two_choices_step(self, counts_state: OneExtraBitCountsState, rng: np.random.Generator) -> OneExtraBitCountsState:
-        totals = counts_state.total
-        n = int(totals.sum())
-        k = totals.size
-        new_set = np.zeros(k, dtype=np.int64)
-        new_unset = np.zeros(k, dtype=np.int64)
-        base = totals.astype(float)
-        for i in range(k):
-            group = int(totals[i])
-            if group == 0:
-                continue
-            probs_one = base.copy()
-            probs_one[i] -= 1.0  # self-exclusion
-            probs_one /= n - 1
-            adopt = probs_one * probs_one
-            keep = max(0.0, 1.0 - float(adopt.sum()))
-            pvals = np.concatenate([adopt, [keep]])
-            pvals /= pvals.sum()
-            draws = rng.multinomial(group, pvals)
-            new_set += draws[:k]
-            new_unset[i] += draws[k]
-        return OneExtraBitCountsState(bit_set=new_set, bit_unset=new_unset)
+    @staticmethod
+    def _two_choices_step(totals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Every node runs Two-Choices; its bit is set iff the samples
+        agreed (outcome slots as in
+        :class:`~repro.protocols.two_choices.TwoChoicesCounts`)."""
+        reps, k = totals.shape
+        q = self_excluded_sample_probabilities_ensemble(totals)
+        pvals = np.empty((reps, k, k + 1))
+        adopt = np.multiply(q, q, out=pvals[..., :k])
+        pvals[..., k] = np.maximum(1.0 - adopt.sum(axis=-1), 0.0)
+        pvals /= pvals.sum(axis=-1, keepdims=True)
+        draws = draw_classes(rng, totals, pvals)
+        new_states = np.empty((reps, 2 * k + 1), dtype=np.int64)
+        new_states[:, :k] = draws[..., :k].sum(axis=0)
+        new_states[:, k : 2 * k] = draws[..., k].T
+        return new_states
 
-    def _bit_propagation_step(self, counts_state: OneExtraBitCountsState, rng: np.random.Generator) -> OneExtraBitCountsState:
-        bit_set = counts_state.bit_set.astype(np.int64).copy()
-        bit_unset = counts_state.bit_unset.astype(np.int64).copy()
-        totals = counts_state.total
-        n = int(totals.sum())
-        k = totals.size
+    @staticmethod
+    def _bit_propagation_step(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Every bit-unset node samples one neighbour and copies colour
+        and bit when the neighbour's bit is set."""
+        reps = states.shape[0]
+        k = states.shape[1] // 2
+        if not states[:, k : 2 * k].any():
+            return states.copy()  # every bit is set: nobody seeks
+        n = int(states[0, : 2 * k].sum())
         # A seeker samples one of its n-1 neighbours; the seeker itself
         # is bit-unset, so the bit-set mass among neighbours is exactly
-        # `bit_set` (pre-round snapshot for simultaneity).
-        snapshot_set = counts_state.bit_set.astype(float)
-        hit_probs = snapshot_set / (n - 1)
-        stay = max(0.0, 1.0 - float(hit_probs.sum()))
-        pvals = np.concatenate([hit_probs, [stay]])
-        pvals /= pvals.sum()
-        new_set = bit_set
-        new_unset = np.zeros(k, dtype=np.int64)
-        for i in range(k):
-            group = int(bit_unset[i])
-            if group == 0:
-                continue
-            draws = rng.multinomial(group, pvals)
-            new_set += draws[:k]
-            new_unset[i] += draws[k]
-        return OneExtraBitCountsState(bit_set=new_set, bit_unset=new_unset)
-
-    def color_counts(self, counts_state: OneExtraBitCountsState) -> np.ndarray:
-        return counts_state.total
+        # the pre-round bit-set counts (simultaneous updates).
+        pvals = np.empty((reps, k + 1))
+        np.divide(states[:, :k], n - 1, out=pvals[:, :k])
+        pvals[:, k] = np.maximum(1.0 - pvals[:, :k].sum(axis=1), 0.0)
+        pvals /= pvals.sum(axis=1, keepdims=True)
+        # Every bit-unset class of a row shares the row's pvals.
+        draws = draw_classes(rng, states[:, k : 2 * k], np.broadcast_to(pvals[:, None], (reps, k, k + 1)))
+        new_states = np.empty_like(states)
+        new_states[:, :k] = states[:, :k] + draws[..., :k].sum(axis=0)
+        new_states[:, k : 2 * k] = draws[..., k].T
+        return new_states
 
 
 register_protocol(

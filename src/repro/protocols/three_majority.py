@@ -24,11 +24,11 @@ from ..core.state import NodeArrayState
 from ..graphs.topology import Topology
 from .base import (
     CountsProtocol,
-    EnsembleCountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
     SynchronousProtocol,
     TickFootprint,
+    draw_classes,
     self_excluded_sample_probabilities_ensemble,
 )
 
@@ -73,7 +73,7 @@ class ThreeMajoritySynchronous(SynchronousProtocol):
         state.colors = _majority_of_three(first, second, third)
 
 
-class ThreeMajorityCounts(CountsProtocol, EnsembleCountsProtocol):
+class ThreeMajorityCounts(CountsProtocol):
     """Exact counts-level 3-Majority on ``K_n``."""
 
     name = "three-majority/counts"
@@ -81,57 +81,10 @@ class ThreeMajorityCounts(CountsProtocol, EnsembleCountsProtocol):
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)
 
-    def step(self, counts_state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = counts_state
-        n = int(counts.sum())
-        k = counts.size
-        new_counts = np.zeros(k, dtype=np.int64)
-        base = counts.astype(float)
-        # One sample-distribution buffer reused across colour classes
-        # (no per-class copies), like the TwoChoicesCounts pvals buffer.
-        q = np.empty(k)
-        for i in range(k):
-            group = int(counts[i])
-            if group == 0:
-                continue
-            np.copyto(q, base)
-            q[i] -= 1.0  # self-exclusion
-            q /= n - 1
-            np.clip(q, 0.0, None, out=q)
-            adopt = _adoption_probabilities(q)
-            total = float(adopt.sum())
-            # Unlike Two-Choices, 3-Majority always adopts a sampled
-            # colour, so the adopt probabilities sum to one exactly
-            # (up to float error, renormalised here).
-            adopt /= total
-            new_counts += rng.multinomial(group, adopt)
-        return new_counts
-
     def step_ensemble(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Advance R replications one round (mirrors :meth:`step` per
-        row; one stacked multinomial per non-empty colour class)."""
-        states = np.asarray(states, dtype=np.int64)
-        reps, k = states.shape
-        n = int(states[0].sum())
-        new_counts = np.zeros_like(states)
-        base = states.astype(float)
-        q = np.empty((reps, k))
-        for i in range(k):
-            groups = states[:, i]
-            acting = np.flatnonzero(groups > 0)
-            if acting.size == 0:
-                continue
-            np.copyto(q, base)
-            q[:, i] -= 1.0  # self-exclusion
-            q /= n - 1
-            np.clip(q, 0.0, None, out=q)
-            adopt = _adoption_probabilities(q)
-            adopt /= adopt.sum(axis=1, keepdims=True)
-            new_counts[acting] += rng.multinomial(groups[acting], adopt[acting])
-        return new_counts
-
-    def color_counts(self, counts_state: np.ndarray) -> np.ndarray:
-        return counts_state
+        # Every node makes one tick move from the pre-round histogram.
+        adopt = ThreeMajoritySequentialCounts().tick_transition_matrices(states)
+        return draw_classes(rng, states, adopt).sum(axis=0)
 
 
 class ThreeMajoritySequential(SequentialProtocol):

@@ -25,8 +25,6 @@ Three interchangeable realisations are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from ..api.registry import register_protocol
@@ -35,12 +33,12 @@ from ..core.state import NodeArrayState
 from ..graphs.topology import Topology
 from .base import (
     CountsProtocol,
-    EnsembleCountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
     SynchronousProtocol,
     TickFootprint,
     diagonals,
+    draw_classes,
     self_excluded_sample_probabilities_ensemble,
 )
 
@@ -69,7 +67,7 @@ class TwoChoicesSynchronous(SynchronousProtocol):
         state.colors = np.where(agree, first, state.colors)
 
 
-class TwoChoicesCounts(CountsProtocol, EnsembleCountsProtocol):
+class TwoChoicesCounts(CountsProtocol):
     """Exact counts-level Two-Choices on ``K_n``.
 
     The counts state is the plain ``int64[k]`` histogram.
@@ -80,77 +78,24 @@ class TwoChoicesCounts(CountsProtocol, EnsembleCountsProtocol):
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)
 
-    def step(self, counts_state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = counts_state
-        n = int(counts.sum())
-        k = counts.size
-        new_counts = np.zeros(k, dtype=np.int64)
-        base = counts.astype(float)
-        # One (k+1)-slot pvals buffer reused across all colour classes:
-        # slots 0..k-1 hold the adopt probabilities, slot k the keep
-        # mass.  No per-class copies or concatenations.
-        pvals = np.empty(k + 1)
-        adopt = pvals[:k]
-        for i in range(k):
-            group = int(counts[i])
-            if group == 0:
-                continue
-            # Sampling excludes the caller itself: a colour-i node sees
-            # colour-j mass (c_j - [i == j]) among its n-1 neighbours.
-            np.copyto(adopt, base)
-            adopt[i] -= 1.0
-            adopt /= n - 1
-            np.multiply(adopt, adopt, out=adopt)
-            keep = 1.0 - float(adopt.sum())
-            if keep >= 0.0:
-                pvals[k] = keep
-            else:
-                # Float error pushed the adopt mass past one; clip and
-                # renormalise (only then is the division needed).
-                pvals[k] = 0.0
-                pvals /= pvals.sum()
-            draws = rng.multinomial(group, pvals)
-            new_counts += draws[:k]
-            new_counts[i] += draws[k]
-        return new_counts
-
     def step_ensemble(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Advance R replications one round (one multinomial per class).
-
-        Mirrors :meth:`step` operation-for-operation per row — same
-        adopt/keep probabilities, same clip-and-renormalise branch, one
-        *stacked* multinomial per colour class over the rows where the
-        class is non-empty — so each row's law is exact and a one-row
-        ensemble consumes the generator identically to :meth:`step`.
-        """
-        states = np.asarray(states, dtype=np.int64)
+        """A colour-``i`` node's outcome slots ``0..k-1`` hold the adopt
+        probabilities, slot ``k`` the keep mass."""
         reps, k = states.shape
-        n = int(states[0].sum())
-        new_counts = np.zeros_like(states)
-        base = states.astype(float)
-        pvals = np.empty((reps, k + 1))
-        adopt = pvals[:, :k]
-        for i in range(k):
-            groups = states[:, i]
-            acting = np.flatnonzero(groups > 0)
-            if acting.size == 0:
-                continue
-            np.copyto(adopt, base)
-            adopt[:, i] -= 1.0
-            adopt /= n - 1
-            np.multiply(adopt, adopt, out=adopt)
-            pvals[:, k] = 1.0 - adopt.sum(axis=1)
-            clipped = pvals[:, k] < 0.0
-            if clipped.any():
-                pvals[clipped, k] = 0.0
-                pvals[clipped] /= pvals[clipped].sum(axis=1, keepdims=True)
-            draws = rng.multinomial(groups[acting], pvals[acting])
-            new_counts[acting] += draws[:, :k]
-            new_counts[acting, i] += draws[:, k]
-        return new_counts
-
-    def color_counts(self, counts_state: np.ndarray) -> np.ndarray:
-        return counts_state
+        # Sampling excludes the caller itself: a colour-i node sees
+        # colour-j mass (c_j - [i == j]) among its n-1 neighbours.
+        q = self_excluded_sample_probabilities_ensemble(states)
+        pvals = np.empty((reps, k, k + 1))
+        adopt = np.multiply(q, q, out=pvals[..., :k])
+        pvals[..., k] = 1.0 - adopt.sum(axis=-1)
+        clipped = pvals[..., k] < 0.0
+        if clipped.any():
+            # Float error pushed the adopt mass past one; clip and
+            # renormalise (only then is the division needed).
+            pvals[clipped, k] = 0.0
+            pvals[clipped] /= pvals[clipped].sum(axis=-1, keepdims=True)
+        draws = draw_classes(rng, states, pvals)
+        return draws[..., :k].sum(axis=0) + draws[..., k].T
 
 
 class TwoChoicesSequential(SequentialProtocol):

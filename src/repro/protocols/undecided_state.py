@@ -16,12 +16,12 @@ State encoding: colours ``0..k-1`` plus the extra label ``k`` for
 ``k + 1`` entries with the undecided bucket **last**.  Note the
 all-undecided configuration is absorbing — it is reached only with
 vanishing probability from biased starts, but budget-bounded callers
-should check for it (``is_absorbed`` does).
+should check for it (``is_absorbed`` does).  Both absorbing kinds are
+exactly the label histograms with one non-empty bucket, so the counts
+realisations keep the default fixed-point test.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -31,12 +31,12 @@ from ..core.state import NodeArrayState
 from ..graphs.topology import Topology
 from .base import (
     CountsProtocol,
-    EnsembleCountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
     SynchronousProtocol,
     TickFootprint,
     diagonals,
+    draw_classes,
     self_excluded_sample_probabilities_ensemble,
 )
 
@@ -51,13 +51,6 @@ __all__ = [
 def _make_state_with_undecided(colors: np.ndarray, k: int) -> NodeArrayState:
     """Widen the label space by one to make room for the undecided label."""
     return NodeArrayState(colors=np.asarray(colors, dtype=np.int64), k=k + 1)
-
-
-def _absorbed_rows(states: np.ndarray) -> np.ndarray:
-    """Row-wise USD absorption (``bool[R]``): one decided colour with no
-    undecided mass, or everyone undecided."""
-    support = np.count_nonzero(states[:, :-1], axis=1)
-    return ((support <= 1) & (states[:, -1] == 0)) | (support == 0)
 
 
 class UndecidedStateSynchronous(SynchronousProtocol):
@@ -92,7 +85,7 @@ class UndecidedStateSynchronous(SynchronousProtocol):
         return (support <= 1 and counts[-1] == 0) or support == 0
 
 
-class UndecidedStateCounts(CountsProtocol, EnsembleCountsProtocol):
+class UndecidedStateCounts(CountsProtocol):
     """Exact counts-level USD on ``K_n``.
 
     Counts state: ``int64[k + 1]`` with the undecided bucket last.
@@ -103,75 +96,14 @@ class UndecidedStateCounts(CountsProtocol, EnsembleCountsProtocol):
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(list(config.counts) + [0], dtype=np.int64)
 
-    def step(self, counts_state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = counts_state
-        n = int(counts.sum())
-        k = counts.size - 1
-        undecided = int(counts[k])
-        new_counts = np.zeros(k + 1, dtype=np.int64)
-        base = counts.astype(float)
-        for i in range(k):
-            group = int(counts[i])
-            if group == 0:
-                continue
-            # A decided node stays iff it samples its own colour (with
-            # self-exclusion) or an undecided node — two scalars, no
-            # per-class distribution array needed.
-            stay = (base[i] - 1.0) / (n - 1) + base[k] / (n - 1)
-            stay = min(max(stay, 0.0), 1.0)
-            keepers = int(rng.binomial(group, stay))
-            new_counts[i] += keepers
-            new_counts[k] += group - keepers
-        if undecided > 0:
-            q = base.copy()
-            q[k] -= 1.0
-            q /= n - 1
-            q = np.clip(q, 0.0, None)
-            q /= q.sum()
-            draws = rng.multinomial(undecided, q)
-            new_counts += draws
-        return new_counts
-
     def step_ensemble(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Advance R replications one round (mirrors :meth:`step` per
-        row: a stacked binomial per decided class, then one stacked
-        multinomial for the undecided movers)."""
-        states = np.asarray(states, dtype=np.int64)
-        reps, width = states.shape
-        k = width - 1
-        n = int(states[0].sum())
-        new_counts = np.zeros_like(states)
-        base = states.astype(float)
-        for i in range(k):
-            groups = states[:, i]
-            acting = np.flatnonzero(groups > 0)
-            if acting.size == 0:
-                continue
-            stay = (base[:, i] - 1.0) / (n - 1) + base[:, k] / (n - 1)
-            np.clip(stay, 0.0, 1.0, out=stay)
-            keepers = rng.binomial(groups[acting], stay[acting])
-            new_counts[acting, i] += keepers
-            new_counts[acting, k] += groups[acting] - keepers
-        moving = np.flatnonzero(states[:, k] > 0)
-        if moving.size:
-            q = base.copy()
-            q[:, k] -= 1.0
-            q /= n - 1
-            np.clip(q, 0.0, None, out=q)
-            q /= q.sum(axis=1, keepdims=True)
-            draws = rng.multinomial(states[moving, k], q[moving])
-            new_counts[moving] += draws
-        return new_counts
-
-    def color_counts(self, counts_state: np.ndarray) -> np.ndarray:
-        return counts_state
-
-    def is_absorbed(self, counts_state: np.ndarray) -> bool:
-        support = int(np.count_nonzero(counts_state[:-1]))
-        return (support <= 1 and counts_state[-1] == 0) or support == 0
-
-    def is_absorbed_ensemble(self, states: np.ndarray) -> np.ndarray:
-        return _absorbed_rows(states)
+        # Every node makes one tick move from the pre-round histogram.
+        # A decided row has two non-zero slots, its own colour and the
+        # undecided slot, so its multinomial is exactly one binomial.
+        pvals = UndecidedStateSequentialCounts().tick_transition_matrices(states)
+        undecided = pvals[:, -1]
+        undecided /= undecided.sum(axis=-1, keepdims=True)
+        return draw_classes(rng, states, pvals).sum(axis=0)
 
 
 class UndecidedStateSequential(SequentialProtocol):
@@ -249,9 +181,6 @@ class UndecidedStateSequentialCounts(SequentialCountsProtocol):
         transition[:, :undecided, undecided] = 1.0 - stay
         transition[:, undecided, :] = q[:, undecided, :]
         return transition
-
-    def is_absorbed_ensemble(self, states: np.ndarray) -> np.ndarray:
-        return _absorbed_rows(states)
 
 
 register_protocol(

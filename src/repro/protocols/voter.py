@@ -19,11 +19,11 @@ from ..core.state import NodeArrayState
 from ..graphs.topology import Topology
 from .base import (
     CountsProtocol,
-    EnsembleCountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
     SynchronousProtocol,
     TickFootprint,
+    draw_classes,
     self_excluded_sample_probabilities_ensemble,
 )
 
@@ -41,56 +41,22 @@ class VoterSynchronous(SynchronousProtocol):
         state.colors = state.colors[targets]
 
 
-class VoterCounts(CountsProtocol, EnsembleCountsProtocol):
-    """Exact counts-level synchronous voter on ``K_n``."""
+class VoterCounts(CountsProtocol):
+    """Exact counts-level synchronous voter on ``K_n``.
+
+    A colour-``i`` node adopts its sample, so its class moves by one
+    multinomial over the self-excluded sample distribution.
+    """
 
     name = "voter/counts"
 
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)
 
-    def step(self, counts_state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = counts_state
-        n = int(counts.sum())
-        k = counts.size
-        new_counts = np.zeros(k, dtype=np.int64)
-        base = counts.astype(float)
-        for i in range(k):
-            group = int(counts[i])
-            if group == 0:
-                continue
-            probs = base.copy()
-            probs[i] -= 1.0  # self-exclusion
-            probs /= n - 1
-            probs = np.clip(probs, 0.0, None)
-            probs /= probs.sum()
-            new_counts += rng.multinomial(group, probs)
-        return new_counts
-
     def step_ensemble(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Advance R replications one round (mirrors :meth:`step` per
-        row; one stacked multinomial per non-empty colour class)."""
-        states = np.asarray(states, dtype=np.int64)
-        reps, k = states.shape
-        n = int(states[0].sum())
-        new_counts = np.zeros_like(states)
-        base = states.astype(float)
-        probs = np.empty((reps, k))
-        for i in range(k):
-            groups = states[:, i]
-            acting = np.flatnonzero(groups > 0)
-            if acting.size == 0:
-                continue
-            np.copyto(probs, base)
-            probs[:, i] -= 1.0  # self-exclusion
-            probs /= n - 1
-            np.clip(probs, 0.0, None, out=probs)
-            probs /= probs.sum(axis=1, keepdims=True)
-            new_counts[acting] += rng.multinomial(groups[acting], probs[acting])
-        return new_counts
-
-    def color_counts(self, counts_state: np.ndarray) -> np.ndarray:
-        return counts_state
+        q = self_excluded_sample_probabilities_ensemble(states)
+        q /= q.sum(axis=-1, keepdims=True)
+        return draw_classes(rng, states, q).sum(axis=0)
 
 
 class VoterSequential(SequentialProtocol):

@@ -119,6 +119,28 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="record_trace"):
             SimulationSpec(protocol="voter", n=10, reps=4, record_trace=True)
 
+    @pytest.mark.parametrize(
+        "model, trace_every",
+        [
+            ("continuous", 0),
+            ("continuous", -1.0),
+            ("sequential", 0.0),
+            ("sequential", -0.5),
+            ("synchronous", 0),
+            ("synchronous", 0.5),
+        ],
+    )
+    def test_rejects_nonpositive_or_subround_trace_every(self, model, trace_every):
+        # Only the spec is built: a zero continuous cadence used to hang
+        # the engine's trace loop, a sub-round synchronous one to divide
+        # by int(trace_every) == 0.
+        with pytest.raises(ConfigurationError, match="trace_every"):
+            SimulationSpec(protocol="voter", n=10, model=model, record_trace=True, trace_every=trace_every)
+
+    def test_accepts_positive_trace_every(self):
+        SimulationSpec(protocol="voter", n=10, model="continuous", record_trace=True, trace_every=0.5)
+        SimulationSpec(protocol="voter", n=10, model="synchronous", record_trace=True, trace_every=2)
+
     def test_rejects_non_integer_seed(self):
         with pytest.raises(ConfigurationError, match="seed"):
             SimulationSpec(protocol="voter", n=10, seed="entropy")

@@ -79,10 +79,9 @@ ROUTING_TABLE = [
     ("counts-voter/sync/K_n/R", VoterCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
     ("counts-3maj/sync/K_n/R", ThreeMajorityCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
     ("counts-usd/sync/K_n/R", UndecidedStateCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
-    # OneExtraBit has no ensemble round hooks: the single-run counts
-    # engine is returned even when the caller asks for replications.
+    # OneExtraBit's (R, 2k+1) round hook stacks replications like the others.
     ("counts-oeb/sync/K_n/1", OneExtraBitCounts, "synchronous", K_N, None, 1, CountsEngine),
-    ("counts-oeb/sync/K_n/R", OneExtraBitCounts, "synchronous", K_N, None, 8, CountsEngine),
+    ("counts-oeb/sync/K_n/R", OneExtraBitCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
     # Agent-level synchronous protocols run the reference engine anywhere.
     ("agent/sync/K_n/1", TwoChoicesSynchronous, "synchronous", K_N, None, 1, SynchronousEngine),
     ("agent/sync/ring/1", TwoChoicesSynchronous, "synchronous", RING, None, 1, SynchronousEngine),

@@ -1,5 +1,7 @@
 """Tests for the four engines (synchronous, counts, sequential, continuous)."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,11 @@ class TestSynchronousEngine:
         assert result.converged
         assert result.winner == 0
         assert result.parallel_time == result.rounds
+
+    def test_rejects_trace_every_below_one_round(self):
+        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(30))
+        with pytest.raises(ConfigurationError, match="trace_every"):
+            engine.run(ColorConfiguration([20, 10]), seed=1, record_trace=True, trace_every=0)
 
     def test_explicit_color_array(self):
         colors = np.array([0] * 250 + [1] * 50)
@@ -111,6 +118,14 @@ class TestCountsEngine:
         assert result.converged
         assert result.final.c1 >= 0.95 * result.final.n
 
+    def test_rejects_trace_every_below_one_round(self):
+        # Rounds are integers: a zero cadence used to divide by zero.
+        for trace_every in (0, -2):
+            with pytest.raises(ConfigurationError, match="trace_every"):
+                CountsEngine(TwoChoicesCounts()).run(
+                    ColorConfiguration([600, 400]), seed=2, record_trace=True, trace_every=trace_every
+                )
+
     def test_deterministic_given_seed(self):
         engine = CountsEngine(TwoChoicesCounts())
         a = engine.run(ColorConfiguration([700, 300]), seed=9)
@@ -153,6 +168,26 @@ class TestContinuousEngine:
         assert result.converged
         assert result.winner == 0
         assert result.parallel_time > 0
+
+    @pytest.mark.parametrize("delay_model", [None, FixedDelay(0.05)], ids=["instant", "delayed"])
+    def test_rejects_nonpositive_trace_every(self, delay_model):
+        # A cadence of zero or less never advanced the trace loop.  The
+        # alarm turns a regression into a failure instead of a hang.
+        def give_up(signum, frame):
+            raise TimeoutError("trace loop did not terminate")
+
+        engine = ContinuousEngine(TwoChoicesSequential(), CompleteGraph(40), delay_model=delay_model)
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(10)
+        try:
+            for trace_every in (0.0, -1.0):
+                with pytest.raises(ConfigurationError, match="trace_every"):
+                    engine.run(
+                        ColorConfiguration([30, 10]), seed=1, record_trace=True, trace_every=trace_every
+                    )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_delayed_converges(self):
         engine = ContinuousEngine(

@@ -5,8 +5,8 @@ Evidence layers for the ensemble exactness contract (see
 
 1. *Value-for-value at R = 1*: a one-replication ensemble reproduces
    the single-run counts engines exactly from a shared seed — same
-   rounds/ticks, same final counts, same parallel time — for all four
-   ensemble protocols and all three engine pairs.
+   rounds/ticks, same final counts, same parallel time — for every
+   counts protocol and all three engine pairs.
 2. *Marginal law at R = 64*: KS agreement between ensemble samples and
    looped single-engine samples of the convergence-time distribution.
 3. *Masking/compaction edge cases*: shrinking active sets, everyone
@@ -58,7 +58,13 @@ from repro.protocols import (
 )
 from repro.workloads.sweeps import convergence_time_sweep
 
-SYNC_PROTOCOLS = [TwoChoicesCounts(), VoterCounts(), ThreeMajorityCounts(), UndecidedStateCounts()]
+SYNC_PROTOCOLS = [
+    TwoChoicesCounts(),
+    VoterCounts(),
+    ThreeMajorityCounts(),
+    UndecidedStateCounts(),
+    OneExtraBitCounts(),
+]
 TICK_PROTOCOLS = [
     TwoChoicesSequentialCounts(),
     VoterSequentialCounts(),
@@ -163,8 +169,10 @@ class TestMarginalLawAtR64:
         )
         assert pvalue >= 0.01, f"KS rejected: D={statistic:.3f}, p={pvalue:.4f}"
 
-    def test_sync_rounds_distribution_ks(self):
-        protocol = TwoChoicesCounts()
+    @pytest.mark.parametrize(
+        "protocol", [TwoChoicesCounts(), OneExtraBitCounts()], ids=lambda p: p.name
+    )
+    def test_sync_rounds_distribution_ks(self, protocol):
         config = ColorConfiguration([240, 160])
         single = CountsEngine(protocol)
         looped = [single.run(config, seed=1000 + s) for s in range(self.REPS)]
@@ -294,10 +302,11 @@ class TestDispatchAndRouting:
             fastest_engine(TwoChoicesSequential(), graph, model="continuous", n_reps=10),
             EnsembleCountsContinuousEngine,
         )
-        assert isinstance(
-            fastest_engine(TwoChoicesCounts(), graph, model="synchronous", n_reps=10),
-            EnsembleCountsEngine,
-        )
+        for protocol in SYNC_PROTOCOLS:
+            assert isinstance(
+                fastest_engine(protocol, small, model="synchronous", n_reps=10),
+                EnsembleCountsEngine,
+            )
         assert isinstance(
             fastest_engine(TwoChoicesSequentialCounts(), small, model="sequential", n_reps=10),
             EnsembleCountsSequentialEngine,
@@ -315,13 +324,9 @@ class TestDispatchAndRouting:
         )
 
     def test_ineligible_protocols_fall_back_to_single_engines(self):
-        # OneExtraBit has no ensemble round hooks; sparse topologies
-        # have no counts path (SequentialEngine is a single-run engine
-        # run_replicated loops over).
-        assert isinstance(
-            fastest_engine(OneExtraBitCounts(), CompleteGraph(100), model="synchronous", n_reps=10),
-            CountsEngine,
-        )
+        # Sparse topologies have no counts path (SequentialEngine and
+        # SynchronousEngine are single-run engines run_replicated loops
+        # over).
         assert isinstance(
             fastest_engine(TwoChoicesSequential(), hypercube(15), model="sequential", n_reps=10),
             SequentialEngine,

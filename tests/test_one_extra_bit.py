@@ -10,10 +10,14 @@ from repro.engine.synchronous import SynchronousEngine
 from repro.graphs.complete import CompleteGraph
 from repro.protocols.one_extra_bit import (
     OneExtraBitCounts,
-    OneExtraBitCountsState,
     OneExtraBitSynchronous,
     default_bp_rounds,
 )
+
+
+def _state(bit_set, bit_unset, round_index=0):
+    """A counts state row: bit-set | bit-unset | round index."""
+    return np.concatenate([bit_set, bit_unset, [round_index]]).astype(np.int64)
 
 
 class TestDefaultBpRounds:
@@ -81,17 +85,22 @@ class TestCountsBased:
     def test_init_state(self):
         protocol = OneExtraBitCounts()
         state = protocol.init_counts(ColorConfiguration([70, 30]))
-        assert state.bit_set.tolist() == [0, 0]
-        assert state.bit_unset.tolist() == [70, 30]
-        assert state.round_index == 0
+        assert state.tolist() == _state([0, 0], [70, 30], 0).tolist()
+
+    def test_round_index_advances_through_phases(self, rng):
+        protocol = OneExtraBitCounts(bp_rounds=2)
+        state = protocol.init_counts(ColorConfiguration([600, 300, 100]))
+        for expected in range(1, 8):
+            state = protocol.step(state, rng)
+            assert state[-1] == expected
 
     def test_population_conserved_over_phases(self, rng):
         protocol = OneExtraBitCounts(bp_rounds=4)
         state = protocol.init_counts(ColorConfiguration([600, 300, 100]))
         for _ in range(25):
             state = protocol.step(state, rng)
-            assert int(state.total.sum()) == 1000
-            assert (state.bit_set >= 0).all() and (state.bit_unset >= 0).all()
+            assert int(protocol.color_counts(state).sum()) == 1000
+            assert (state >= 0).all()
 
     def test_tc_step_bit_count_concentrates(self, rng):
         """After one TC round, bit-set colour-1 mass ~ c1^2/n (the
@@ -99,23 +108,29 @@ class TestCountsBased:
         protocol = OneExtraBitCounts(bp_rounds=4)
         n, c1 = 100_000, 60_000
         state = protocol.init_counts(ColorConfiguration([c1, n - c1]))
-        samples = []
-        for _ in range(30):
-            stepped = protocol._two_choices_step(state, rng)
-            samples.append(int(stepped.bit_set[0]))
+        samples = [int(protocol.step(state, rng)[0]) for _ in range(30)]
         expected = c1**2 / n
         assert np.mean(samples) == pytest.approx(expected, rel=0.02)
 
     def test_bp_step_grows_bits(self, rng):
         protocol = OneExtraBitCounts(bp_rounds=4)
-        state = OneExtraBitCountsState(
-            bit_set=np.array([100, 20]),
-            bit_unset=np.array([500, 380]),
-            round_index=1,
-        )
-        stepped = protocol._bit_propagation_step(state, rng)
-        assert int(stepped.bit_set.sum()) >= 120
-        assert int(stepped.total.sum()) == 1000
+        state = _state([100, 20], [500, 380], round_index=1)
+        for _ in range(4):
+            stepped = protocol.step(state, rng)
+            # Bit-set counts never shrink during Bit-Propagation, per colour.
+            assert (stepped[:2] >= state[:2]).all()
+            assert int(protocol.color_counts(stepped).sum()) == 1000
+            state = stepped
+        assert int(state[:2].sum()) > 120
+
+    def test_bp_rows_advance_independently(self, rng):
+        protocol = OneExtraBitCounts(bp_rounds=4)
+        states = np.stack([_state([100, 20], [500, 380], 1), _state([300, 700], [0, 0], 1)])
+        stepped = protocol.step_ensemble(states, rng)
+        assert (stepped[:, -1] == 2).all()
+        # Every bit is already set in row 1: Bit-Propagation is a no-op.
+        assert stepped[1].tolist() == _state([300, 700], [0, 0], 2).tolist()
+        assert int(stepped[0, :2].sum()) >= 120
 
     def test_full_run_converges_faster_than_two_choices_at_large_k(self):
         """The headline of Theorem 1.2 at a small scale."""
@@ -145,14 +160,15 @@ class TestCountsBased:
             agent_bits.append(int(state.bit.sum()))
             cstate = counts.init_counts(ColorConfiguration([300, 200]))
             cstate = counts.step(cstate, counts_rng)
-            counts_bits.append(int(cstate.bit_set.sum()))
+            counts_bits.append(int(cstate[:2].sum()))
         pooled_sem = np.sqrt((np.var(agent_bits) + np.var(counts_bits)) / trials)
         assert abs(np.mean(agent_bits) - np.mean(counts_bits)) < 4 * pooled_sem + 1e-9
 
     def test_color_counts_projection(self):
-        state = OneExtraBitCountsState(bit_set=np.array([5, 1]), bit_unset=np.array([10, 4]))
         protocol = OneExtraBitCounts()
-        assert protocol.color_counts(state).tolist() == [15, 5]
+        assert protocol.color_counts(_state([5, 1], [10, 4], 3)).tolist() == [15, 5]
+        states = np.stack([_state([5, 1], [10, 4], 3), _state([0, 0], [2, 18], 3)])
+        assert protocol.color_counts_ensemble(states).tolist() == [[15, 5], [2, 18]]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
