@@ -1,4 +1,4 @@
-"""Byte-level pins of seeded ``K_n`` payloads on the tick and round routes.
+"""Byte-level pins of seeded payloads on the tick and round routes.
 
 Each case is a seeded :class:`~repro.api.SimulationSpec` whose
 canonical ``simulate(spec).to_dict()`` (minus the wall-clock
@@ -17,9 +17,13 @@ and zero-delay continuous block path, and the delayed continuous
 event-queue path.  The :data:`SYNC_PINS` cases reach both synchronous
 counts routes (``CountsEngine``, ``EnsembleCountsEngine``) over all
 five counts protocols, one and six replications, two traced runs and
-two ``max_steps`` budget hits.  A refactor of a tick or round loop, a
-transition hook or the RNG call sequence that changes any value shows
-up here as a hash mismatch.
+two ``max_steps`` budget hits.  The :data:`SPARSE_PINS` cases run the
+agent routes off ``K_n`` — torus, ring, random-regular, Watts-Strogatz,
+a churned ring and a stubborn-fault random-regular graph — under both
+asynchronous models, so they also lock each graph builder's CSR row
+order.  A refactor of a tick or round loop, a transition hook, a graph
+builder or the RNG call sequence that changes any value shows up here
+as a hash mismatch.
 
 Continuous specs that run into their ``max_time`` budget are left out
 on purpose: the budget cut (see :mod:`repro.engine.counts_async`)
@@ -339,6 +343,88 @@ SYNC_PINS = [
 ]
 
 
+#: (spec fields, routed engine, sha256) on sparse topologies.  Every
+#: value here also depends on the CSR row order of the graph builder
+#: (neighbour sampling draws a slot index into the row), so these lock
+#: the builders as well as the agent tick routes off ``K_n``.
+SPARSE_PINS = [
+    (
+        dict(protocol="two-choices", n=2_500, topology="torus", model="sequential", seed=61,
+             max_steps=25_000, **BIAS_3),
+        "SequentialEngine",
+        "844a5634cf9d7c1ccf8109d1f6a8fc9728412308bcf6b0448f000ae2bce0a9b4",
+    ),
+    (
+        dict(protocol="three-majority", n=900, topology="torus", topology_params={"rows": 30},
+             model="continuous", seed=62, **BIAS_3),
+        "ContinuousEngine",
+        "f63e6b8f9a61fb8bbb5ca46f1544263bab84096eec0de9e2dcf158e020b9ff8a",
+    ),
+    (
+        dict(protocol="undecided-state", n=3_000, topology="ring", model="continuous", seed=63,
+             max_time=8.0, **BIAS_3),
+        "ContinuousEngine",
+        "afa0037c84cc1ea635611f639942aa7a534a4000ba6e4e9c58738ec94e85a36c",
+    ),
+    (
+        dict(protocol="voter", n=2_000, topology="ring", model="sequential", seed=64,
+             max_steps=20_000, **BIAS_3),
+        "SequentialEngine",
+        "3a80ee1a6fe0db468ebfadcaae95f9386aa66c421f8c4b21a8e1aea2aa021002",
+    ),
+    (
+        dict(protocol="two-choices", n=2_000, topology="random-regular",
+             topology_params={"degree": 4, "graph_seed": 65}, model="continuous", seed=65, **BIAS_3),
+        "ContinuousEngine",
+        "ebff52709417952e5d0eae67832220604614b7e76e0175ca45cb5abf453c54b8",
+    ),
+    (
+        dict(protocol="three-majority", n=2_000, topology="random-regular",
+             topology_params={"degree": 6, "graph_seed": 66}, model="sequential", reps=3, seed=66,
+             **BIAS_3),
+        "SequentialEngine",
+        "6388431a431fb1248a61e06300fc4b1ccf0fd60eed0de13350db2798e1db6cf6",
+    ),
+    (
+        dict(protocol="undecided-state", n=2_000, topology="watts-strogatz",
+             topology_params={"neighbors": 4, "rewire_probability": 0.1, "graph_seed": 67},
+             model="sequential", seed=67, max_steps=20_000, **BIAS_3),
+        "SequentialEngine",
+        "8a31c8bb65f41f8fbb1f48dee91ae1bdf6a796f81429721545a07e27bfc354a2",
+    ),
+    (
+        dict(protocol="two-choices", n=2_000, topology="watts-strogatz",
+             topology_params={"neighbors": 3, "rewire_probability": 0.5, "graph_seed": 68},
+             model="continuous", seed=68, **BIAS_3),
+        "ContinuousEngine",
+        "5dbb053cb2528b9bbc3b3439f77ccebb02c13515758099763b09bd39f4be1a9f",
+    ),
+    (
+        dict(protocol="two-choices", n=2_000, topology="dynamic-ring",
+             topology_params={"churn_rate": 0.05, "churn_seed": 69}, model="sequential", seed=69,
+             max_steps=20_000, **BIAS_3),
+        "SequentialEngine",
+        "cfcabfb456873a2ea37d8da9615dbc64256b379cfaa070fbf75d880c676ce70c",
+    ),
+    (
+        dict(protocol="three-majority", n=2_000, topology="random-regular",
+             topology_params={"degree": 4, "graph_seed": 70}, model="sequential", seed=70,
+             max_steps=20_000, faults=[{"name": "stubborn", "params": {"fraction": 0.05, "fault_seed": 70}}],
+             **BIAS_3),
+        "SequentialEngine",
+        "b19c35b1fd611069b7a49a336a9dc8ff20fd90125cc534d2ceb2d16c3766065f",
+    ),
+    (
+        dict(protocol="voter", n=1_000, topology="random-regular",
+             topology_params={"degree": 4, "graph_seed": 71}, model="continuous", seed=71,
+             max_time=10.0, faults=[{"name": "stubborn", "params": {"fraction": 0.05, "fault_seed": 71}}],
+             **BIAS_3),
+        "ContinuousEngine",
+        "80eb7dd8302328a7de73c48012b6a7283cc21f97afd42144303b855f3a0822ef",
+    ),
+]
+
+
 def _digest(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -346,7 +432,9 @@ def _digest(payload) -> str:
 
 def _case_id(case) -> str:
     fields = case[0]
-    return f"{fields['protocol']}-{fields['model']}-r{fields.get('reps', 1)}-s{fields['seed']}"
+    topology = fields.get("topology", "complete")
+    prefix = "" if topology == "complete" else f"{topology}-"
+    return f"{prefix}{fields['protocol']}-{fields['model']}-r{fields.get('reps', 1)}-s{fields['seed']}"
 
 
 def test_pins_reach_every_counts_tick_route():
@@ -366,7 +454,15 @@ def test_agent_pins_reach_both_agent_tick_routes():
     assert {engine for _, engine, _ in AGENT_PINS} == {"SequentialEngine", "ContinuousEngine"}
 
 
-@pytest.mark.parametrize("case", PINS + AGENT_PINS + ASYNC_PINS + SYNC_PINS, ids=_case_id)
+def test_sparse_pins_cover_both_models_and_every_deck_topology():
+    assert {fields["model"] for fields, _, _ in SPARSE_PINS} == {"sequential", "continuous"}
+    assert {fields["topology"] for fields, _, _ in SPARSE_PINS} == {
+        "torus", "ring", "random-regular", "watts-strogatz", "dynamic-ring"
+    }
+    assert any(fields.get("faults") for fields, _, _ in SPARSE_PINS)
+
+
+@pytest.mark.parametrize("case", PINS + AGENT_PINS + ASYNC_PINS + SYNC_PINS + SPARSE_PINS, ids=_case_id)
 def test_payload_hash_is_pinned(case):
     fields, engine, expected = case
     result = simulate(SimulationSpec(**fields))
