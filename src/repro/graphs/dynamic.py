@@ -39,7 +39,7 @@ import numpy as np
 
 from ..api.registry import ParamSpec, register_topology
 from ..core.exceptions import TopologyError
-from .sparse import AdjacencyTopology, ring, torus
+from .sparse import AdjacencyTopology, _torus_of_n, ring
 from .topology import DynamicTopology
 
 __all__ = ["ChurnTopology"]
@@ -161,10 +161,6 @@ def _dynamic_torus(
     rows: int = None,
 ) -> ChurnTopology:
     """Registry adapter: a churned torus of ``rows x (n / rows)`` nodes."""
-    if rows is None:
-        rows = next(r for r in range(int(np.sqrt(n)), 0, -1) if n % r == 0)
-    if rows < 1 or n % rows != 0:
-        raise TopologyError(f"torus rows={rows} does not divide n={n}")
     return ChurnTopology(
-        torus(rows, n // rows), churn_rate, epoch_ticks=epoch_ticks, churn_seed=churn_seed, rule=rule
+        _torus_of_n(n, rows), churn_rate, epoch_ticks=epoch_ticks, churn_seed=churn_seed, rule=rule
     )

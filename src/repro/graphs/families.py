@@ -9,6 +9,7 @@ required — and return :class:`~repro.graphs.sparse.AdjacencyTopology`.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Set
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from ..api.registry import ParamSpec, register_topology
 from ..core.exceptions import TopologyError
 from ..core.rng import SeedLike, as_generator
-from .sparse import AdjacencyTopology
+from .sparse import AdjacencyTopology, _from_arcs, _from_rows
 
 __all__ = ["hypercube", "star", "random_regular", "watts_strogatz", "barabasi_albert"]
 
@@ -27,18 +28,16 @@ def hypercube(dimension: int) -> AdjacencyTopology:
         raise TopologyError(f"dimension must be >= 1, got {dimension}")
     if dimension > 24:
         raise TopologyError(f"dimension {dimension} would allocate 2^{dimension} nodes")
-    n = 1 << dimension
-    adjacency = [[node ^ (1 << bit) for bit in range(dimension)] for node in range(n)]
-    return AdjacencyTopology(adjacency)
+    return _from_rows(np.arange(1 << dimension)[:, None] ^ (1 << np.arange(dimension)))
 
 
 def star(n: int) -> AdjacencyTopology:
     """Star graph: node 0 is the hub, nodes 1..n-1 are leaves."""
     if n < 3:
         raise TopologyError(f"a star needs at least 3 nodes, got {n}")
-    adjacency: List[List[int]] = [list(range(1, n))]
-    adjacency.extend([0] for _ in range(1, n))
-    return AdjacencyTopology(adjacency)
+    offsets = np.concatenate(([0], np.arange(n - 1, 2 * n - 1)))
+    flat = np.concatenate((np.arange(1, n), np.zeros(n - 1, dtype=np.int64)))
+    return AdjacencyTopology.from_csr(offsets, flat)
 
 
 def random_regular(n: int, degree: int, seed: SeedLike = None, max_attempts: int = 20) -> AdjacencyTopology:
@@ -58,97 +57,99 @@ def random_regular(n: int, degree: int, seed: SeedLike = None, max_attempts: int
     for _ in range(max_attempts):
         stubs = np.repeat(np.arange(n), degree)
         rng.shuffle(stubs)
-        pairs = [(int(a), int(b)) for a, b in stubs.reshape(-1, 2)]
-        if _repair_pairing(pairs, rng):
-            adjacency: List[List[int]] = [[] for _ in range(n)]
-            for a, b in pairs:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-            return AdjacencyTopology(adjacency)
+        pairs = stubs.reshape(-1, 2)
+        if _repair_pairing(pairs, n, rng):
+            # Row u lists u's partners in the order u occurs in the pairs.
+            return _from_arcs(n, pairs.ravel(), pairs[:, ::-1].ravel())
     raise TopologyError(
         f"failed to pair a simple {degree}-regular graph on {n} nodes in {max_attempts} attempts"
     )
 
 
-def _edge_key(a: int, b: int) -> tuple:
-    return (a, b) if a <= b else (b, a)
+def _repair_pairing(pairs: np.ndarray, n: int, rng: np.random.Generator, max_switches: int = None) -> bool:
+    """Resolve self-loops/duplicates in-place via random edge switches.
 
-
-def _repair_pairing(pairs: List[tuple], rng: np.random.Generator, max_switches: int = None) -> bool:
-    """Resolve self-loops/duplicates in-place via random edge switches."""
+    Edge ``{a, b}`` is keyed ``min * n + max``.  A switch only lowers
+    the counts of existing keys and adds keys of count 1, so no good
+    pair turns bad: after each switch the ``bad`` list is filtered,
+    not rebuilt from every pair.
+    """
     if max_switches is None:
         max_switches = 200 * len(pairs) + 1000
-    edge_count = {}
-    for a, b in pairs:
-        edge_count[_edge_key(a, b)] = edge_count.get(_edge_key(a, b), 0) + 1
-    bad = [i for i, (a, b) in enumerate(pairs) if a == b or edge_count[_edge_key(a, b)] > 1]
+
+    def key(a: int, b: int) -> int:
+        return a * n + b if a <= b else b * n + a
+
+    low, high = pairs.min(axis=1), pairs.max(axis=1)
+    keys, inverse, counts = np.unique(low * n + high, return_inverse=True, return_counts=True)
+    edge_count = dict(zip(keys.tolist(), counts.tolist()))
+    bad = np.flatnonzero((low == high) | (counts[inverse] > 1)).tolist()
     switches = 0
     while bad and switches < max_switches:
         switches += 1
         i = bad[-1]
-        a, b = pairs[i]
+        a, b = pairs[i].tolist()
         j = int(rng.integers(0, len(pairs)))
         if j == i:
             continue
-        c, d = pairs[j]
+        c, d = pairs[j].tolist()
         # Propose the cross-swap (a, c), (b, d).
         if a == c or b == d:
             continue
-        new_one, new_two = _edge_key(a, c), _edge_key(b, d)
+        new_one, new_two = key(a, c), key(b, d)
         if edge_count.get(new_one, 0) or edge_count.get(new_two, 0):
             continue
-        for key in (_edge_key(a, b), _edge_key(c, d)):
-            edge_count[key] -= 1
-            if edge_count[key] == 0:
-                del edge_count[key]
-        pairs[i] = (a, c)
-        pairs[j] = (b, d)
+        for old in (key(a, b), key(c, d)):
+            edge_count[old] -= 1
+            if edge_count[old] == 0:
+                del edge_count[old]
+        pairs[i] = a, c
+        pairs[j] = b, d
         edge_count[new_one] = 1
         edge_count[new_two] = 1
-        bad = [k for k, (x, y) in enumerate(pairs) if x == y or edge_count[_edge_key(x, y)] > 1]
+        bad = [k for k in bad if pairs[k, 0] == pairs[k, 1] or edge_count[key(*pairs[k].tolist())] > 1]
     return not bad
 
 
 def watts_strogatz(n: int, neighbors: int, rewire_probability: float, seed: SeedLike = None) -> AdjacencyTopology:
     """Small-world graph: a ring lattice with random rewiring.
 
-    Each node starts connected to its ``neighbors`` nearest ring
-    neighbours on each side; every clockwise edge is rewired to a
-    uniform non-duplicate target with probability *rewire_probability*.
+    Each node starts linked to its ``neighbors`` nearest ring
+    neighbours on *each* side, so the degree before rewiring is
+    ``2 * neighbors`` (any ``neighbors >= 1`` with ``2 * neighbors < n``
+    is accepted).  Every lattice edge ``(u, v)``, ``u < v``, is rewired
+    to ``(u, w)`` for a uniform non-duplicate ``w`` with probability
+    *rewire_probability*.  Row order is the iteration order of the
+    rewired edge set.
     """
     if neighbors < 1 or 2 * neighbors >= n:
         raise TopologyError(f"need 1 <= neighbors < n/2, got {neighbors} for n={n}")
     if not 0.0 <= rewire_probability <= 1.0:
         raise TopologyError(f"rewire probability must be in [0, 1], got {rewire_probability}")
     rng = as_generator(seed)
-    edges: Set[tuple] = set()
-    for u in range(n):
-        for offset in range(1, neighbors + 1):
-            v = (u + offset) % n
-            edges.add((min(u, v), max(u, v)))
     rewired: Set[tuple] = set()
-    for edge in sorted(edges):
-        u, v = edge
-        if rng.random() < rewire_probability:
-            for _ in range(20):
-                w = int(rng.integers(0, n))
-                candidate = (min(u, w), max(u, w))
-                if w != u and candidate not in rewired and candidate not in edges:
-                    edge = candidate
-                    break
-        rewired.add(edge)
-    adjacency: List[List[int]] = [[] for _ in range(n)]
-    for u, v in rewired:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    # Rewiring can isolate a node in pathological cases; patch it back
-    # onto the ring so the sampling contract (degree >= 1) holds.
     for u in range(n):
-        if not adjacency[u]:
-            v = (u + 1) % n
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    return AdjacencyTopology(adjacency)
+        # u's lattice edges (u, v), v > u, in sorted order: the next
+        # `neighbors` nodes, then the ones reached across the wrap.
+        for v in chain(range(u + 1, min(u + neighbors + 1, n)), range(u + n - neighbors, n)):
+            edge = (u, v)
+            if rng.random() < rewire_probability:
+                for _ in range(20):
+                    w = int(rng.integers(0, n))
+                    distance = abs(u - w)
+                    candidate = (min(u, w), max(u, w))
+                    if min(distance, n - distance) > neighbors and candidate not in rewired:
+                        edge = candidate
+                        break
+            rewired.add(edge)
+    pairs = np.fromiter(chain.from_iterable(rewired), dtype=np.int64, count=2 * len(rewired))
+    # Rewiring keeps each edge's smaller endpoint, so only node n - 1
+    # (the larger end of all its lattice edges) can end up isolated;
+    # patch it back onto the ring so the sampling contract holds.
+    if not (pairs == n - 1).any():
+        pairs = np.append(pairs, [n - 1, 0])
+    # Each edge (a, b) is the arcs a -> b and b -> a, as in random_regular.
+    return _from_arcs(n, pairs, pairs.reshape(-1, 2)[:, ::-1].ravel())
 
 
 def barabasi_albert(n: int, attachments: int, seed: SeedLike = None) -> AdjacencyTopology:
@@ -214,7 +215,12 @@ def _random_regular_of_n(n: int, degree: int, graph_seed: int = None) -> Adjacen
 @register_topology(
     "watts-strogatz",
     params=[
-        ParamSpec("neighbors", kind="int", required=True, doc="even base-ring neighbour count"),
+        ParamSpec(
+            "neighbors",
+            kind="int",
+            required=True,
+            doc="lattice neighbours on each side (degree 2 * neighbors before rewiring)",
+        ),
         ParamSpec("rewire_probability", kind="float", required=True, doc="per-edge rewiring probability"),
         ParamSpec("graph_seed", kind="int", doc="seed for the rewiring"),
     ],

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.exceptions import TopologyError
-from .sparse import AdjacencyTopology
+from .sparse import AdjacencyTopology, _from_arcs
 
 __all__ = ["from_networkx"]
 
@@ -37,9 +37,6 @@ def from_networkx(graph) -> AdjacencyTopology:
     if graph.is_directed():
         raise TopologyError("only undirected graphs are supported")
     index = {label: i for i, label in enumerate(graph.nodes())}
-    n = len(index)
-    if n < 2:
-        raise TopologyError(f"need at least 2 nodes, got {n}")
     if graph.is_multigraph():
         # Parallel edges collapse under neighbour iteration; keep the
         # simple per-node path for this rare case.
@@ -54,11 +51,4 @@ def from_networkx(graph) -> AdjacencyTopology:
     proper = edges[edges[:, 0] != edges[:, 1]]
     heads = np.concatenate([edges[:, 0], proper[:, 1]])
     tails = np.concatenate([edges[:, 1], proper[:, 0]])
-    degrees = np.bincount(heads, minlength=n)
-    if (degrees == 0).any():
-        bad = int(np.argmax(degrees == 0))
-        raise TopologyError(f"node {bad} is isolated; sampling protocols need degree >= 1")
-    order = np.argsort(heads, kind="stable")
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    return AdjacencyTopology.from_csr(offsets, tails[order])
+    return _from_arcs(len(index), heads, tails)

@@ -9,7 +9,8 @@ requiring networkx.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from itertools import chain
+from typing import List, Sequence
 
 import numpy as np
 
@@ -33,25 +34,11 @@ class AdjacencyTopology(Topology):
     """
 
     def __init__(self, neighbors: Sequence[Sequence[int]]):
-        n = len(neighbors)
-        if n < 2:
-            raise TopologyError(f"need at least 2 nodes, got {n}")
-        degrees = np.array([len(adj) for adj in neighbors], dtype=np.int64)
-        if (degrees == 0).any():
-            bad = int(np.argmax(degrees == 0))
-            raise TopologyError(f"node {bad} is isolated; sampling protocols need degree >= 1")
-        self.n = n
-        self._offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self._offsets[1:])
-        flat = np.empty(int(self._offsets[-1]), dtype=np.int64)
-        for u, adj in enumerate(neighbors):
-            row = np.asarray(list(adj), dtype=np.int64)
-            if row.size and (row.min() < 0 or row.max() >= n):
-                raise TopologyError(f"node {u} has a neighbour outside 0..{n - 1}")
-            flat[self._offsets[u]:self._offsets[u + 1]] = row
-        self._flat = flat
-        self._degrees = degrees
-        self._uniform_degree = int(degrees[0]) if (degrees == degrees[0]).all() else None
+        degrees = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(neighbors))
+        offsets = np.zeros(degrees.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        flat = np.fromiter(chain.from_iterable(neighbors), dtype=np.int64, count=int(offsets[-1]))
+        self._adopt_csr(offsets, flat)
 
     def degree(self, node: int) -> int:
         self._check_node(node)
@@ -97,11 +84,15 @@ class AdjacencyTopology(Topology):
     @classmethod
     def from_csr(cls, offsets: np.ndarray, flat: np.ndarray) -> "AdjacencyTopology":
         """Wrap prebuilt CSR arrays (``offsets: int64[n + 1]``, ``flat``)
-        without the per-node Python construction loop of ``__init__`` —
-        the constructor for vectorised importers (networkx adapter,
-        generated families).  Validates the same invariants: at least
-        two nodes, every degree >= 1, neighbours in ``0..n-1``.
+        without a per-node Python loop — the constructor every builder
+        finishes through.  Validates the invariants ``__init__`` does:
+        at least two nodes, every degree >= 1, neighbours in ``0..n-1``.
         """
+        topology = cls.__new__(cls)
+        topology._adopt_csr(offsets, flat)
+        return topology
+
+    def _adopt_csr(self, offsets: np.ndarray, flat: np.ndarray) -> None:
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         flat = np.ascontiguousarray(flat, dtype=np.int64)
         if offsets.ndim != 1 or offsets.size < 3:
@@ -116,36 +107,46 @@ class AdjacencyTopology(Topology):
             bad = int(np.argmax(degrees == 0))
             raise TopologyError(f"node {bad} is isolated; sampling protocols need degree >= 1")
         if flat.size and (flat.min() < 0 or flat.max() >= n):
-            raise TopologyError(f"neighbour index outside 0..{n - 1}")
-        topology = cls.__new__(cls)
-        topology.n = n
-        topology._offsets = offsets
-        topology._flat = flat
-        topology._degrees = degrees
-        topology._uniform_degree = int(degrees[0]) if (degrees == degrees[0]).all() else None
-        return topology
+            slot = np.argmax((flat < 0) | (flat >= n))
+            bad = int(np.searchsorted(offsets, slot, side="right")) - 1
+            raise TopologyError(f"node {bad} has a neighbour outside 0..{n - 1}")
+        self.n = n
+        self._offsets = offsets
+        self._flat = flat
+        self._degrees = degrees
+        self._uniform_degree = int(degrees[0]) if (degrees == degrees[0]).all() else None
+
+
+def _from_rows(rows: np.ndarray) -> AdjacencyTopology:
+    """CSR of a regular graph given as an ``(n, degree)`` row array."""
+    n, degree = rows.shape
+    return AdjacencyTopology.from_csr(np.arange(0, n * degree + 1, degree), rows.ravel())
+
+
+def _from_arcs(n: int, heads: np.ndarray, tails: np.ndarray) -> AdjacencyTopology:
+    """CSR of the arcs ``heads[i] -> tails[i]``; row ``u`` keeps its arcs' order."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
+    return AdjacencyTopology.from_csr(offsets, tails[np.argsort(heads, kind="stable")])
 
 
 def ring(n: int) -> AdjacencyTopology:
     """Cycle graph ``C_n`` (each node linked to its two cyclic neighbours)."""
     if n < 3:
         raise TopologyError(f"a ring needs at least 3 nodes, got {n}")
-    return AdjacencyTopology([[(u - 1) % n, (u + 1) % n] for u in range(n)])
+    nodes = np.arange(n)
+    return _from_rows(np.stack([(nodes - 1) % n, (nodes + 1) % n], axis=1))
 
 
 def torus(rows: int, cols: int) -> AdjacencyTopology:
     """2-D torus grid of ``rows x cols`` nodes with 4-neighbourhoods."""
     if rows < 3 or cols < 3:
         raise TopologyError(f"torus sides must be >= 3, got {rows}x{cols}")
-
-    def node(r: int, c: int) -> int:
-        return (r % rows) * cols + (c % cols)
-
-    adjacency: List[List[int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            adjacency.append([node(r - 1, c), node(r + 1, c), node(r, c - 1), node(r, c + 1)])
-    return AdjacencyTopology(adjacency)
+    n = rows * cols
+    nodes = np.arange(n)
+    row_start, c = nodes - nodes % cols, nodes % cols
+    left, right = row_start + (c - 1) % cols, row_start + (c + 1) % cols
+    return _from_rows(np.stack([(nodes - cols) % n, (nodes + cols) % n, left, right], axis=1))
 
 
 def erdos_renyi(n: int, p: float, seed: SeedLike = None, ensure_min_degree: int = 1) -> AdjacencyTopology:
@@ -153,10 +154,13 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None, ensure_min_degree: int 
 
     Because sampling protocols require degree >= 1, nodes that end up
     isolated are patched with ``ensure_min_degree`` random edges (set it
-    to 0 to get a hard failure instead).
+    to 0 to get a hard failure instead).  ``ensure_min_degree`` must lie
+    in ``0..n-1``: no simple graph reaches a higher degree.
     """
     if not 0.0 <= p <= 1.0:
         raise TopologyError(f"edge probability must be in [0, 1], got {p}")
+    if not 0 <= ensure_min_degree <= n - 1:
+        raise TopologyError(f"min degree must be in 0..{n - 1}, got {ensure_min_degree}")
     rng = as_generator(seed)
     adjacency: List[List[int]] = [[] for _ in range(n)]
     # Vectorised upper-triangle edge draws, processed in row blocks to

@@ -93,6 +93,28 @@ class TestWattsStrogatz:
             watts_strogatz(10, 2, 1.5)
 
 
+class TestAtScale:
+    """Structure at n = 2e4, cheap now that builders emit CSR directly."""
+
+    def test_random_regular_is_simple_and_regular(self):
+        n, degree = 20_000, 4
+        graph = random_regular(n, degree, seed=11)
+        assert graph._uniform_degree == degree
+        rows = np.sort(graph._flat.reshape(n, degree), axis=1)
+        assert not (rows == np.arange(n)[:, None]).any()
+        assert (np.diff(rows, axis=1) > 0).all()
+        heads = np.repeat(np.arange(n), degree)
+        assert np.array_equal(np.sort(heads * n + graph._flat), np.sort(graph._flat * n + heads))
+
+    def test_watts_strogatz_without_rewiring_is_the_ring_lattice(self):
+        n, neighbors = 20_000, 3
+        graph = watts_strogatz(n, neighbors, 0.0, seed=12)
+        assert graph._uniform_degree == 2 * neighbors
+        offsets = (graph._flat.reshape(n, 2 * neighbors) - np.arange(n)[:, None]) % n
+        lattice = [1, 2, 3, n - 3, n - 2, n - 1]
+        assert (np.sort(offsets, axis=1) == lattice).all()
+
+
 class TestBarabasiAlbert:
     def test_size_and_min_degree(self):
         graph = barabasi_albert(100, 3, seed=1)

@@ -1,5 +1,8 @@
 """Tests for repro.graphs.sparse and the networkx adapter."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,29 @@ class TestAdjacencyTopology:
     def test_rejects_single_node(self):
         with pytest.raises(TopologyError):
             AdjacencyTopology([[0]])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1], [0], []], "node 2 is isolated"),
+            ([[], [2], [1]], "node 0 is isolated"),
+            ([[1], [5]], "node 1 has a neighbour outside 0..1"),
+            ([[1, 2], [0, -1], [0]], "node 1 has a neighbour outside 0..2"),
+            ([[0]], "need at least 2 nodes, got 1"),
+            ([], "need at least 2 nodes, got 0"),
+        ],
+        ids=["isolated-last", "isolated-first", "out-of-range", "negative", "single-node", "no-nodes"],
+    )
+    def test_rows_and_csr_raise_the_same_error(self, rows, message):
+        # __init__ flattens its rows and validates through from_csr, so
+        # both constructors reject a bad graph with one message.
+        offsets = np.cumsum([0] + [len(row) for row in rows])
+        flat = np.array([v for row in rows for v in row], dtype=np.int64)
+        with pytest.raises(TopologyError, match=message) as from_rows:
+            AdjacencyTopology(rows)
+        with pytest.raises(TopologyError) as from_csr:
+            AdjacencyTopology.from_csr(offsets, flat)
+        assert str(from_rows.value) == str(from_csr.value)
 
     def test_sampling_respects_adjacency(self, rng):
         graph = AdjacencyTopology([[1], [0, 2], [1]])
@@ -94,6 +120,49 @@ class TestErdosRenyi:
     def test_invalid_p(self):
         with pytest.raises(TopologyError):
             erdos_renyi(10, 1.5)
+
+    @pytest.mark.parametrize("min_degree", [4, 5, -1])
+    def test_unreachable_min_degree_is_rejected(self, min_degree):
+        # No node of a simple 4-node graph has degree above 3; the patch
+        # loop used to spin forever on such a bound.
+        with _alarm(10), pytest.raises(TopologyError, match="min degree"):
+            erdos_renyi(4, 0.0, seed=1, ensure_min_degree=min_degree)
+
+    def test_largest_min_degree_patches_to_the_complete_graph(self):
+        with _alarm(10):
+            graph = erdos_renyi(4, 0.0, seed=1, ensure_min_degree=3)
+        assert all(graph.degree(u) == 3 for u in range(4))
+
+    def test_simulate_rejects_unreachable_min_degree(self):
+        from repro.api import SimulationSpec, simulate
+
+        spec = SimulationSpec(
+            protocol="two-choices",
+            n=4,
+            topology="erdos-renyi",
+            topology_params={"p": 0.0, "graph_seed": 1, "min_degree": 5},
+            initial="two-colors",
+            initial_params={"gap": 2},
+            seed=1,
+        )
+        with _alarm(10), pytest.raises(TopologyError, match="min degree"):
+            simulate(spec)
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Turn a hang into a failure: raise TimeoutError after *seconds*."""
+
+    def give_up(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestNetworkxAdapter:
