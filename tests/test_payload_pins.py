@@ -13,8 +13,9 @@ reach the per-tick agent routes below the counts crossover
 and models, one and three (looped) replications, one traced run and
 one ``max_steps`` budget hit.  The :data:`ASYNC_PINS` cases run the
 phased protocol of Theorem 1.3 on both agent routes: the sequential
-and zero-delay continuous block path, and the delayed continuous
-event-queue path.  The :data:`SYNC_PINS` cases reach both synchronous
+and zero-delay continuous block path (on ``K_n`` and a torus, traced,
+under a ``max_steps`` budget and with three replications), and the
+delayed continuous event-queue path.  The :data:`SYNC_PINS` cases reach both synchronous
 counts routes (``CountsEngine``, ``EnsembleCountsEngine``) over all
 five counts protocols, one and six replications, two traced runs and
 two ``max_steps`` budget hits.  The :data:`SPARSE_PINS` cases run the
@@ -23,7 +24,8 @@ a churned ring and a stubborn-fault random-regular graph — under both
 asynchronous models, so they also lock each graph builder's CSR row
 order.  A refactor of a tick or round loop, a transition hook, a graph
 builder or the RNG call sequence that changes any value shows up here
-as a hash mismatch.
+as a hash mismatch.  The :data:`SMALL_BATCH_PINS` cases run the counts
+tick engines directly with one and two ticks per batch.
 
 Continuous specs that run into their ``max_time`` budget are left out
 on purpose: the budget cut (see :mod:`repro.engine.counts_async`)
@@ -36,6 +38,9 @@ import json
 import pytest
 
 from repro.api import SimulationSpec, simulate
+from repro.core.colors import ColorConfiguration
+from repro.engine import CountsContinuousEngine, CountsSequentialEngine
+from repro.protocols import UndecidedStateSequentialCounts, VoterSequentialCounts
 
 BIAS_3 = {"initial": "multiplicative-bias", "initial_params": {"k": 3, "ratio": 1.5}}
 
@@ -195,6 +200,8 @@ AGENT_PINS = [
 ]
 
 
+BIAS_4 = {"initial": "multiplicative-bias", "initial_params": {"k": 4, "ratio": 2.0}}
+
 #: (spec fields, routed engine, sha256) for async-plurality.  The
 #: delayed path runs tick_targets / tick_apply, so its hash does not
 #: depend on the block path and was recorded before that path existed;
@@ -237,6 +244,35 @@ ASYNC_PINS = [
         ),
         "ContinuousEngine",
         "9402993c2e8a73ad775ada7d7e1e6cb87ee1be48e9e14d35b581d2c1cb9cd8d2",
+    ),
+    # A traced run reads counts() between blocks; a budget hit stops
+    # mid-schedule; reps=3 reuses one protocol across replications; the
+    # torus runs end when every node has terminated (is_absorbed).
+    (
+        dict(protocol="async-plurality", n=200, model="sequential", seed=34, record_trace=True,
+             trace_every=2.0, **BIAS_4),
+        "SequentialEngine",
+        "19f573aa69a40c7a6fa72bf063373ebbca92ec8c2f373b134c35571cbff5661e",
+    ),
+    (
+        dict(protocol="async-plurality", n=300, model="sequential", seed=35, max_steps=20_000, **BIAS_4),
+        "SequentialEngine",
+        "66672b143e0091135b349a56d3de2a159f32489daca0eec417c2b5616bd73a32",
+    ),
+    (
+        dict(protocol="async-plurality", n=120, model="sequential", reps=3, seed=36, **BIAS_4),
+        "SequentialEngine",
+        "54c1508efd81b74e2518c1c695006b1e302210661087d02b112253cca6cf163f",
+    ),
+    (
+        dict(protocol="async-plurality", n=196, topology="torus", model="sequential", seed=37, **BIAS_4),
+        "SequentialEngine",
+        "d2933b9fc2acb692605afdae5883ca0eba31f3471ec0b87c62aa917e3dc705c6",
+    ),
+    (
+        dict(protocol="async-plurality", n=196, topology="torus", model="continuous", seed=38, **BIAS_4),
+        "ContinuousEngine",
+        "3e21706d207d54162d0fe944f34c67c837e176e4acf3f435e7e7305beadfc8e5",
     ),
 ]
 
@@ -425,6 +461,22 @@ SPARSE_PINS = [
 ]
 
 
+#: (engine, counts protocol, initial counts, batch_ticks, seed, run
+#: options, sha256) for direct counts-engine runs with one and two
+#: ticks per batch, the regime no spec reaches below the crossover.
+SMALL_BATCH_PINS = [
+    (
+        CountsSequentialEngine, VoterSequentialCounts, [80, 40], 1, 81, dict(max_ticks=48_000),
+        "bdf001f2fe7e5ca3da01b76d546f746e41f4adb194e471f7f3b5bd45a046a59b",
+    ),
+    (
+        CountsContinuousEngine, UndecidedStateSequentialCounts, [150, 100, 50], 2, 82,
+        dict(record_trace=True),
+        "f76f08f1354a020e40474742e01e25fe8b2d07b5ffbb6c30cf5b4de3b218ff69",
+    ),
+]
+
+
 def _digest(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -471,4 +523,14 @@ def test_payload_hash_is_pinned(case):
     payload.pop("elapsed_seconds")
     if fields.get("record_trace"):
         assert result.runs[0].trace is not None and len(result.runs[0].trace) >= 2
+    assert _digest(payload) == expected
+
+
+@pytest.mark.parametrize("case", SMALL_BATCH_PINS, ids=lambda case: f"{case[0].__name__}-b{case[3]}")
+def test_small_batch_run_is_pinned(case):
+    engine, protocol, counts, batch_ticks, seed, options, expected = case
+    result = engine(protocol(), batch_ticks=batch_ticks).run(ColorConfiguration(counts), seed=seed, **options)
+    payload = result.to_dict()
+    if result.trace is not None:
+        payload["trace"] = [[point.time, list(point.counts)] for point in result.trace.points]
     assert _digest(payload) == expected
