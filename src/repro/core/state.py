@@ -9,20 +9,23 @@ The asynchronous protocol of the paper additionally needs per-node
 *working time*, *real time*, the one extra *bit*, an *intermediate
 colour* register and the Sync Gadget's sample buffer; those live in
 :class:`AsyncNodeState`, a superset used only by the phased protocol.
+Its tick rule touches a handful of scattered nodes per tick, never a
+whole field, so its fields are Python lists behind :class:`NodeField`
+array views rather than numpy arrays.
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from .colors import ColorConfiguration, counts_from_assignment
 from .exceptions import ConfigurationError
 
-__all__ = ["NodeArrayState", "AsyncNodeState", "NO_COLOR"]
+__all__ = ["NodeArrayState", "AsyncNodeState", "NodeField", "NO_COLOR"]
 
 #: Sentinel for "no intermediate colour set" (paper: the two sampled
 #: neighbours disagreed, so the node does not pre-commit).
@@ -77,12 +80,93 @@ class NodeArrayState:
         return NodeArrayState(colors=self.colors.copy(), k=self.k)
 
 
-@dataclass
+class NodeField:
+    """Array view of one per-node list of an :class:`AsyncNodeState`.
+
+    The list (:attr:`values`) is the field's only storage.  An integer
+    index reads or writes it directly and an integer array gathers from
+    it; any other index, and every ndarray attribute (``tolist``,
+    ``all``, ``copy``, ``max``, ...), goes through an array built from
+    it on the spot, so every reader sees current values.  Writes through
+    the view call *on_write*, which lets the state recount what it
+    derives from the field.
+    """
+
+    __slots__ = ("values", "dtype", "_on_write")
+
+    def __init__(self, values: List[Any], dtype, on_write: Optional[Callable[[], None]] = None):
+        self.values = values
+        self.dtype = np.dtype(dtype)
+        self._on_write = on_write
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.values, dtype=self.dtype if dtype is None else dtype)
+
+    def __getattr__(self, name: str):
+        if name.startswith("__") or name in NodeField.__slots__:
+            raise AttributeError(name)
+        return getattr(self.__array__(), name)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self.values[index]
+        if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+            # A gather (e.g. the colours of a tick's targets) reads only
+            # its own entries, not the whole list.
+            values = self.values
+            return np.array([values[i] for i in index.ravel().tolist()], dtype=self.dtype).reshape(index.shape)
+        return self.__array__()[index]
+
+    def __setitem__(self, index, value) -> None:
+        if isinstance(index, (int, np.integer)):
+            self.values[index] = self.dtype.type(value).item()
+        else:
+            array = self.__array__()
+            array[index] = value
+            self.values[:] = array.tolist()
+        if self._on_write is not None:
+            self._on_write()
+
+    def __eq__(self, other):
+        return self.__array__() == other
+
+    def __ne__(self, other):
+        return self.__array__() != other
+
+    def __repr__(self) -> str:
+        return f"NodeField({self.values!r})"
+
+
+def _node_field(name: str) -> property:
+    """Property serving one :class:`AsyncNodeState` field as its view;
+    assigning a whole field writes the new values into the same list."""
+
+    def get(self: "AsyncNodeState") -> NodeField:
+        return self._views[name]
+
+    def set(self: "AsyncNodeState", value) -> None:
+        self._views[name][:] = value
+
+    return property(get, set)
+
+
 class AsyncNodeState(NodeArrayState):
     """State for the asynchronous phased protocol (Theorem 1.3).
 
-    Extra per-node attributes beyond :class:`NodeArrayState`:
+    Every per-node field is one Python list for the whole run — the
+    protocol's tick rules index them once per tick, and list indexing
+    beats numpy scalar indexing several times over — exposed as a
+    :class:`NodeField` view.  ``field.values`` is the list itself; the
+    tick rules read and write it directly.
 
+    colors:
+        Current opinion of every node (as on :class:`NodeArrayState`).
     working_time:
         The schedule-relevant clock the Sync Gadget manipulates.
     real_time:
@@ -104,34 +188,77 @@ class AsyncNodeState(NodeArrayState):
         Sync-Gadget sub-phase (cleared at each jump step).
     pending_targets:
         Targets drawn by ``tick_targets``, awaiting ``tick_apply``.
+
+    Two aggregates are kept in step with the lists, so :meth:`counts`
+    and the protocol's absorption check cost O(k) and O(1): the colour
+    :attr:`histogram` and the number of :attr:`alive` (not terminated)
+    nodes.  The tick rules update both as they write; a write through a
+    view recounts them.
     """
 
-    working_time: np.ndarray = None
-    real_time: np.ndarray = None
-    bit: np.ndarray = None
-    intermediate: np.ndarray = None
-    terminated: np.ndarray = None
-    schedule: Any = None
-    buffers: List[Any] = field(default_factory=list)
-    pending_targets: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: per-node fields, in the argument order of
+    #: :func:`~repro.protocols.async_plurality.apply_tick_block`.
+    FIELDS = ("colors", "bit", "intermediate", "working_time", "real_time", "terminated")
+    _DTYPES = (np.int64, bool, np.int64, np.int64, np.int64, bool)
+    _DEFAULTS = (None, False, NO_COLOR, 0, 0, False)
 
-    def __post_init__(self):
-        super().__post_init__()
-        n = self.n
-        if self.working_time is None:
-            self.working_time = np.zeros(n, dtype=np.int64)
-        if self.real_time is None:
-            self.real_time = np.zeros(n, dtype=np.int64)
-        if self.bit is None:
-            self.bit = np.zeros(n, dtype=bool)
-        if self.intermediate is None:
-            self.intermediate = np.full(n, NO_COLOR, dtype=np.int64)
-        if self.terminated is None:
-            self.terminated = np.zeros(n, dtype=bool)
-        for name in ("working_time", "real_time", "bit", "intermediate", "terminated"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise ConfigurationError(f"{name} must have shape ({n},), got {arr.shape}")
+    colors = _node_field("colors")
+    bit = _node_field("bit")
+    intermediate = _node_field("intermediate")
+    working_time = _node_field("working_time")
+    real_time = _node_field("real_time")
+    terminated = _node_field("terminated")
+
+    def __init__(
+        self,
+        colors,
+        k: int,
+        working_time=None,
+        real_time=None,
+        bit=None,
+        intermediate=None,
+        terminated=None,
+        schedule: Any = None,
+        buffers: Optional[List[Any]] = None,
+        pending_targets: Optional[Dict[int, np.ndarray]] = None,
+    ):
+        colors = NodeArrayState(colors=colors, k=k).colors
+        self.k = k
+        n = colors.size
+        given = (colors, bit, intermediate, working_time, real_time, terminated)
+        self._views = {}
+        for name, values, dtype, default in zip(self.FIELDS, given, self._DTYPES, self._DEFAULTS):
+            if values is None:
+                values = [default] * n
+            else:
+                values = np.asarray(values, dtype=dtype)
+                if values.shape != (n,):
+                    raise ConfigurationError(f"{name} must have shape ({n},), got {values.shape}")
+                values = values.tolist()
+            on_write = self._recount if name in ("colors", "terminated") else None
+            self._views[name] = NodeField(values, dtype, on_write)
+        self.schedule = schedule
+        self.buffers = [] if buffers is None else buffers
+        self.pending_targets = {} if pending_targets is None else pending_targets
+        self.histogram: List[int] = []
+        self.alive = n
+        self._recount()
+
+    def _recount(self) -> None:
+        self.histogram[:] = np.bincount(self.colors.values, minlength=self.k).tolist()
+        self.alive = self.terminated.values.count(False)
+
+    def lists(self) -> List[List[Any]]:
+        """The six per-node lists, in :attr:`FIELDS` order (the storage, not copies)."""
+        return [self._views[name].values for name in self.FIELDS]
+
+    @property
+    def n(self) -> int:
+        return len(self.colors.values)
+
+    def counts(self) -> np.ndarray:
+        """Raw counts vector as an array (O(k), from the histogram)."""
+        return np.array(self.histogram, dtype=np.int64)
 
     def working_time_spread(self, quantile: float = 1.0) -> int:
         """Spread of working times among active nodes.
@@ -140,7 +267,10 @@ class AsyncNodeState(NodeArrayState):
         the tails, matching the paper's "all but o(n) nodes are within
         ``Delta`` of one another" notion (use e.g. ``quantile=0.99``).
         """
-        active = self.working_time[~self.terminated]
+        active = np.array(
+            [w for w, done in zip(self.working_time.values, self.terminated.values) if not done],
+            dtype=np.int64,
+        )
         if active.size == 0:
             return 0
         if quantile >= 1.0:
@@ -150,15 +280,12 @@ class AsyncNodeState(NodeArrayState):
         return int(round(hi - lo))
 
     def copy(self) -> "AsyncNodeState":
+        fields = {name: list(self._views[name].values) for name in self.FIELDS}
         return AsyncNodeState(
-            colors=self.colors.copy(),
             k=self.k,
-            working_time=self.working_time.copy(),
-            real_time=self.real_time.copy(),
-            bit=self.bit.copy(),
-            intermediate=self.intermediate.copy(),
-            terminated=self.terminated.copy(),
             schedule=self.schedule,
             buffers=deepcopy(self.buffers),
             pending_targets=dict(self.pending_targets),
+            **fields,
         )
+

@@ -111,7 +111,8 @@ def _draw_batch(
     batches with refreshed rates — ``b == 1`` can never overdraw, so
     the recursion terminates.  One active row draws with 1-D
     arguments: numpy draws stacked rows in order, so the values are
-    those of the stacked call, at a fraction of its cost.
+    those of the stacked call, at a fraction of its cost; with
+    ``b <= 2`` it draws only the rows of the classes that act.
     """
     transition = protocol.tick_transition_matrices(states)
     empty = states == 0
@@ -123,8 +124,16 @@ def _draw_batch(
         transition[rows, labels, labels] = 1.0
     if states.shape[0] == 1:
         actors = rng.multinomial(b, states[0] / n)
-        moved = rng.multinomial(actors, transition[0])
-        new_states = (states[0] - actors + moved.sum(axis=0))[None, :]
+        if b <= 2:
+            # At most two classes act; a class without actors draws
+            # nothing, so one 1-D call per acting class gives the values
+            # of the broadcast call without its fixed overhead.
+            moved_sum = np.zeros_like(actors)
+            for i in actors.nonzero()[0].tolist():
+                moved_sum += rng.multinomial(actors[i], transition[0, i])
+        else:
+            moved_sum = rng.multinomial(actors, transition[0]).sum(axis=0)
+        new_states = (states[0] - actors + moved_sum)[None, :]
     else:
         actors = rng.multinomial(b, states / n)
         moved = rng.multinomial(actors, transition)

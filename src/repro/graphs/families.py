@@ -97,7 +97,8 @@ def _repair_pairing(pairs: np.ndarray, n: int, rng: np.random.Generator, max_swi
         if a == c or b == d:
             continue
         new_one, new_two = key(a, c), key(b, d)
-        if edge_count.get(new_one, 0) or edge_count.get(new_two, 0):
+        # Two self-loops (a == b, c == d) would become one edge twice.
+        if new_one == new_two or edge_count.get(new_one, 0) or edge_count.get(new_two, 0):
             continue
         for old in (key(a, b), key(c, d)):
             edge_count[old] -= 1

@@ -28,8 +28,10 @@ presampled neighbours — to plain-list state; both classes run it:
 
 :class:`AsyncPluralityProtocol`
     The generic :class:`~repro.protocols.base.SequentialProtocol`
-    form.  Its ``seq_tick_batch`` converts the state arrays to lists
-    once per engine block, so ``simulate()``,
+    form.  Its ``seq_tick_batch`` runs the rule per engine block
+    directly on the lists of the :class:`~repro.core.state.AsyncNodeState`
+    (which keeps them, the colour histogram and the live-node count for
+    the whole run), so ``simulate()``,
     :class:`~repro.engine.sequential.SequentialEngine` and the
     zero-delay :class:`~repro.engine.continuous.ContinuousEngine` run
     the rule on any topology.  Its ``tick_targets`` / ``tick_apply``
@@ -247,18 +249,11 @@ class AsyncPluralityConsensus:
             max_parallel_time = (1.5 * total_wt + 20.0 * max(math.log(n), 1.0)) * slack
         max_ticks = int(max_parallel_time * tick_rate)
 
-        # The run holds list state throughout: list access beats numpy
-        # scalar indexing, and an array round trip per chunk would cost
-        # more than the chunk's ticks at this check cadence.
-        colors: List[int] = colors_arr.tolist()
-        counts: List[int] = np.bincount(colors_arr, minlength=k).tolist()
+        # The rule runs on the state's own lists for the whole run.
+        state = AsyncNodeState(colors_arr, k, schedule=schedule, buffers=[SyncSampleBuffer() for _ in range(n)])
+        colors, bit, inter, wt, rt, terminated = state.lists()
+        counts, buffers = state.histogram, state.buffers
         initial_counts = list(counts)
-        wt: List[int] = [0] * n
-        rt: List[int] = [0] * n
-        bit: List[bool] = [False] * n
-        inter: List[int] = [NO_COLOR] * n
-        terminated: List[bool] = [False] * n
-        buffers = [SyncSampleBuffer() for _ in range(n)]
 
         trace = Trace() if record_trace else None
         if trace is not None:
@@ -392,7 +387,7 @@ def apply_tick_block(
     kept in step with *colors*; *buffers* are mutated in place.  Returns
     the in-block offsets of the ticks that terminated their actor.
     """
-    actions = schedule.actions.tolist()
+    actions = schedule.action_list
     part_one = schedule.part_one_length
     total_wt = schedule.total_length
     phase_len = schedule.phase_length
@@ -420,7 +415,14 @@ def apply_tick_block(
                     c = colors[first[t]]
                     bit[u] = True
             elif a == ACTION_SYNC_SAMPLE:
-                buffers[u].collect(w // phase_len, rt[first[t]], rt[u])
+                # SyncSampleBuffer.collect, inlined: this is the rule's
+                # most frequent sampling action.
+                buffer = buffers[u]
+                phase = w // phase_len
+                if buffer.phase != phase:
+                    buffer.phase = phase
+                    buffer.offsets = []
+                buffer.offsets.append(rt[first[t]] - rt[u])
             elif a == ACTION_TC_SAMPLE:
                 inter[u] = colors[first[t]] if colors[first[t]] == colors[second[t]] else NO_COLOR
             elif a == ACTION_TC_COMMIT:
@@ -497,30 +499,26 @@ class AsyncPluralityProtocol(SequentialProtocol):
 
     def seq_tick_batch(self, state: AsyncNodeState, nodes: np.ndarray, topology: Topology, rng: np.random.Generator) -> None:
         """One instantaneous tick per entry of *nodes* through
-        :func:`apply_tick_block`: one ``sample_neighbors_block`` call,
-        and one array-to-list round trip of the state per block."""
+        :func:`apply_tick_block`, on the state's own lists: one
+        ``sample_neighbors_block`` call per block, and no state copy."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        targets = topology.sample_neighbors_block(nodes, 2, rng)
-        arrays = (state.colors, state.bit, state.intermediate, state.working_time, state.real_time, state.terminated)
-        lists = [array.tolist() for array in arrays]
-        apply_tick_block(
-            state.schedule, nodes.tolist(), targets[:, 0].tolist(), targets[:, 1].tolist(),
-            state.counts().tolist(), state.buffers, *lists,
+        first, second = topology.sample_neighbors_block(nodes, 2, rng).T.tolist()
+        ends = apply_tick_block(
+            state.schedule, nodes.tolist(), first, second, state.histogram, state.buffers, *state.lists()
         )
-        for array, values in zip(arrays, lists):
-            array[:] = values
+        state.alive -= len(ends)
 
     # -- tick interface ----------------------------------------------------
     def tick_targets(self, state: AsyncNodeState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
         schedule: PhaseSchedule = state.schedule
-        if state.terminated[node]:
+        if state.terminated.values[node]:
             return np.empty(0, dtype=np.int64)
-        w = int(state.working_time[node])
+        w = state.working_time.values[node]
         # The endgame samples two neighbours, like a Two-Choices step.
         action = ACTION_TC_SAMPLE if w >= schedule.part_one_length else schedule.action_at(w)
         if action == ACTION_TC_SAMPLE:
             count = 2
-        elif action == ACTION_SYNC_SAMPLE or (action == ACTION_BP and not state.bit[node]):
+        elif action == ACTION_SYNC_SAMPLE or (action == ACTION_BP and not state.bit.values[node]):
             count = 1
         else:
             count = 0
@@ -530,46 +528,48 @@ class AsyncPluralityProtocol(SequentialProtocol):
 
     def tick_apply(self, state: AsyncNodeState, node: int, observed_colors: np.ndarray) -> None:
         schedule: PhaseSchedule = state.schedule
-        if state.terminated[node]:
+        colors, bit, inter, wt, rt, terminated = state.lists()
+        if terminated[node]:
             return
-        targets = state.pending_targets.pop(node, np.empty(0, dtype=np.int64))
+        targets = state.pending_targets.pop(node, ())
         agree = len(observed_colors) == 2 and observed_colors[0] == observed_colors[1]
-        w = int(state.working_time[node])
-        state.working_time[node] = w + 1
+        w = wt[node]
+        wt[node] = w + 1
         action = schedule.action_at(w)
+        c = NO_COLOR  # the colour the node adopts this tick, if any
         if w >= schedule.part_one_length:
             if agree:
-                state.colors[node] = observed_colors[0]
-            state.terminated[node] = w + 1 >= schedule.total_length
+                c = int(observed_colors[0])
+            if w + 1 >= schedule.total_length:
+                terminated[node] = True
+                state.alive -= 1
         elif action == ACTION_TC_SAMPLE:
-            state.intermediate[node] = observed_colors[0] if agree else NO_COLOR
+            inter[node] = int(observed_colors[0]) if agree else NO_COLOR
         elif action == ACTION_TC_COMMIT:
-            ic = int(state.intermediate[node])
-            state.bit[node] = ic != NO_COLOR
-            if ic != NO_COLOR:
-                state.colors[node] = ic
-            state.intermediate[node] = NO_COLOR
+            c = inter[node]
+            bit[node] = c != NO_COLOR
+            inter[node] = NO_COLOR
         elif action == ACTION_BP:
             # Bit and colour are read together at response time.
-            if not state.bit[node] and len(targets) and state.bit[targets[0]]:
-                state.colors[node] = state.colors[targets[0]]
-                state.bit[node] = True
+            if not bit[node] and len(targets) and bit[targets[0]]:
+                c = colors[targets[0]]
+                bit[node] = True
         elif action == ACTION_SYNC_SAMPLE and len(targets):
-            state.buffers[node].collect(
-                w // schedule.phase_length, int(state.real_time[targets[0]]), int(state.real_time[node])
-            )
+            state.buffers[node].collect(w // schedule.phase_length, rt[targets[0]], rt[node])
         elif action == ACTION_SYNC_JUMP:
             phase = w // schedule.phase_length
-            target_wt = jump_target(
-                state.buffers[node], phase, int(state.real_time[node]), schedule.sync_starts[phase]
-            )
+            target_wt = jump_target(state.buffers[node], phase, rt[node], schedule.sync_starts[phase])
             state.buffers[node].clear()
             if target_wt is not None:
-                state.working_time[node] = target_wt
-        state.real_time[node] += 1
+                wt[node] = target_wt
+        rt[node] += 1
+        if c != NO_COLOR and c != colors[node]:
+            state.histogram[colors[node]] -= 1
+            state.histogram[c] += 1
+            colors[node] = c
 
     def is_absorbed(self, state: AsyncNodeState) -> bool:
-        return bool(state.terminated.all())
+        return state.alive == 0
 
 
 register_protocol(

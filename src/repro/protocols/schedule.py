@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -223,10 +224,15 @@ class PhaseSchedule:
             raise ScheduleError(f"working time must be >= 0, got {working_time}")
         return min(working_time // self.phase_length, self.phases - 1)
 
+    @cached_property
+    def action_list(self) -> List[int]:
+        """:attr:`actions` as a list, built once per schedule for the tick rules."""
+        return self.actions.tolist()
+
     def action_at(self, working_time: int) -> int:
         """Action code for a working-time slot (NOP beyond part one)."""
         if 0 <= working_time < self.actions.size:
-            return int(self.actions[working_time])
+            return self.action_list[working_time]
         return ACTION_NOP
 
     def in_endgame(self, working_time: int) -> bool:

@@ -97,5 +97,7 @@ def jump_target(
     """
     if buffer.phase != phase or not buffer.offsets:
         return None
-    median = median_of_samples(buffer.aged_samples(own_real_time))
+    # Ageing adds the same own_real_time to every offset, so it commutes
+    # with the (lower) median: age the median instead of every sample.
+    median = median_of_samples(buffer.offsets) + int(own_real_time)
     return max(median, int(sync_start))

@@ -14,6 +14,9 @@ Three guarantees:
    original.
 4. *The runner*: ``AsyncPluralityConsensus`` dates the first and the
    last termination to the exact tick, whatever its chunking.
+5. *One storage*: blocks, single ticks and copies interleaved on one
+   state leave every field, ``counts()`` and the absorption check
+   equal to a per-tick run.
 """
 
 import numpy as np
@@ -207,6 +210,47 @@ class TestStateCopy:
                 protocol.seq_tick_batch(target, nodes, graph, draws)
         _assert_states_equal(state, clone)
         assert state.buffers[0] is not clone.buffers[0]
+
+
+def _assert_coherent(protocol, state, oracle, k):
+    """*state* equals the per-tick *oracle*, and so do its aggregates."""
+    for name in FIELDS:
+        assert list(getattr(state, name)) == list(getattr(oracle, name)), name
+    assert state.buffers == oracle.buffers
+    assert state.counts().tolist() == np.bincount(list(oracle.colors), minlength=k).tolist()
+    assert protocol.is_absorbed(state) == all(oracle.terminated)
+
+
+class TestStateCoherence:
+    def test_blocks_ticks_and_copies_interleave(self):
+        n, k = 16, 6
+        protocol = AsyncPluralityProtocol(phases=2)
+        graph = CompleteGraph(n)
+        rng = np.random.default_rng(21)
+        colors = rng.integers(0, k, size=n)
+        state = protocol.make_state(colors.copy(), k)
+        oracle = protocol.make_state(colors.copy(), k)
+        steps = set()
+        while not oracle.terminated.all():
+            step = ("block", "tick", "copy")[int(rng.integers(0, 3))]
+            steps.add(step)
+            if step == "copy":
+                state = state.copy()
+            else:
+                nodes = rng.integers(0, n, size=int(rng.integers(1, 40)))
+                targets = graph.sample_neighbors_block(nodes, 2, rng)
+                stub = _Presampled(targets)
+                if step == "block":
+                    protocol.seq_tick_batch(state, nodes, stub, None)
+                for node, row in zip(nodes, targets):
+                    stub.row = row
+                    protocol.seq_tick(oracle, int(node), stub, None)
+                    if step == "tick":
+                        protocol.seq_tick(state, int(node), stub, None)
+                        _assert_coherent(protocol, state, oracle, k)
+            _assert_coherent(protocol, state, oracle, k)
+        assert steps == {"block", "tick", "copy"}
+        assert protocol.is_absorbed(state)
 
 
 class TestRunnerTermination:

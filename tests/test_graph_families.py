@@ -59,6 +59,28 @@ class TestRandomRegular:
             assert u not in neighbors
             assert len(set(neighbors)) == len(neighbors)
 
+    @staticmethod
+    def _assert_simple_regular(graph, n, degree):
+        rows = np.sort(graph._flat.reshape(n, degree), axis=1)
+        assert not (rows == np.arange(n)[:, None]).any()
+        assert (np.diff(rows, axis=1) > 0).all()
+
+    def test_switch_of_two_self_loops_is_rejected(self):
+        # Two self-loop pairs (a, a) and (c, c) once swapped into one
+        # edge {a, c} twice: seed 20 gave node 3 a double edge to node 4,
+        # and seed 320 let a later switch hit a KeyError.
+        self._assert_simple_regular(random_regular(10, 4, seed=20), 10, 4)
+        self._assert_simple_regular(random_regular(11, 8, seed=320), 11, 8)
+
+    def test_small_dense_graphs_are_simple(self):
+        # Before the fix, 31 of these 410 graphs had a double edge.
+        for n in range(10, 31, 4):
+            for degree in range(4, 11):
+                if degree >= n or (n * degree) % 2:
+                    continue
+                for seed in range(0, 100, 10):
+                    self._assert_simple_regular(random_regular(n, degree, seed=seed), n, degree)
+
     def test_deterministic(self):
         a = random_regular(30, 4, seed=7)
         b = random_regular(30, 4, seed=7)
