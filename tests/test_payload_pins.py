@@ -24,8 +24,11 @@ a churned ring and a stubborn-fault random-regular graph — under both
 asynchronous models, so they also lock each graph builder's CSR row
 order.  A refactor of a tick or round loop, a transition hook, a graph
 builder or the RNG call sequence that changes any value shows up here
-as a hash mismatch.  The :data:`SMALL_BATCH_PINS` cases run the counts
-tick engines directly with one and two ticks per batch.
+as a hash mismatch.  The :data:`MISS_PINS` cases are shaped like the
+cold misses of ``repro serve`` (small ``K_n``, every footprint
+protocol, one continuous and one stubborn-faulted run).  The
+:data:`SMALL_BATCH_PINS` cases run the counts tick engines directly
+with one and two ticks per batch.
 
 Continuous specs that run into their ``max_time`` budget are left out
 on purpose: the budget cut (see :mod:`repro.engine.counts_async`)
@@ -42,7 +45,11 @@ from repro.core.colors import ColorConfiguration
 from repro.engine import CountsContinuousEngine, CountsSequentialEngine
 from repro.protocols import UndecidedStateSequentialCounts, VoterSequentialCounts
 
-BIAS_3 = {"initial": "multiplicative-bias", "initial_params": {"k": 3, "ratio": 1.5}}
+def _bias(k: int) -> dict:
+    return {"initial": "multiplicative-bias", "initial_params": {"k": k, "ratio": 1.5}}
+
+
+BIAS_3 = _bias(3)
 
 #: (spec fields, routed engine, sha256 of the canonical payload).
 PINS = [
@@ -461,6 +468,56 @@ SPARSE_PINS = [
 ]
 
 
+#: (spec fields, routed engine, sha256) shaped like the cold misses of
+#: ``repro serve``: small ``K_n``, mostly sequential, on the per-tick
+#: agent routes where dense write phases dominate a run.  One case per
+#: footprint protocol, plus a two-replication budget hit, a continuous
+#: run and a stubborn-faulted run.
+MISS_PINS = [
+    (
+        dict(protocol="voter", n=120, model="sequential", seed=101, **_bias(2)),
+        "SequentialEngine",
+        "41925a3462257be3ccade70e2b00eb6c7b1ee7689f91caf1d4f69bfb91054c7b",
+    ),
+    (
+        dict(protocol="two-choices", n=180, model="sequential", seed=102, **_bias(5)),
+        "SequentialEngine",
+        "8fa33adcccf486ca3503d78a9ed2a0cb3c94e2c8710de1a8e3ca61dfa952ad63",
+    ),
+    (
+        dict(protocol="three-majority", n=420, model="sequential", seed=103, **_bias(8)),
+        "SequentialEngine",
+        "a45d3ec9822b9a15c59a81181bd20da16a184de87371fb185b625013c8116ca7",
+    ),
+    (
+        dict(protocol="undecided-state", n=760, model="sequential", seed=104, **_bias(3)),
+        "SequentialEngine",
+        "9cb3c8e36ed362a89ef54dbdfb2e93e9398cb47b384b266f84109209b3ffb0ed",
+    ),
+    (
+        dict(protocol="two-choices", n=2_000, model="sequential", seed=105, **_bias(6)),
+        "SequentialEngine",
+        "9f160a026d31a4e6edc825b0abe19a1d5e7f1c6a7c8f816a45b8fc90cb1c0bc4",
+    ),
+    (
+        dict(protocol="voter", n=500, model="sequential", reps=2, seed=106, **_bias(4)),
+        "SequentialEngine",
+        "f4bf655f147b7f61cf641af0559cd987319091b1e1a68578236efe1cb7265176",
+    ),
+    (
+        dict(protocol="undecided-state", n=1_300, model="continuous", seed=107, **_bias(7)),
+        "ContinuousEngine",
+        "60ece3eceea6140aef580cc121fbde7c6090050bf7c565e3a967fa890ca6813d",
+    ),
+    (
+        dict(protocol="three-majority", n=300, model="sequential", seed=108,
+             faults=[{"name": "stubborn", "params": {"fraction": 0.05, "fault_seed": 108}}], **_bias(3)),
+        "SequentialEngine",
+        "9635f5e8b1c3d0c9d39fb05cce352cbfdca0e4bfcbfa9e68bca252a9a511c6e2",
+    ),
+]
+
+
 #: (engine, counts protocol, initial counts, batch_ticks, seed, run
 #: options, sha256) for direct counts-engine runs with one and two
 #: ticks per batch, the regime no spec reaches below the crossover.
@@ -514,7 +571,19 @@ def test_sparse_pins_cover_both_models_and_every_deck_topology():
     assert any(fields.get("faults") for fields, _, _ in SPARSE_PINS)
 
 
-@pytest.mark.parametrize("case", PINS + AGENT_PINS + ASYNC_PINS + SYNC_PINS + SPARSE_PINS, ids=_case_id)
+def test_miss_pins_cover_every_footprint_protocol_on_kn():
+    assert {fields["protocol"] for fields, _, _ in MISS_PINS} == {
+        "voter", "two-choices", "three-majority", "undecided-state"
+    }
+    assert all(fields.get("topology", "complete") == "complete" for fields, _, _ in MISS_PINS)
+    assert all(120 <= fields["n"] <= 2_000 for fields, _, _ in MISS_PINS)
+    assert {fields["model"] for fields, _, _ in MISS_PINS} == {"sequential", "continuous"}
+    assert any(fields.get("faults") for fields, _, _ in MISS_PINS)
+
+
+@pytest.mark.parametrize(
+    "case", PINS + AGENT_PINS + ASYNC_PINS + SYNC_PINS + SPARSE_PINS + MISS_PINS, ids=_case_id
+)
 def test_payload_hash_is_pinned(case):
     fields, engine, expected = case
     result = simulate(SimulationSpec(**fields))
