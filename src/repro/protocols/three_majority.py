@@ -99,14 +99,17 @@ class ThreeMajoritySequential(SequentialProtocol):
     def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
         return topology.sample_neighbors(node, 3, rng)
 
-    def tick_apply(self, state: NodeArrayState, node: int, observed_colors: np.ndarray) -> None:
-        if len(observed_colors) != 3:
-            return
-        a, b, c = (int(x) for x in observed_colors)
-        if b == c and a != b:
-            state.colors[node] = b
-        else:
-            state.colors[node] = a
+    def tick_rule(self, state: NodeArrayState, colors: list, nodes: list, columns: list) -> list:
+        written = []
+        for node, first, second, third in zip(nodes, *columns):
+            a = colors[first]
+            b = colors[second]
+            # Majority of three, first-sample tie-break.
+            value = b if b == colors[third] and a != b else a
+            if value != colors[node]:
+                colors[node] = value
+                written.append(node)
+        return written
 
     def tick_values(self, state: NodeArrayState, own: np.ndarray, observed: np.ndarray) -> np.ndarray:
         return _majority_of_three(observed[:, 0], observed[:, 1], observed[:, 2])

@@ -110,9 +110,14 @@ class TwoChoicesSequential(SequentialProtocol):
     def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
         return topology.sample_neighbors(node, 2, rng)
 
-    def tick_apply(self, state: NodeArrayState, node: int, observed_colors: np.ndarray) -> None:
-        if len(observed_colors) == 2 and observed_colors[0] == observed_colors[1]:
-            state.colors[node] = observed_colors[0]
+    def tick_rule(self, state: NodeArrayState, colors: list, nodes: list, columns: list) -> list:
+        written = []
+        for node, first, second in zip(nodes, *columns):
+            seen = colors[first]
+            if seen == colors[second] and seen != colors[node]:
+                colors[node] = seen
+                written.append(node)
+        return written
 
     def tick_values(self, state: NodeArrayState, own: np.ndarray, observed: np.ndarray) -> np.ndarray:
         first = observed[:, 0]

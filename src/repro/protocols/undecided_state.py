@@ -121,17 +121,20 @@ class UndecidedStateSequential(SequentialProtocol):
     def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
         return topology.sample_neighbors(node, 1, rng)
 
-    def tick_apply(self, state: NodeArrayState, node: int, observed_colors: np.ndarray) -> None:
-        if not len(observed_colors):
-            return
+    def tick_rule(self, state: NodeArrayState, colors: list, nodes: list, columns: list) -> list:
         undecided = state.k - 1
-        own = int(state.colors[node])
-        seen = int(observed_colors[0])
-        if own == undecided:
-            if seen != undecided:
-                state.colors[node] = seen
-        elif seen != undecided and seen != own:
-            state.colors[node] = undecided
+        written = []
+        for node, target in zip(nodes, columns[0]):
+            own = colors[node]
+            seen = colors[target]
+            if own == undecided:
+                if seen != undecided:
+                    colors[node] = seen
+                    written.append(node)
+            elif seen != undecided and seen != own:
+                colors[node] = undecided
+                written.append(node)
+        return written
 
     def is_absorbed(self, state: NodeArrayState) -> bool:
         counts = state.counts()

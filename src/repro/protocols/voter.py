@@ -70,9 +70,14 @@ class VoterSequential(SequentialProtocol):
     def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
         return topology.sample_neighbors(node, 1, rng)
 
-    def tick_apply(self, state: NodeArrayState, node: int, observed_colors: np.ndarray) -> None:
-        if len(observed_colors):
-            state.colors[node] = observed_colors[0]
+    def tick_rule(self, state: NodeArrayState, colors: list, nodes: list, columns: list) -> list:
+        written = []
+        for node, target in zip(nodes, columns[0]):
+            seen = colors[target]
+            if seen != colors[node]:
+                colors[node] = seen
+                written.append(node)
+        return written
 
     def tick_values(self, state: NodeArrayState, own: np.ndarray, observed: np.ndarray) -> np.ndarray:
         return observed[:, 0]

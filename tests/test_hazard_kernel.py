@@ -10,9 +10,10 @@ Evidence layers for the kernel contract (see
 2. *Capability probe*: a kernel only engages for protocols whose
    declared ``tick_kernel`` rule matches their footprint.
 3. *Bit-exactness*: on the same presampled draws a compiled kernel
-   replays ``apply_hazard_free``'s numpy path (itself pinned against
-   the per-tick loop) bit-for-bit — on the adversarial topologies
-   (star, 3-ring, torus) for all four footprint protocols.
+   replays both Python realisations of ``apply_hazard_free`` — the
+   scalar list rule and the numpy windows, each pinned against the
+   per-tick loop — bit-for-bit, on the adversarial topologies (star,
+   3-ring, torus) for all four footprint protocols.
 4. *Engine identity*: a full ``SequentialEngine`` run, and every
    free-running ``simulate`` payload on sparse topologies, is
    bit-identical whichever kernel applies the blocks.
@@ -28,7 +29,7 @@ import pytest
 
 from repro.core import hazard_kernel
 from repro.core.exceptions import ConfigurationError
-from repro.core.hazard import apply_hazard_free
+from repro.core.hazard import apply_hazard_free, apply_scalar, apply_windows
 from repro.core.hazard_kernel import (
     KERNEL_ENV,
     KERNEL_NAMES,
@@ -219,7 +220,8 @@ class TestBitExactness:
     @pytest.mark.parametrize("kernel_name", COMPILED_AVAILABLE)
     @pytest.mark.parametrize("proto_cls", FOOTPRINT_PROTOCOLS)
     @pytest.mark.parametrize("topo_name,topo_factory", ADVERSARIAL_TOPOLOGIES)
-    def test_block_apply_matches_numpy(self, kernel_name, proto_cls, topo_name, topo_factory):
+    @pytest.mark.parametrize("realisation", [apply_scalar, apply_windows])
+    def test_block_apply_matches_python_realisations(self, realisation, kernel_name, proto_cls, topo_name, topo_factory):
         protocol = proto_cls()
         kernel = get_kernel(kernel_name)
         topology = topo_factory()
@@ -231,7 +233,7 @@ class TestBitExactness:
         nodes = rng.integers(0, n, size=900)
         targets = topology.sample_neighbors_block(nodes, protocol.tick_footprint.samples, rng)
         apply_hazard_free(protocol, state_kernel, nodes, targets, kernel=kernel)
-        apply_hazard_free(protocol, state_numpy, nodes, targets, kernel=None)
+        realisation(protocol, state_numpy, nodes, targets)
         assert np.array_equal(state_kernel.colors, state_numpy.colors)
 
     @pytest.mark.parametrize("kernel_name", COMPILED_AVAILABLE)
@@ -250,7 +252,8 @@ class TestBitExactness:
         assert fingerprints["numpy"] == fingerprints[kernel_name]
 
     @pytest.mark.parametrize("kernel_name", COMPILED_AVAILABLE)
-    def test_undecided_state_uses_last_color_as_undecided(self, kernel_name):
+    @pytest.mark.parametrize("realisation", [apply_scalar, apply_windows])
+    def test_undecided_state_uses_last_color_as_undecided(self, realisation, kernel_name):
         # The USD rule threads state.k - 1 through the ABI; an off-by-
         # one there would silently corrupt runs, so pin a tiny block
         # where the undecided transitions are forced.
@@ -262,7 +265,7 @@ class TestBitExactness:
         nodes = np.array([0, 2, 3, 1], dtype=np.int64)
         targets = np.array([[1], [0], [2], [3]], dtype=np.int64)
         apply_hazard_free(protocol, state_kernel, nodes, targets, kernel=kernel)
-        apply_hazard_free(protocol, state_numpy, nodes, targets, kernel=None)
+        realisation(protocol, state_numpy, nodes, targets)
         assert np.array_equal(state_kernel.colors, state_numpy.colors)
 
 

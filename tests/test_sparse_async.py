@@ -6,10 +6,12 @@ Four layers of guarantees, mirroring the exactness argument in
 1. *Unit*: ``HazardScratch.prefix_length`` on hand-built blocks,
    including write-mask and stale-epoch cases.
 2. *Bit-exact pinning*: on the **same presampled draws**,
-   ``apply_hazard_free`` must equal the per-tick reference loop node
-   for node — exercised on adversarial graphs where collisions are the
-   common case (star hub, 3-ring) for every footprint protocol, and
-   for the conservative no-``tick_values`` path.
+   ``apply_hazard_free`` and each of its realisations (the scalar list
+   rule ``apply_scalar`` and the numpy windows ``apply_windows``) must
+   equal the per-tick reference loop node for node — exercised on
+   adversarial graphs where collisions are the common case (star hub,
+   3-ring) for every footprint protocol, with and without a frozen
+   fault mask, and for the conservative no-``tick_values`` path.
 3. *Law*: ``SequentialEngine`` and ``ContinuousEngine``, whose blocks
    run through the hazard path, draw convergence times from the same
    distribution as the same engines driving one Python ``seq_tick`` per
@@ -26,13 +28,20 @@ import pytest
 from repro.analysis.statistics import ks_permutation_test
 from repro.core.colors import ColorConfiguration
 from repro.core.exceptions import ConfigurationError, TopologyError
-from repro.core.hazard import HazardScratch, apply_hazard_free
+from repro.core.hazard import (
+    SCALAR_RUN_BREAK_EVEN,
+    HazardScratch,
+    apply_hazard_free,
+    apply_scalar,
+    apply_windows,
+)
 from repro.engine import ContinuousEngine, SequentialEngine, fastest_engine
 from repro.graphs.complete import CompleteGraph
 from repro.graphs.families import hypercube, random_regular, star
 from repro.graphs.sparse import AdjacencyTopology, ring, torus
 from repro.protocols.async_plurality import AsyncPluralityProtocol
 from repro.protocols.base import SequentialProtocol, TickFootprint
+from repro.protocols.faults import StubbornProtocol
 from repro.protocols.lossy import LossyProtocol
 from repro.protocols.three_majority import ThreeMajoritySequential
 from repro.protocols.two_choices import TwoChoicesSequential
@@ -129,31 +138,102 @@ class TestBitExactPinning:
             protocol.tick_apply(state_loop, int(nodes[i]), state_loop.colors[targets[i]])
         assert np.array_equal(state_batch.colors, state_loop.colors)
 
+    @pytest.mark.parametrize("proto_cls", FOOTPRINT_PROTOCOLS)
+    @pytest.mark.parametrize("topo_name,topo_factory", ADVERSARIAL_TOPOLOGIES)
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "stubborn"])
+    @pytest.mark.parametrize("realisation", [apply_scalar, apply_windows])
+    def test_each_realisation_matches_reference_loop(self, realisation, faulted, proto_cls, topo_name, topo_factory):
+        protocol = proto_cls()
+        if faulted:
+            protocol = StubbornProtocol(protocol, 0.34, fault_seed=5)
+        topology = topo_factory()
+        n = topology.n
+        rng = np.random.default_rng(43)
+        colors = rng.permutation(np.arange(n) % 3)
+        state_block = protocol.make_state(colors.copy(), 3)
+        state_loop = protocol.make_state(colors.copy(), 3)
+        assert (getattr(state_block, "frozen", None) is not None) == faulted
+        if faulted:
+            assert state_block.frozen.any()
+        before = state_block.colors.copy()
+        for _ in range(3):
+            nodes = rng.integers(0, n, size=300)
+            targets = topology.sample_neighbors_block(nodes, protocol.tick_footprint.samples, rng)
+            realisation(protocol, state_block, nodes, targets, HazardScratch.for_state(state_block))
+            for i in range(len(nodes)):
+                protocol.tick_apply(state_loop, int(nodes[i]), state_loop.colors[targets[i]])
+            assert np.array_equal(state_block.colors, state_loop.colors)
+        assert not np.array_equal(state_block.colors, before)
+        if faulted:
+            frozen = state_block.frozen
+            assert np.array_equal(state_block.colors[frozen], before[frozen])
+
+    def test_scalar_rule_matches_vectorised_values(self):
+        # tick_rule and tick_values are independent twins of one rule:
+        # every (own, observed) combination over three colours gives
+        # the same post-tick colour.
+        import itertools
+
+        for proto_cls in FOOTPRINT_PROTOCOLS:
+            protocol = proto_cls()
+            samples = protocol.tick_footprint.samples
+            combos = np.array(list(itertools.product(range(3), repeat=1 + samples)), dtype=np.int64)
+            state = protocol.make_state(np.zeros(1 + samples, dtype=np.int64), 3)
+            vectorised = protocol.tick_values(state, combos[:, 0], combos[:, 1:])
+            for row, expected in zip(combos.tolist(), vectorised.tolist()):
+                live = list(row)
+                written = protocol.tick_rule(state, live, [0], [[j] for j in range(1, 1 + samples)])
+                assert live[0] == expected, (proto_cls.__name__, row)
+                assert written == ([0] if expected != row[0] else [])
+
+    def test_hazard_free_picks_scalar_for_short_predicted_runs(self):
+        protocol = VoterSequential()
+        topology = torus(10, 10)
+        rng = np.random.default_rng(3)
+        state = protocol.make_state(rng.integers(0, 3, size=topology.n), 3)
+        scratch = HazardScratch.for_state(state)
+        # Dense writes predict runs far below the break-even: scalar.
+        scratch.write_fraction = 1.0
+        assert scratch.prefers_scalar(1)
+        # No writes on the last block predict an unbounded run: numpy.
+        scratch.write_fraction = 0.0
+        assert not scratch.prefers_scalar(1)
+        big = HazardScratch(SCALAR_RUN_BREAK_EVEN ** 2 * 4)
+        assert not big.prefers_scalar(1)
+        nodes = rng.integers(0, topology.n, size=200)
+        targets = topology.sample_neighbors_block(nodes, 1, rng)
+        scratch.write_fraction = 1.0
+        apply_hazard_free(protocol, state, nodes, targets, kernel=None)
+        assert 0.0 < scratch.write_fraction <= 1.0
+
     def test_star_hub_forces_many_cuts_conservatively(self):
         # On a star every tick reads or writes the hub.  Without a
-        # value rule every tick counts as a writer, so the batch
-        # degrades towards per-tick chunks without losing exactness.
+        # value rule every tick counts as a writer, so the numpy
+        # windows degrade towards per-tick chunks without losing
+        # exactness.  Called directly: apply_hazard_free would run
+        # this dense block through the scalar rule, which never cuts.
         protocol = _ConservativeVoter()
         topology = star(8)
         rng = np.random.default_rng(0)
         state = protocol.make_state(rng.integers(0, 2, size=8), 2)
         nodes = rng.integers(0, 8, size=256)
         targets = topology.sample_neighbors_block(nodes, 1, rng)
-        cuts = apply_hazard_free(protocol, state, nodes, targets)
+        cuts = apply_windows(protocol, state, nodes, targets)
         assert cuts > 50
 
     def test_actual_write_tracking_avoids_cuts(self):
-        # The optimistic path sees through no-op ticks: voter on a star
-        # agrees with the hub quickly, after which almost nothing
+        # The optimistic windows see through no-op ticks: voter on a
+        # star agrees with the hub quickly, after which almost nothing
         # actually writes and chunks span nearly the whole block.
+        # Called directly, for the reason above.
         protocol = VoterSequential()
         topology = star(8)
         rng = np.random.default_rng(0)
         state = protocol.make_state(rng.integers(0, 2, size=8), 2)
         nodes = rng.integers(0, 8, size=256)
         targets = topology.sample_neighbors_block(nodes, 1, rng)
-        cuts = apply_hazard_free(protocol, state, nodes, targets)
-        assert cuts < 10
+        cuts = apply_windows(protocol, state, nodes, targets)
+        assert 0 < cuts < 10
 
     def test_scratch_reuse_across_blocks(self):
         protocol = VoterSequential()
