@@ -48,6 +48,10 @@ def random_regular(n: int, degree: int, seed: SeedLike = None, max_attempts: int
     swapping endpoints with a uniformly random other pair (the standard
     repair used in practice; distributionally close to uniform for
     ``degree = O(sqrt n)`` and always yields a simple regular graph).
+
+    At ``degree == n - 1`` the only such graph is ``K_n``; near it
+    almost every switch would duplicate an edge, so when repair
+    exhausts its attempts the result is ``K_n`` with sorted rows.
     """
     if degree < 1 or degree >= n:
         raise TopologyError(f"degree must be in 1..{n - 1}, got {degree}")
@@ -61,6 +65,10 @@ def random_regular(n: int, degree: int, seed: SeedLike = None, max_attempts: int
         if _repair_pairing(pairs, n, rng):
             # Row u lists u's partners in the order u occurs in the pairs.
             return _from_arcs(n, pairs.ravel(), pairs[:, ::-1].ravel())
+    if degree == n - 1:
+        rows = np.tile(np.arange(n - 1), (n, 1))
+        rows += rows >= np.arange(n)[:, None]
+        return _from_rows(rows)
     raise TopologyError(
         f"failed to pair a simple {degree}-regular graph on {n} nodes in {max_attempts} attempts"
     )

@@ -81,6 +81,15 @@ class TestRandomRegular:
                 for seed in range(0, 100, 10):
                     self._assert_simple_regular(random_regular(n, degree, seed=seed), n, degree)
 
+    @pytest.mark.parametrize("seed", [7, 35, 60, 90])
+    def test_complete_degree_falls_back_to_kn(self, seed):
+        # K_n is the only (n - 1)-regular graph; these seeds exhausted
+        # every repair attempt and raised TopologyError.
+        graph = random_regular(11, 10, seed=seed)
+        self._assert_simple_regular(graph, 11, 10)
+        for u in range(11):
+            assert graph.neighbors_of(u).tolist() == [v for v in range(11) if v != u]
+
     def test_deterministic(self):
         a = random_regular(30, 4, seed=7)
         b = random_regular(30, 4, seed=7)
