@@ -126,7 +126,7 @@ class ResultCache:
         return self.directory / key[:2] / f"{key}.json"
 
     # -- lookup --------------------------------------------------------
-    def get_payload(self, spec: SimulationSpec) -> Optional[Dict[str, Any]]:
+    def get_payload(self, spec: SimulationSpec, key: Optional[str] = None) -> Optional[Dict[str, Any]]:
         """The cached ``SimulationResult.to_dict()`` payload for *spec*.
 
         ``None`` on a miss.  This is the zero-parse hot path the serve
@@ -138,9 +138,14 @@ class ResultCache:
         will be overwritten by the next :meth:`put`); an entry whose
         stored spec differs from *spec* raises — that is corruption or
         a hash collision, never something to silently serve.
+
+        *key* is ``spec_key(spec)`` for callers that already computed
+        it (the serve layer keys its flights by it); omitted, it is
+        computed here.
         """
         _cacheable(spec)
-        key = spec_key(spec)
+        if key is None:
+            key = spec_key(spec)
         memoized = self._memo_get(key)
         if memoized is not None:
             return memoized
@@ -183,13 +188,20 @@ class ResultCache:
         self._memo_put(key, payload["result"])
         return payload["result"]
 
-    def put(self, spec: SimulationSpec, result: Union[SimulationResult, Dict[str, Any]]) -> Path:
-        """Persist *result* (object or ``to_dict`` payload) under *spec*'s key."""
+    def put(
+        self,
+        spec: SimulationSpec,
+        result: Union[SimulationResult, Dict[str, Any]],
+        key: Optional[str] = None,
+    ) -> Path:
+        """Persist *result* (object or ``to_dict`` payload) under *spec*'s
+        key (*key*, when the caller already computed ``spec_key(spec)``)."""
         _cacheable(spec)
         result_payload = result.to_dict() if isinstance(result, SimulationResult) else result
         if result_payload["spec"] != spec.to_dict():
             raise ExperimentError("result payload was produced by a different spec")
-        key = spec_key(spec)
+        if key is None:
+            key = spec_key(spec)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"format": CACHE_FORMAT, "key": key, "result": result_payload}

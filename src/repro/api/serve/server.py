@@ -157,15 +157,17 @@ class _ProgressCache(ResultCache):
         self._inner = inner
         self._job = job
 
-    def get_payload(self, spec):
-        payload = self._inner.get_payload(spec)
+    def get_payload(self, spec, key=None):
+        key = key or spec_key(spec)
+        payload = self._inner.get_payload(spec, key)
         if payload is not None:
-            self._job.mark_point(spec_key(spec))
+            self._job.mark_point(key)
         return payload
 
-    def put(self, spec, result):
-        path = self._inner.put(spec, result)
-        self._job.mark_point(spec_key(spec))
+    def put(self, spec, result, key=None):
+        key = key or spec_key(spec)
+        path = self._inner.put(spec, result, key)
+        self._job.mark_point(key)
         return path
 
     def __contains__(self, spec):
@@ -294,7 +296,7 @@ class SimulationService:
         self.stats.bump("simulate_requests")
         spec = self._parse_spec(payload)
         key = spec_key(spec)
-        hit = self.cache.get_payload(spec)
+        hit = self.cache.get_payload(spec, key)
         if hit is not None:
             self.stats.bump("cache_hits")
             return {"kind": "result", "served": "cache", "key": key, "payload": hit}
@@ -453,7 +455,7 @@ class SimulationService:
         # Re-check the cache at execution time: a request that raced the
         # tail of an earlier flight may have been admitted after that
         # flight resolved — serve the cached value instead of re-running.
-        hit = self.cache.get_payload(spec)
+        hit = self.cache.get_payload(spec, key)
         if hit is not None:
             self.stats.bump("cache_hits")
             job.mark_point(key)
@@ -461,7 +463,7 @@ class SimulationService:
             self.flights.resolve(key, payload=hit)
             return
         result = self._map_payloads([payload])[0]
-        self.cache.put(spec, result)
+        self.cache.put(spec, result, key)
         self.stats.bump("engine_runs")
         job.mark_point(key)
         job.mark_done(engine_runs=1)

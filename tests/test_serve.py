@@ -482,6 +482,30 @@ class TestServiceDirect:
         finally:
             service.drain()
 
+    def test_warm_hit_hashes_the_spec_once(self, tmp_path, monkeypatch):
+        import repro.api.cache as cache_module
+        import repro.api.serve.server as server_module
+
+        service = SimulationService(cache_dir=tmp_path, workers=1)
+        try:
+            spec = _spec(n=80, seed=63)
+            cold = service.submit_simulate(spec.to_dict())
+            calls = []
+
+            def counting_key(value):
+                calls.append(value)
+                return spec_key(value)
+
+            monkeypatch.setattr(cache_module, "spec_key", counting_key)
+            monkeypatch.setattr(server_module, "spec_key", counting_key)
+            warm = service.submit_simulate(spec.to_dict())
+            assert warm["served"] == "cache"
+            assert warm["key"] == cold["key"] == spec_key(spec)
+            assert warm["payload"] == cold["payload"]
+            assert len(calls) == 1
+        finally:
+            service.drain()
+
 
 class TestServeClientAddresses:
     def test_string_address_needs_port(self):
