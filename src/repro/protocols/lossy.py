@@ -80,3 +80,7 @@ class LossyProtocol(SequentialProtocol):
     def is_absorbed(self, state: NodeArrayState) -> bool:
         """Delegate absorption to the wrapped protocol."""
         return self.inner.is_absorbed(state)
+
+    def default_budget(self, n: int) -> float:
+        """Delegate the run budget to the wrapped protocol."""
+        return self.inner.default_budget(n)

@@ -254,7 +254,8 @@ ASYNC_PINS = [
     ),
     # A traced run reads counts() between blocks; a budget hit stops
     # mid-schedule; reps=3 reuses one protocol across replications; the
-    # torus runs end when every node has terminated (is_absorbed).
+    # torus runs do not converge and end when every node has terminated
+    # (is_absorbed), inside the protocol's own default budget.
     (
         dict(protocol="async-plurality", n=200, model="sequential", seed=34, record_trace=True,
              trace_every=2.0, **BIAS_4),
@@ -274,12 +275,12 @@ ASYNC_PINS = [
     (
         dict(protocol="async-plurality", n=196, topology="torus", model="sequential", seed=37, **BIAS_4),
         "SequentialEngine",
-        "d2933b9fc2acb692605afdae5883ca0eba31f3471ec0b87c62aa917e3dc705c6",
+        "eaf3613d944279ac35e9453bd0786279e7932ad13cd85f4f710f67103bec524e",
     ),
     (
         dict(protocol="async-plurality", n=196, topology="torus", model="continuous", seed=38, **BIAS_4),
         "ContinuousEngine",
-        "3e21706d207d54162d0fe944f34c67c837e176e4acf3f435e7e7305beadfc8e5",
+        "1e42f55f93ad513f31c877aacb00444e34d05bfbc4881f6fe6921f2506c7ef6a",
     ),
 ]
 
