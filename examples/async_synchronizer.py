@@ -16,7 +16,8 @@ Run::
 
 import sys
 
-from repro import AsyncPluralityConsensus, multiplicative_bias
+from repro import AsyncPluralityProtocol, CompleteGraph, SequentialEngine, multiplicative_bias
+from repro.analysis import spread_trace
 
 BLOCKS = " ▁▂▃▄▅▆▇█"
 
@@ -34,23 +35,19 @@ def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 4_000
     config = multiplicative_bias(n, 8, 1.5)
     traces = {}
-    part_one = None
     for sync in (True, False):
-        protocol = AsyncPluralityConsensus(sync_enabled=sync)
-        result = protocol.run(
-            config,
-            seed=4,
-            stop_at_consensus=False,
-            record_spread=True,
-            spread_every_parallel=10.0,
+        protocol = AsyncPluralityProtocol(sync_enabled=sync)
+        schedule = protocol.params.compile(n)
+        # Run until every node has terminated (a stop that never fires),
+        # recording the trace's spread fields every 10 time units.
+        result = SequentialEngine(protocol, CompleteGraph(n)).run(
+            config, seed=4, stop=lambda counts: False, record_trace=True, trace_every_parallel=10.0
         )
-        part_one = result.metadata["part_one_length"]
-        entries = [e for e in result.metadata["spread_trace"] if e["time"] <= part_one]
-        traces[sync] = entries
+        traces[sync] = spread_trace(result, schedule.part_one_length)
 
     peak = max(e["spread_core"] for entries in traces.values() for e in entries)
     print(f"core (99%) working-time spread during part one, n={n}, "
-          f"Delta={AsyncPluralityConsensus().schedule_for(n).delta}, "
+          f"Delta={schedule.delta}, "
           f"one bar per 10 units of parallel time (peak={peak}):")
     print()
     for sync in (True, False):

@@ -13,7 +13,7 @@ Run::
 
 import sys
 
-from repro import AsyncPluralityConsensus, multiplicative_bias
+from repro import AsyncPluralityProtocol, CompleteGraph, SequentialEngine, multiplicative_bias
 from repro.analysis import synchrony_summary, theory
 
 
@@ -27,11 +27,14 @@ def main() -> int:
     print(f"bias: c1/c2 = {config.multiplicative_bias:.2f} "
           f"(Theorem 1.3 needs c1 >= (1+eps) ci)")
 
-    protocol = AsyncPluralityConsensus()
-    schedule = protocol.schedule_for(n)
+    protocol = AsyncPluralityProtocol()
+    schedule = protocol.params.compile(n)
     print(f"schedule: {schedule.describe()}")
 
-    result = protocol.run(config, seed=2017)
+    # The engine simulate() routes this protocol to on K_n; the trace
+    # carries the working-time spread once per unit of parallel time.
+    engine = SequentialEngine(protocol, CompleteGraph(n))
+    result = engine.run(config, seed=2017, record_trace=True)
 
     print()
     if result.converged:
@@ -41,10 +44,10 @@ def main() -> int:
         print("no consensus within the budget (unexpected at this bias)")
     print(f"parallel time: {result.parallel_time:.1f} "
           f"(Theta(log n) predicts ~C * {theory.async_parallel_time(n):.1f})")
-    synchrony = synchrony_summary(result, until_parallel_time=result.metadata["part_one_length"])
+    synchrony = synchrony_summary(result, until_parallel_time=schedule.part_one_length)
     print(f"working-time spread during part one: max {synchrony['max_spread']}, "
           f"core(99%) {synchrony['max_core_spread']} "
-          f"(Delta = {result.metadata['delta']})")
+          f"(Delta = {schedule.delta})")
     return 0 if result.converged else 1
 
 

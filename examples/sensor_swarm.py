@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from repro import (
-    AsyncPluralityConsensus,
+    AsyncPluralityProtocol,
     CompleteGraph,
     SequentialEngine,
     counts_from_assignment,
@@ -60,7 +60,8 @@ def main() -> int:
     print()
 
     # --- the paper's protocol ------------------------------------------------
-    result = AsyncPluralityConsensus().run(readings.copy(), seed=7)
+    phased = SequentialEngine(AsyncPluralityProtocol(), CompleteGraph(n))
+    result = phased.run(readings.copy(), seed=7)
     verdict = "correct" if result.winner == true_level else f"level {result.winner}"
     print(f"phased protocol : consensus on {verdict} "
           f"in parallel time {result.parallel_time:.0f}")

@@ -14,12 +14,13 @@ Quickstart
 
 The spec names registered protocols / topologies / initial conditions
 (``repro.api.PROTOCOLS.names()`` etc.); :func:`simulate` routes it
-through the fastest exact engine.  Protocol objects remain usable
-directly:
+through the fastest exact engine.  Protocols and engines remain usable
+directly; Theorem 1.3's phased protocol on ``K_n`` runs on the engine
+``simulate()`` routes it to:
 
->>> from repro import AsyncPluralityConsensus, multiplicative_bias
->>> config = multiplicative_bias(n=2000, k=8, ratio=1.5)
->>> result = AsyncPluralityConsensus().run(config, seed=7)
+>>> from repro import AsyncPluralityProtocol, CompleteGraph, SequentialEngine, multiplicative_bias
+>>> engine = SequentialEngine(AsyncPluralityProtocol(), CompleteGraph(2000))
+>>> result = engine.run(multiplicative_bias(n=2000, k=8, ratio=1.5), seed=7)
 >>> result.converged and result.winner == 0
 True
 
@@ -37,7 +38,7 @@ Layout
     Two-Choices, OneExtraBit, the asynchronous phased protocol with its
     Sync Gadget, and the Voter / 3-Majority / USD baselines.
 ``repro.analysis``
-    Pólya urn, martingale diagnostics, statistics, theorem predictions.
+    Pólya urn, trace summaries, statistics, theorem predictions.
 ``repro.workloads``
     Initial-configuration generators and sweep grids.
 ``repro.bench``
@@ -80,9 +81,7 @@ from .engine import (
 )
 from .graphs import CompleteGraph, erdos_renyi, ring, torus
 from .protocols import (
-    AsyncPluralityConsensus,
     AsyncPluralityProtocol,
-    ClockSkew,
     OneExtraBitCounts,
     OneExtraBitSynchronous,
     PhaseSchedule,
@@ -92,14 +91,13 @@ from .protocols import (
     TwoChoicesSynchronous,
     UndecidedStateCounts,
     VoterCounts,
-    near_consensus_start,
-    run_endgame,
 )
 from .workloads import (
     additive_gap,
     balanced,
     convergence_time_sweep,
     multiplicative_bias,
+    near_consensus_start,
     power_law,
     theorem_1_1_gap,
     two_colors,
@@ -140,9 +138,7 @@ __all__ = [
     "erdos_renyi",
     "ring",
     "torus",
-    "AsyncPluralityConsensus",
     "AsyncPluralityProtocol",
-    "ClockSkew",
     "OneExtraBitCounts",
     "OneExtraBitSynchronous",
     "PhaseSchedule",
@@ -153,7 +149,6 @@ __all__ = [
     "UndecidedStateCounts",
     "VoterCounts",
     "near_consensus_start",
-    "run_endgame",
     "additive_gap",
     "balanced",
     "multiplicative_bias",

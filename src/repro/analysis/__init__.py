@@ -1,6 +1,6 @@
-"""Analysis: urn models, martingale diagnostics, statistics, theory."""
+"""Analysis: urn models, trace summaries, statistics, theory."""
 
-from .convergence import per_phase_ratio_growth, ratio_trace, synchrony_summary, time_to_fraction
+from .convergence import per_phase_ratio_growth, ratio_trace, spread_trace, synchrony_summary, time_to_fraction
 from .meanfield import (
     MEAN_FIELD_MAPS,
     iterate_map,
@@ -9,13 +9,6 @@ from .meanfield import (
     two_choices_map,
     undecided_state_map,
     voter_map,
-)
-from .martingale import (
-    azuma_hoeffding_bound,
-    empirical_drift,
-    increment_means,
-    is_supermartingale_like,
-    max_increment_mean,
 )
 from .polya import PolyaUrn, limit_beta_parameters, limit_fraction_variance
 from .statistics import (
@@ -33,13 +26,9 @@ from . import theory
 __all__ = [
     "per_phase_ratio_growth",
     "ratio_trace",
+    "spread_trace",
     "synchrony_summary",
     "time_to_fraction",
-    "azuma_hoeffding_bound",
-    "empirical_drift",
-    "increment_means",
-    "is_supermartingale_like",
-    "max_increment_mean",
     "PolyaUrn",
     "MEAN_FIELD_MAPS",
     "iterate_map",

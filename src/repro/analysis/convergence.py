@@ -1,8 +1,8 @@
 """Trace analysis: convergence times, amplification, synchrony summaries.
 
 These helpers post-process :class:`~repro.core.results.Trace` objects
-and the asynchronous protocol's ``spread_trace`` metadata into the
-scalar observables the experiments report.
+(counts, plus the asynchronous protocol's per-point working-time
+spread) into the scalar observables the experiments report.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "time_to_fraction",
     "ratio_trace",
     "per_phase_ratio_growth",
+    "spread_trace",
     "synchrony_summary",
 ]
 
@@ -71,21 +72,40 @@ def per_phase_ratio_growth(ratios: Sequence[float]) -> List[float]:
     return growth
 
 
+def spread_trace(result: RunResult, until_parallel_time: Optional[float] = None) -> List[Dict]:
+    """The async run's working-time spread samples, oldest first.
+
+    One ``{"time": ..., **fields}`` entry per trace point after time 0
+    whose protocol fields carry a spread (see
+    :meth:`~repro.protocols.async_plurality.AsyncPluralityProtocol.trace_fields`;
+    points after every node terminated carry none).  Pass
+    ``until_parallel_time`` to drop later points.
+    """
+    if result.trace is None:
+        return []
+    return [
+        {"time": point.time, **point.fields}
+        for point in result.trace
+        if point.time > 0
+        and point.fields is not None
+        and "spread" in point.fields
+        and (until_parallel_time is None or point.time <= until_parallel_time)
+    ]
+
+
 def synchrony_summary(result: RunResult, until_parallel_time: Optional[float] = None) -> Dict:
-    """Aggregate the async run's working-time ``spread_trace``.
+    """Aggregate the async run's working-time :func:`spread_trace`.
 
     Returns the worst and mean full spread, the worst core (99%) spread
     and the worst fraction of poorly synchronised nodes — the
     quantities Theorem 1.3's weak-synchronicity notion bounds.
 
-    Pass ``until_parallel_time=result.metadata["part_one_length"]`` to
-    restrict the summary to part one, where the Sync Gadget is active
-    (the endgame intentionally stops synchronising).
+    Pass ``until_parallel_time`` = the schedule's ``part_one_length``
+    to restrict the summary to part one, where the Sync Gadget is
+    active (the endgame intentionally stops synchronising).
     """
-    spread_trace = result.metadata.get("spread_trace") or []
-    if until_parallel_time is not None:
-        spread_trace = [e for e in spread_trace if e["time"] <= until_parallel_time]
-    if not spread_trace:
+    entries = spread_trace(result, until_parallel_time)
+    if not entries:
         return {
             "samples": 0,
             "max_spread": None,
@@ -93,9 +113,9 @@ def synchrony_summary(result: RunResult, until_parallel_time: Optional[float] = 
             "max_core_spread": None,
             "max_poor_fraction": None,
         }
-    spreads = np.array([entry["spread"] for entry in spread_trace], dtype=float)
-    cores = np.array([entry["spread_core"] for entry in spread_trace], dtype=float)
-    poor = np.array([entry["poor_fraction"] for entry in spread_trace], dtype=float)
+    spreads = np.array([entry["spread"] for entry in entries], dtype=float)
+    cores = np.array([entry["spread_core"] for entry in entries], dtype=float)
+    poor = np.array([entry["poor_fraction"] for entry in entries], dtype=float)
     return {
         "samples": int(spreads.size),
         "max_spread": float(spreads.max()),

@@ -14,18 +14,17 @@ from typing import List
 import numpy as np
 
 from ..analysis import statistics as stats
-from ..analysis.convergence import synchrony_summary
+from ..analysis.convergence import spread_trace, synchrony_summary
 from ..analysis.polya import PolyaUrn, limit_fraction_variance
-from ..core.colors import ColorConfiguration
+from ..api import SimulationSpec, simulate
 from ..engine.continuous import ContinuousEngine
 from ..engine.delays import ExponentialDelay
 from ..engine.ensemble import EnsembleCountsSequentialEngine, run_replicated
 from ..engine.sequential import SequentialEngine
 from ..graphs.complete import CompleteGraph
-from ..protocols.async_plurality import AsyncPluralityConsensus, AsyncPluralityProtocol
-from ..protocols.endgame import near_consensus_start, run_endgame
+from ..protocols.async_plurality import AsyncPluralityProtocol
 from ..protocols.two_choices import TwoChoicesSequential
-from ..workloads.initial import multiplicative_bias, two_colors
+from ..workloads.initial import multiplicative_bias, near_consensus_start, two_colors
 from .harness import ExperimentReport, ExperimentScale, run_trials, timed
 
 __all__ = [
@@ -38,6 +37,36 @@ __all__ = [
 ]
 
 
+def async_plurality_runs(n: int, k: int, ratio: float, trials: int, seed: int, **protocol_params) -> List:
+    """*trials* async-plurality runs on ``K_n`` from a multiplicative
+    bias, through :func:`~repro.api.simulate` (one spec, ``reps=trials``:
+    spawn-child seeds of *seed*, as :func:`run_trials` draws them)."""
+    spec = SimulationSpec(
+        protocol="async-plurality", n=n, reps=trials, seed=seed, protocol_params=protocol_params,
+        initial="multiplicative-bias", initial_params={"k": k, "ratio": ratio},
+    )
+    return simulate(spec).runs
+
+
+def never(counts) -> bool:
+    """Stop condition that never fires: an async-plurality run then
+    ends when every node has terminated (consensus is absorbing, so the
+    final counts tell whether it was reached)."""
+    return False
+
+
+def core_spread_thirds(results, part_one: int):
+    """``(early, late)`` mean core spread per run: the first and the last
+    third of each run's part-one :func:`spread_trace`."""
+    early, late = [], []
+    for result in results:
+        entries = spread_trace(result, part_one)
+        third = max(1, len(entries) // 3)
+        early.append(np.mean([e["spread_core"] for e in entries[:third]]))
+        late.append(np.mean([e["spread_core"] for e in entries[-third:]]))
+    return early, late
+
+
 def experiment_t6_async_runtime(scale: ExperimentScale) -> ExperimentReport:
     """T6 — Theorem 1.3: the asynchronous protocol converges in
     Theta(log n) parallel time and the plurality wins w.h.p."""
@@ -46,15 +75,11 @@ def experiment_t6_async_runtime(scale: ExperimentScale) -> ExperimentReport:
         k = 8
         ratio = 1.5
         trials = max(2, scale.trials // 2)
-        protocol = AsyncPluralityConsensus()
         rows = []
         times = []
         win_rates = []
         for n in ns:
-            config = multiplicative_bias(n, k, ratio)
-            results = run_trials(
-                lambda s: protocol.run(config, seed=s, record_spread=False), trials, scale.seed + n
-            )
+            results = async_plurality_runs(n, k, ratio, trials, scale.seed + n)
             mean_pt = float(np.mean([r.parallel_time for r in results]))
             wins = float(np.mean([r.converged and r.winner == 0 for r in results]))
             times.append(mean_pt)
@@ -98,26 +123,16 @@ def experiment_t7_sync_gadget(scale: ExperimentScale) -> ExperimentReport:
         late_core = {}
         growths = {}
         for sync in (True, False):
-            protocol = AsyncPluralityConsensus(sync_enabled=sync)
+            protocol = AsyncPluralityProtocol(sync_enabled=sync)
+            engine = SequentialEngine(protocol, CompleteGraph(n))
             results = run_trials(
-                lambda s: protocol.run(
-                    config,
-                    seed=s,
-                    stop_at_consensus=False,
-                    record_spread=True,
-                    spread_every_parallel=10.0,
-                ),
+                lambda s: engine.run(config, seed=s, stop=never, record_trace=True, trace_every_parallel=10.0),
                 trials,
                 scale.seed + int(sync),
             )
-            part_one = results[0].metadata["part_one_length"]
-            early, late, poor = [], [], []
-            for result in results:
-                entries = [e for e in result.metadata["spread_trace"] if e["time"] <= part_one]
-                third = max(1, len(entries) // 3)
-                early.append(np.mean([e["spread_core"] for e in entries[:third]]))
-                late.append(np.mean([e["spread_core"] for e in entries[-third:]]))
-                poor.append(max(e["poor_fraction_4x"] for e in entries))
+            part_one = protocol.params.compile(n).part_one_length
+            early, late = core_spread_thirds(results, part_one)
+            poor = [max(e["poor_fraction_4x"] for e in spread_trace(r, part_one)) for r in results]
             early_mean = float(np.mean(early))
             late_mean = float(np.mean(late))
             growth = late_mean / max(early_mean, 1e-9)
@@ -220,16 +235,22 @@ def experiment_t9_endgame(scale: ExperimentScale) -> ExperimentReport:
         trials = scale.trials
         rows = []
         orderings = []
+        # The endgame alone: async-plurality with an empty part one.
+        protocol = AsyncPluralityProtocol(phases=0, endgame_factor=10.0)
         for n in ns:
             config = near_consensus_start(n, k, epsilon)
-            results = run_trials(lambda s: run_endgame(config, seed=s), trials, scale.seed + n)
-            order_ok = [bool(r.metadata["consensus_before_first_termination"]) for r in results]
+            engine = SequentialEngine(protocol, CompleteGraph(n))
+            results = run_trials(
+                lambda s: engine.run(config, seed=s, record_trace=True, check_every=n // 4),
+                trials,
+                scale.seed + n,
+            )
+            # The run stops at consensus (checked 4x per time unit) or
+            # when every node has terminated; the order holds when it
+            # converged with no node terminated yet.
+            order_ok = [r.converged and r.trace.points[-1].fields["terminated"] == 0 for r in results]
             wins = [r.converged and r.winner == 0 for r in results]
-            consensus_times = [
-                r.metadata["first_consensus_parallel_time"]
-                for r in results
-                if r.metadata["first_consensus_parallel_time"] is not None
-            ]
+            consensus_times = [r.parallel_time for r in results if r.converged]
             mean_ct = float(np.mean(consensus_times)) if consensus_times else float("nan")
             estimate = stats.estimate_success(order_ok)
             orderings.append(estimate.rate)

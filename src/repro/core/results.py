@@ -33,10 +33,16 @@ __all__ = ["TracePoint", "Trace", "RunResult"]
 
 @dataclass(frozen=True)
 class TracePoint:
-    """One snapshot along a run."""
+    """One snapshot along a run.
+
+    ``fields`` holds what the protocol's ``trace_fields`` hook reported
+    at this instant (``None`` for protocols without one), e.g. the
+    asynchronous protocol's working-time spread and terminated count.
+    """
 
     time: float
     counts: tuple
+    fields: Optional[Dict] = None
 
     @property
     def configuration(self) -> ColorConfiguration:
@@ -49,8 +55,8 @@ class Trace:
 
     points: List[TracePoint] = field(default_factory=list)
 
-    def record(self, time: float, counts) -> None:
-        self.points.append(TracePoint(time=float(time), counts=tuple(int(c) for c in counts)))
+    def record(self, time: float, counts, fields: Optional[Dict] = None) -> None:
+        self.points.append(TracePoint(time=float(time), counts=tuple(int(c) for c in counts), fields=fields))
 
     def times(self) -> np.ndarray:
         return np.array([p.time for p in self.points], dtype=float)

@@ -1,5 +1,14 @@
 """Engine selection: route a (protocol, topology, model) onto the
-fastest engine that simulates it *exactly*.
+fastest engine that draws from its law.
+
+Exactness class per route.  The synchronous engines (agent and counts)
+and the agent tick engines are *exact*: every run follows the
+protocol's law.  The counts tick routes taken from the crossover up
+(``CountsSequentialEngine``, ``CountsContinuousEngine`` and their
+ensemble twins) are *batched(B/n)*: they freeze the tick rates over
+batches of ``B = max(1, round(n / 256))`` ticks, an ``O(B / n)`` error
+(:mod:`repro.engine.counts_async`), exact only where ``B = 1``
+(``n < 384``).
 
 The repo grew one engine per execution model (synchronous rounds,
 sequential ticks, Poisson clocks) plus counts-level fast paths that are

@@ -2,20 +2,18 @@
 
 * Two-Choices (Theorem 1.1) — sync / counts-exact / sequential.
 * OneExtraBit (Theorem 1.2) — sync agent-based and counts-exact.
-* AsyncPluralityConsensus (Theorem 1.3) — the main contribution, with
-  its PhaseSchedule and Sync Gadget, plus a tick-interface variant for
-  the generic engines.
+* AsyncPluralityProtocol (Theorem 1.3) — the main contribution, with
+  its PhaseSchedule and Sync Gadget, run by the generic tick engines.
 * Baselines: Voter, 3-Majority, Undecided-State Dynamics.
 """
 
-from .async_plurality import AsyncPluralityConsensus, AsyncPluralityProtocol, ClockSkew
+from .async_plurality import AsyncPluralityProtocol
 from .base import (
     CountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
     SynchronousProtocol,
 )
-from .endgame import near_consensus_start, run_endgame
 from .faults import ByzantineProtocol, FaultMaskedState, StubbornProtocol
 from .lossy import LossyProtocol
 from .one_extra_bit import (
@@ -38,6 +36,7 @@ from .schedule import (
     default_phase_count,
     default_sync_samples,
 )
+from .slow_clocks import SlowClocks
 from .sync_gadget import SyncSampleBuffer, jump_target, median_of_samples
 from .three_majority import (
     ThreeMajorityCounts,
@@ -60,19 +59,16 @@ from .undecided_state import (
 from .voter import VoterCounts, VoterSequential, VoterSequentialCounts, VoterSynchronous
 
 __all__ = [
-    "AsyncPluralityConsensus",
-    "ClockSkew",
     "AsyncPluralityProtocol",
     "CountsProtocol",
     "SequentialCountsProtocol",
     "SequentialProtocol",
     "SynchronousProtocol",
-    "near_consensus_start",
-    "run_endgame",
     "ByzantineProtocol",
     "FaultMaskedState",
     "StubbornProtocol",
     "LossyProtocol",
+    "SlowClocks",
     "OneExtraBitCounts",
     "OneExtraBitState",
     "OneExtraBitSynchronous",

@@ -140,7 +140,8 @@ class PhaseSchedule:
 
         Parameters mirror DESIGN.md section 4; passing explicit
         ``phases`` or ``sync_samples`` overrides the ``Theta(.)``
-        defaults (useful in unit tests).
+        defaults (useful in unit tests).  ``phases=0`` leaves part one
+        empty: every node runs the endgame from its first tick.
         """
         if n < 2:
             raise ScheduleError(f"n must be >= 2, got {n}")
@@ -151,8 +152,8 @@ class PhaseSchedule:
         delta = default_delta(n, delta_factor)
         if phases is None:
             phases = default_phase_count(n, phase_factor, phase_offset)
-        if phases < 1:
-            raise ScheduleError(f"phases must be >= 1, got {phases}")
+        if phases < 0:
+            raise ScheduleError(f"phases must be >= 0, got {phases}")
         if sync_samples is None:
             sync_samples = default_sync_samples(n)
         if sync_samples < 1:

@@ -6,6 +6,7 @@ from .initial import (
     benchmark_split,
     dirichlet_random,
     multiplicative_bias,
+    near_consensus_start,
     power_law,
     theorem_1_1_gap,
     two_colors,
@@ -24,6 +25,7 @@ __all__ = [
     "balanced",
     "dirichlet_random",
     "multiplicative_bias",
+    "near_consensus_start",
     "power_law",
     "theorem_1_1_gap",
     "two_colors",

@@ -12,6 +12,8 @@ over:
 * :func:`balanced` — no bias at all (lower-bound studies).
 * :func:`power_law` / :func:`dirichlet_random` — skewed landscapes for
   the example applications and robustness checks.
+* :func:`near_consensus_start` — the endgame's ``c1 = (1 - eps) n``
+  start (experiment T9; not a registered initial).
 
 All generators return counts sorted in descending order (colour 0 is
 the plurality) that sum exactly to ``n``.
@@ -38,6 +40,7 @@ __all__ = [
     "dirichlet_random",
     "two_colors",
     "benchmark_split",
+    "near_consensus_start",
 ]
 
 
@@ -158,6 +161,23 @@ def benchmark_split(n: int) -> ColorConfiguration:
     """
     majority = int(round(0.6 * n))
     return ColorConfiguration([majority, n - majority])
+
+
+def near_consensus_start(n: int, k: int, epsilon: float) -> ColorConfiguration:
+    """The part-one handover state of Theorem 1.3: ``c1 = (1 - eps) n``.
+
+    ``k`` counts *all* colour classes (including the plurality); the
+    ``eps * n`` minority nodes are spread as evenly as possible over
+    the ``k - 1`` runner-up colours, each keeping at least one.
+    Experiment T9 runs the endgame alone from here.
+    """
+    if k < 2:
+        raise ValueError(f"need k >= 2 colours, got {k}")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+    minority = max(k - 1, int(round(epsilon * n)))
+    share, remainder = divmod(minority, k - 1)
+    return ColorConfiguration([n - minority] + [share + (j < remainder) for j in range(k - 1)])
 
 
 _K = ParamSpec("k", kind="int", required=True, doc="number of colours")

@@ -57,9 +57,9 @@ def test_package_all_resolves():
 def test_public_classes_have_documented_public_methods():
     """Spot-check the core API surface: public methods on the flagship
     classes carry docstrings."""
-    from repro import AsyncPluralityConsensus, ColorConfiguration, CountsEngine, SequentialEngine
+    from repro import AsyncPluralityProtocol, ColorConfiguration, CountsEngine, SequentialEngine
 
-    for cls in (AsyncPluralityConsensus, ColorConfiguration, CountsEngine, SequentialEngine):
+    for cls in (AsyncPluralityProtocol, ColorConfiguration, CountsEngine, SequentialEngine):
         for name, member in inspect.getmembers(cls, predicate=inspect.isfunction):
             if name.startswith("_"):
                 continue

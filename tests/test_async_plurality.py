@@ -1,19 +1,33 @@
-"""Tests for the asynchronous phased protocol (Theorem 1.3)."""
+"""Tests for the asynchronous phased protocol (Theorem 1.3) on K_n,
+run on the engine ``simulate()`` routes it to (``SequentialEngine``)."""
 
 import numpy as np
 import pytest
 
+from repro.analysis import spread_trace
 from repro.core.colors import ColorConfiguration
 from repro.core.exceptions import ConfigurationError
-from repro.protocols.async_plurality import AsyncPluralityConsensus
+from repro.engine.sequential import SequentialEngine
+from repro.graphs.complete import CompleteGraph
+from repro.protocols.async_plurality import AsyncPluralityProtocol
 from repro.workloads.initial import multiplicative_bias
+
+
+def _never(counts):
+    return False
+
+
+def _run(config, seed, protocol=None, **kwargs):
+    n = config.n if isinstance(config, ColorConfiguration) else len(config)
+    engine = SequentialEngine(protocol or AsyncPluralityProtocol(), CompleteGraph(n))
+    return engine.run(config, seed=seed, **kwargs)
 
 
 @pytest.fixture(scope="module")
 def converged_run():
     """One shared full run (runs in ~a second)."""
     config = multiplicative_bias(800, 4, 1.8)
-    return AsyncPluralityConsensus().run(config, seed=7)
+    return _run(config, 7, record_trace=True)
 
 
 class TestFullRuns:
@@ -23,35 +37,24 @@ class TestFullRuns:
         assert converged_run.plurality_preserved
 
     def test_parallel_time_positive_and_bounded(self, converged_run):
-        schedule_total = converged_run.metadata["part_one_length"] + converged_run.metadata["endgame_ticks"]
+        schedule_total = AsyncPluralityProtocol().params.compile(800).total_length
         assert 0 < converged_run.parallel_time < 3 * schedule_total
 
-    def test_metadata_fields(self, converged_run):
-        metadata = converged_run.metadata
-        for key in (
-            "delta",
-            "phases",
-            "part_one_length",
-            "endgame_ticks",
-            "sync_enabled",
-            "first_consensus_parallel_time",
-            "consensus_before_first_termination",
-            "spread_trace",
-        ):
-            assert key in metadata
-        assert metadata["sync_enabled"] is True
+    def test_trace_fields(self, converged_run):
+        for point in converged_run.trace:
+            assert point.fields["terminated"] == 0  # consensus comes first
+        assert {"spread", "spread_core", "poor_fraction"} <= set(converged_run.trace.points[1].fields)
 
     def test_spread_trace_recorded(self, converged_run):
-        trace = converged_run.metadata["spread_trace"]
-        assert len(trace) > 3
-        entry = trace[0]
-        assert {"time", "spread", "spread_core", "poor_fraction"} <= set(entry)
+        entries = spread_trace(converged_run)
+        assert len(entries) > 3
+        assert {"time", "spread", "spread_core", "poor_fraction"} <= set(entries[0])
+        assert entries[0]["time"] > 0
 
     def test_deterministic_given_seed(self):
         config = multiplicative_bias(400, 4, 1.8)
-        protocol = AsyncPluralityConsensus()
-        a = protocol.run(config, seed=99)
-        b = protocol.run(config, seed=99)
+        a = _run(config, 99)
+        b = _run(config, 99)
         assert a.rounds == b.rounds
         assert a.final.counts == b.final.counts
 
@@ -59,43 +62,44 @@ class TestFullRuns:
 class TestRunToTermination:
     def test_all_nodes_terminate(self):
         config = multiplicative_bias(400, 4, 2.0)
-        result = AsyncPluralityConsensus().run(config, seed=3, stop_at_consensus=False)
-        assert result.metadata["terminated_nodes"] == 400
-        assert result.metadata["first_termination_parallel_time"] is not None
+        result = _run(config, 3, stop=_never, record_trace=True)
+        assert result.trace.points[-1].fields["terminated"] == 400
+        assert result.final.is_consensus()
 
     def test_consensus_before_first_termination_usually(self):
+        # Stop at consensus, checked 4x per time unit: the order holds
+        # when no node had terminated by then.
         config = multiplicative_bias(600, 4, 2.0)
         ok = 0
         for seed in range(5):
-            result = AsyncPluralityConsensus().run(config, seed=seed, stop_at_consensus=False)
-            if result.metadata["consensus_before_first_termination"]:
-                ok += 1
+            result = _run(config, seed, record_trace=True, check_every=150)
+            ok += int(result.converged and result.trace.points[-1].fields["terminated"] == 0)
         assert ok >= 4  # w.h.p. claim, small-n slack
 
 
 class TestVariants:
     def test_sync_disabled_still_converges(self):
         config = multiplicative_bias(600, 4, 2.0)
-        result = AsyncPluralityConsensus(sync_enabled=False).run(config, seed=11)
-        assert result.converged
-        assert result.metadata["sync_enabled"] is False
+        protocol = AsyncPluralityProtocol(sync_enabled=False)
+        assert protocol.params.compile(600).sync_enabled is False
+        assert _run(config, 11, protocol).converged
 
     def test_explicit_phase_override(self):
         config = multiplicative_bias(400, 2, 2.0)
-        protocol = AsyncPluralityConsensus(phases=3)
-        assert protocol.schedule_for(400).phases == 3
-        result = protocol.run(config, seed=5)
-        assert result.metadata["phases"] == 3
+        protocol = AsyncPluralityProtocol(phases=3)
+        assert protocol.params.compile(400).phases == 3
+        result = _run(config, 5, protocol, stop=_never, record_trace=True)
+        assert result.trace.points[-1].fields["terminated"] == 400
 
     def test_explicit_color_array_input(self):
         colors = np.array([0] * 300 + [1] * 100)
-        result = AsyncPluralityConsensus().run(colors, seed=2)
+        result = _run(colors, 2)
         assert result.initial.counts == (300, 100)
         assert result.converged
 
     def test_record_trace(self):
         config = multiplicative_bias(400, 4, 2.0)
-        result = AsyncPluralityConsensus().run(config, seed=8, record_trace=True)
+        result = _run(config, 8, record_trace=True)
         assert result.trace is not None
         assert len(result.trace) >= 2
         totals = result.trace.count_matrix().sum(axis=1)
@@ -103,22 +107,22 @@ class TestVariants:
 
     def test_tiny_population_rejected(self):
         with pytest.raises(ConfigurationError):
-            AsyncPluralityConsensus().run(np.array([0]), seed=0)
+            AsyncPluralityProtocol().make_state(np.array([0]), 1)
 
     def test_budget_exhaustion_is_reported_not_raised(self):
         config = multiplicative_bias(400, 4, 1.2)
-        result = AsyncPluralityConsensus().run(config, seed=1, max_parallel_time=3.0)
+        result = _run(config, 1, max_ticks=3 * 400)
         assert result.parallel_time <= 3.5
         # far too short to converge
-        assert not result.final.is_consensus()
+        assert not result.converged and not result.final.is_consensus()
 
 
 class TestCountsConsistency:
     def test_incremental_counts_match_final_colors(self):
-        """The run loop maintains counts incrementally; the reported
-        final counts must equal an O(n) recount of the colour state
+        """The state keeps counts incrementally; the trace's closing
+        counts, the reported final counts and the population agree
         (regression guard for the bookkeeping)."""
         config = multiplicative_bias(500, 8, 1.5)
-        result = AsyncPluralityConsensus().run(config, seed=21, stop_at_consensus=False)
+        result = _run(config, 21, stop=_never, record_trace=True)
         assert sum(result.final.counts) == 500
-        assert result.final.is_consensus() == result.converged
+        assert result.trace.points[-1].counts == result.final.counts

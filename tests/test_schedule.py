@@ -1,5 +1,7 @@
 """Tests for the phase schedule (repro.protocols.schedule)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,13 @@ class TestDefaults:
         n = 10**6
         expected = math.ceil(max(math.log(math.log(n)), 1.5) ** 3)
         assert default_sync_samples(n) == expected
+
+    def test_zero_phases_is_the_endgame_alone(self):
+        schedule = PhaseSchedule.compile(1000, phases=0, endgame_factor=10.0)
+        assert schedule.part_one_length == 0
+        assert schedule.actions.size == 0
+        assert schedule.total_length == schedule.endgame_ticks == math.ceil(10.0 * math.log(1000))
+        assert schedule.in_endgame(0)
 
     def test_validation(self):
         with pytest.raises(ScheduleError):
@@ -126,11 +135,18 @@ class TestCompiledLayout:
         assert schedule.phases == 3
         assert schedule.sync_samples == 4
 
+    def test_zero_phases_is_the_endgame_alone(self):
+        schedule = PhaseSchedule.compile(1000, phases=0, endgame_factor=10.0)
+        assert schedule.part_one_length == 0
+        assert schedule.actions.size == 0
+        assert schedule.total_length == schedule.endgame_ticks == math.ceil(10.0 * math.log(1000))
+        assert schedule.in_endgame(0)
+
     def test_validation(self):
         with pytest.raises(ScheduleError):
             PhaseSchedule.compile(1)
         with pytest.raises(ScheduleError):
-            PhaseSchedule.compile(100, phases=0)
+            PhaseSchedule.compile(100, phases=-1)
         with pytest.raises(ScheduleError):
             PhaseSchedule.compile(100, bp_blocks=0)
         with pytest.raises(ScheduleError):
