@@ -48,6 +48,16 @@ class TestTrace:
         trace.record(0, [1, 2])
         assert [p.time for p in trace] == [0.0]
 
+    def test_fields_default_to_none(self):
+        trace = Trace()
+        trace.record(0, [1, 2])
+        assert trace.points[0].fields is None
+
+    def test_record_stores_fields(self):
+        trace = Trace()
+        trace.record(2, [3, 0], {"terminated": 3})
+        assert trace.points[0] == TracePoint(time=2.0, counts=(3, 0), fields={"terminated": 3})
+
 
 class TestRunResult:
     def _result(self, converged=True, winner=0, initial=(6, 4), final=(10, 0)):
