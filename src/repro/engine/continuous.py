@@ -236,6 +236,9 @@ class ContinuousEngine:
                 counts = state.counts()
                 if stop(counts):
                     converged = True
+                # Reads made before absorption may still be applied.
+                elif protocol.is_absorbed(state) and not any(r.observed for r in pending.values()):
+                    break
         counts = state.counts()
         converged = converged or stop(counts)
         if trace is not None:

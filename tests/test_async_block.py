@@ -462,3 +462,29 @@ class TestEngineHooks:
             ColorConfiguration([50, 50]), seed=2, max_ticks=300
         )
         assert result.rounds == 300
+
+
+class TestDelayedPathAbsorption:
+    """The delayed continuous path ends a run once the protocol is
+    absorbed, at the first stop check after that, as the instantaneous
+    path does."""
+
+    def test_terminated_torus_run_stops_before_its_budget(self):
+        from repro.api import SimulationSpec, simulate
+
+        spec = SimulationSpec(
+            protocol="async-plurality", n=100, model="continuous", topology="torus", seed=38,
+            delay="exponential", delay_params={"rate": 2.0},
+            initial="multiplicative-bias", initial_params={"k": 4, "ratio": 2.0}, record_trace=True,
+        )
+        run = simulate(spec).runs[0]
+        all_done = next(p.time for p in run.trace if p.fields["terminated"] == spec.n)
+        # One stop check spans n events, well under one unit of time.
+        assert all_done <= run.parallel_time <= all_done + 1.0
+        assert run.parallel_time < AsyncPluralityProtocol().default_budget(spec.n)
+
+    def test_consensus_ends_a_run_whose_stop_never_fires(self):
+        engine = ContinuousEngine(VoterSequential(), CompleteGraph(30), delay_model=ExponentialDelay(2.0))
+        result = engine.run(ColorConfiguration([15, 15]), seed=1, max_time=2000.0, stop=lambda counts: False)
+        assert result.parallel_time < 2000.0
+        assert sorted(result.final.counts) == [0, 30]
