@@ -9,7 +9,7 @@ required — and return :class:`~repro.graphs.sparse.AdjacencyTopology`.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import List, Set
 
 import numpy as np
@@ -130,27 +130,71 @@ def watts_strogatz(n: int, neighbors: int, rewire_probability: float, seed: Seed
     to ``(u, w)`` for a uniform non-duplicate ``w`` with probability
     *rewire_probability*.  Row order is the iteration order of the
     rewired edge set.
+
+    Stream contract: the graph and the generator's later draws are
+    those of one ``rng.random()`` per lattice edge in ``(u, v)`` order
+    and, below *rewire_probability*, up to 20 ``rng.integers(0, n)``.
+    They are replayed from raw 64-bit outputs, which holds for PCG64,
+    PCG64DXSM, SFC64 and Philox with ``n < 2**32`` only.
     """
     if neighbors < 1 or 2 * neighbors >= n:
         raise TopologyError(f"need 1 <= neighbors < n/2, got {neighbors} for n={n}")
     if not 0.0 <= rewire_probability <= 1.0:
         raise TopologyError(f"rewire probability must be in [0, 1], got {rewire_probability}")
-    rng = as_generator(seed)
-    rewired: Set[tuple] = set()
-    for u in range(n):
-        # u's lattice edges (u, v), v > u, in sorted order: the next
-        # `neighbors` nodes, then the ones reached across the wrap.
-        for v in chain(range(u + 1, min(u + neighbors + 1, n)), range(u + n - neighbors, n)):
-            edge = (u, v)
-            if rng.random() < rewire_probability:
-                for _ in range(20):
-                    w = int(rng.integers(0, n))
-                    distance = abs(u - w)
-                    candidate = (min(u, w), max(u, w))
-                    if min(distance, n - distance) > neighbors and candidate not in rewired:
-                        edge = candidate
-                        break
-            rewired.add(edge)
+    bits = as_generator(seed).bit_generator
+    kind = type(bits).__name__
+    if kind not in ("PCG64", "PCG64DXSM", "SFC64", "Philox") or n >= 2**32:
+        raise TopologyError(f"watts_strogatz replays PCG64, PCG64DXSM, SFC64 or Philox with n < 2**32, got {kind}")
+    saved, ids, edges = bits.state, list(range(n)), n * neighbors
+    # u's lattice edges (u, v), v > u, in sorted order, as tuples of the
+    # ints of `ids`: the next `neighbors` nodes, then those across the wrap.
+    rows = chain(
+        (ids[u + 1:u + neighbors + 1] + ids[u + n - neighbors:] for u in range(neighbors)),
+        zip(*(islice(ids, neighbors + d, None) for d in range(1, neighbors + 1))),
+        (ids[u + 1:] for u in range(n - neighbors, n)),
+    )
+    lattice = chain.from_iterable(map(zip, map(repeat, ids), rows))
+    raw, hits = np.empty(0, dtype=np.uint64), []
+
+    def reach(size: int) -> None:
+        # Draw the raw block up to *size*; `hits` holds where its doubles are < p.
+        nonlocal raw
+        if size > raw.size:
+            more = bits.random_raw(max(size - raw.size, 2 * edges))
+            hits.extend((raw.size + np.flatnonzero(more >> 11 < rewire_probability * 2.0**53)).tolist())
+            raw = np.concatenate((raw, more))
+    threshold, rewired = (2**32 - n) % n, set()
+    has_half, half = saved["has_uint32"], saved["uinteger"]
+    pos = done = j = 0  # raw outputs used, lattice edges taken, next hit
+    while True:
+        reach(pos + edges - done)
+        while j < len(hits) and hits[j] < pos:
+            j += 1
+        if j == len(hits) or hits[j] - pos >= edges - done:
+            break
+        rewired.update(islice(lattice, hits[j] - pos))
+        edge = next(lattice)
+        done, pos, u = done + hits[j] - pos + 1, hits[j] + 1, edge[0]
+        for _ in range(20):
+            word = None
+            while word is None or word * n & 0xFFFFFFFF < threshold:
+                if has_half:
+                    word, has_half = half, False
+                else:
+                    reach(pos + 1)
+                    word, half, has_half = raw.item(pos) & 0xFFFFFFFF, raw.item(pos) >> 32, True
+                    pos += 1
+            w = word * n >> 32
+            candidate = (u, w) if u < w else (w, u)
+            if neighbors < abs(u - w) < n - neighbors and candidate not in rewired:
+                edge = candidate
+                break
+        rewired.add(edge)
+    rewired.update(lattice)
+    raw = hits = None  # release the block before the CSR build
+    bits.state = saved
+    bits.random_raw(pos + edges - done, output=False)
+    bits.state = {**bits.state, "has_uint32": int(has_half), "uinteger": half}
     pairs = np.fromiter(chain.from_iterable(rewired), dtype=np.int64, count=2 * len(rewired))
     # Rewiring keeps each edge's smaller endpoint, so only node n - 1
     # (the larger end of all its lattice edges) can end up isolated;

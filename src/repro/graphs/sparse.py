@@ -127,7 +127,10 @@ def _from_arcs(n: int, heads: np.ndarray, tails: np.ndarray) -> AdjacencyTopolog
     """CSR of the arcs ``heads[i] -> tails[i]``; row ``u`` keeps its arcs' order."""
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
-    return AdjacencyTopology.from_csr(offsets, tails[np.argsort(heads, kind="stable")])
+    # Distinct keys: the default (unstable, faster) sort is the stable order.
+    keys = heads * heads.size
+    keys += np.arange(heads.size)
+    return AdjacencyTopology.from_csr(offsets, tails[np.argsort(keys)])
 
 
 def ring(n: int) -> AdjacencyTopology:
