@@ -12,7 +12,7 @@ repo root:
 * ``warm``    — the serial campaign replayed against the populated
   cache (zero engine runs).
 
-Acceptance criteria (ISSUE 4): with 4 process workers the grid runs
+Acceptance criteria: with 4 process workers the grid runs
 >= 2x faster than serial wall-clock — asserted wherever the machine
 actually has >= 4 CPUs (``process_speedup_applicable``; single-core
 boxes record the measurement without asserting it) — and the
@@ -22,13 +22,9 @@ unconditionally.
 
 Usage::
 
-    pytest benchmarks/bench_campaign.py --benchmark-only              # quick
-    REPRO_BENCH_SCALE=full pytest benchmarks/bench_campaign.py --benchmark-only
     python benchmarks/bench_campaign.py [--quick] [--workers N] [--out PATH]
 """
 
-import argparse
-import json
 import os
 import platform
 import sys
@@ -37,7 +33,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
-OUT_PATH = ROOT / "BENCH_campaign.json"
 
 try:
     import repro  # noqa: F401
@@ -45,7 +40,7 @@ except ImportError:  # direct script invocation without PYTHONPATH=src
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.api import CampaignSpec, SimulationSpec, SweepSpec, run_campaign  # noqa: E402
-from repro.bench.store import warn_skipped_criterion  # noqa: E402
+from repro.bench.store import Bench, Gate, bench_main  # noqa: E402
 from repro.workloads.sweeps import log_spaced_ints  # noqa: E402
 
 WORKERS = 4
@@ -129,24 +124,7 @@ def benchmark_campaign(quick: bool = False, workers: int = WORKERS) -> dict:
     }
 
 
-def assert_criteria(payload: dict) -> None:
-    """The acceptance gates; speedup asserts only where it can hold."""
-    criteria = payload["criteria"]
-    assert criteria["executor_identity_ok"], "serial/process/warm results diverged"
-    assert criteria["warm_replay_ok"], criteria
-    if criteria["process_speedup_applicable"]:
-        assert criteria["process_speedup_ok"], criteria
-    else:
-        warn_skipped_criterion(
-            "process_speedup_vs_serial",
-            f"cpu_count={payload['environment']['cpu_count']} < "
-            f"{criteria['process_workers']} process workers on this machine "
-            f"(measured {criteria['process_speedup_vs_serial']:.2f}x, "
-            f"target {criteria['process_speedup_target']}x)",
-        )
-
-
-def format_payload(payload: dict) -> str:
+def format_payload(payload: dict, args=None) -> str:
     t = payload["timings"]
     c = payload["criteria"]
     lines = [
@@ -165,36 +143,25 @@ def format_payload(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def save_payload(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def test_campaign_layer_perf(benchmark):
-    """Pytest-benchmark target: one three-way comparison at the selected scale."""
-    quick = os.environ.get("REPRO_BENCH_SCALE") != "full"
-    payload = benchmark.pedantic(
-        benchmark_campaign, kwargs={"quick": quick}, iterations=1, rounds=1
-    )
-    print()
-    print(format_payload(payload))
-    save_payload(payload, str(OUT_PATH))
-    assert_criteria(payload)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="smaller grid, fewer reps")
-    parser.add_argument("--workers", type=int, default=WORKERS)
-    parser.add_argument("--out", default=str(OUT_PATH), help="payload destination")
-    args = parser.parse_args(argv)
-    payload = benchmark_campaign(quick=args.quick, workers=args.workers)
-    print(format_payload(payload))
-    save_payload(payload, args.out)
-    assert_criteria(payload)
-    return 0
+BENCH = Bench(
+    name="campaign",
+    help="the campaign layer: serial vs process executor vs warm cache",
+    run=lambda args: benchmark_campaign(quick=args.quick, workers=args.workers),
+    format=format_payload,
+    options=lambda parser: parser.add_argument("--workers", type=int, default=WORKERS),
+    quick_help="smaller grid, fewer reps",
+    gates=(
+        Gate("executor_identity_ok"),
+        Gate("warm_replay_ok"),
+        Gate(
+            "process_speedup_ok",
+            applicable="process_speedup_applicable",
+            reason="cpu_count={cpu_count} < {process_workers} process workers on this machine "
+            "(measured {process_speedup_vs_serial:.2f}x, target {process_speedup_target}x)",
+        ),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(BENCH))

@@ -20,7 +20,7 @@ the repo root:
   SIGKILLed as soon as the third result lands; the survivors absorb
   the requeued leases and the campaign must still complete.
 
-Acceptance criteria (ISSUE 7): with 4 localhost workers the grid runs
+Acceptance criteria: with 4 localhost workers the grid runs
 >= 2x faster than serial wall-clock — asserted wherever the machine
 actually has >= 4 CPUs (``speedup_applicable``; smaller boxes record
 the measurement and emit a loud ``::warning``) — and every leg is
@@ -29,12 +29,9 @@ including the worker-kill leg and the warm replay).
 
 Usage::
 
-    pytest benchmarks/bench_distributed.py --benchmark-only             # quick
-    REPRO_BENCH_SCALE=full pytest benchmarks/bench_distributed.py --benchmark-only
     python benchmarks/bench_distributed.py [--quick] [--workers N] [--out PATH]
 """
 
-import argparse
 import os
 import platform
 import subprocess
@@ -45,7 +42,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
-OUT_PATH = ROOT / "BENCH_distributed.json"
 
 try:
     import repro  # noqa: F401
@@ -59,11 +55,7 @@ from repro.api import (  # noqa: E402
     SweepSpec,
     run_campaign,
 )
-from repro.bench.store import (  # noqa: E402
-    bench_environment,
-    save_bench_payload,
-    warn_skipped_criterion,
-)
+from repro.bench.store import Bench, Gate, bench_environment, bench_main  # noqa: E402
 from repro.workloads.sweeps import log_spaced_ints  # noqa: E402
 
 WORKERS = 4
@@ -212,26 +204,7 @@ def benchmark_distributed(quick: bool = False, workers: int = WORKERS) -> dict:
     }
 
 
-def assert_criteria(payload: dict) -> None:
-    """The acceptance gates; speedup asserts only where it can hold."""
-    criteria = payload["criteria"]
-    assert criteria["distributed_identity_ok"], "serial/distributed/warm results diverged"
-    assert criteria["kill_identity_ok"], "worker-kill leg diverged from serial"
-    assert criteria["worker_killed_mid_campaign"], "kill leg finished before the kill fired"
-    assert criteria["warm_replay_ok"], criteria
-    if criteria["speedup_applicable"]:
-        assert criteria["speedup_ok"], criteria
-    else:
-        warn_skipped_criterion(
-            "distributed_speedup_vs_serial",
-            f"cpu_count={payload['environment']['cpu_count']} < "
-            f"{criteria['workers']} localhost workers on this machine "
-            f"(measured {criteria['speedup_vs_serial']:.2f}x, "
-            f"target {criteria['speedup_target']}x)",
-        )
-
-
-def format_payload(payload: dict) -> str:
+def format_payload(payload: dict, args=None) -> str:
     t = payload["timings"]
     c = payload["criteria"]
     lines = [
@@ -253,30 +226,27 @@ def format_payload(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def test_distributed_executor_perf(benchmark):
-    """Pytest-benchmark target: one four-leg comparison at the selected scale."""
-    quick = os.environ.get("REPRO_BENCH_SCALE") != "full"
-    payload = benchmark.pedantic(
-        benchmark_distributed, kwargs={"quick": quick}, iterations=1, rounds=1
-    )
-    print()
-    print(format_payload(payload))
-    save_bench_payload(payload, str(OUT_PATH))
-    assert_criteria(payload)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="fewer reps per point")
-    parser.add_argument("--workers", type=int, default=WORKERS)
-    parser.add_argument("--out", default=str(OUT_PATH), help="payload destination")
-    args = parser.parse_args(argv)
-    payload = benchmark_distributed(quick=args.quick, workers=args.workers)
-    print(format_payload(payload))
-    save_bench_payload(payload, args.out)
-    assert_criteria(payload)
-    return 0
+BENCH = Bench(
+    name="distributed",
+    help="the distributed executor: serial vs localhost workers, plus a worker-kill leg",
+    run=lambda args: benchmark_distributed(quick=args.quick, workers=args.workers),
+    format=format_payload,
+    options=lambda parser: parser.add_argument("--workers", type=int, default=WORKERS),
+    quick_help="fewer reps per point",
+    gates=(
+        Gate("distributed_identity_ok"),
+        Gate("kill_identity_ok"),
+        Gate("worker_killed_mid_campaign"),
+        Gate("warm_replay_ok"),
+        Gate(
+            "speedup_ok",
+            applicable="speedup_applicable",
+            reason="cpu_count={cpu_count} < {workers} localhost workers on this machine "
+            "(measured {speedup_vs_serial:.2f}x, target {speedup_target}x)",
+        ),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(BENCH))

@@ -13,7 +13,7 @@ persists the payload to ``BENCH_serve.json`` at the repo root:
 * ``coalesce`` — N identical concurrent cold requests; the single-
   flight table must collapse them onto exactly one engine run.
 
-Acceptance criteria (ISSUE 8): warm-hit p50 below
+Acceptance criteria: warm-hit p50 below
 :data:`WARM_P50_TARGET_MS` and at least :data:`THROUGHPUT_TARGET` req/s
 at 100% hit rate — asserted wherever the machine has at least
 :data:`MIN_CPUS_FOR_ASSERT` CPUs (smaller boxes record the measurement
@@ -23,12 +23,9 @@ value-identical to a local ``simulate()``.
 
 Usage::
 
-    pytest benchmarks/bench_serve.py --benchmark-only                # quick
-    REPRO_BENCH_SCALE=full pytest benchmarks/bench_serve.py --benchmark-only
     python benchmarks/bench_serve.py [--quick] [--clients N] [--out PATH]
 """
 
-import argparse
 import json
 import os
 import platform
@@ -39,7 +36,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
-OUT_PATH = ROOT / "BENCH_serve.json"
 
 try:
     import repro  # noqa: F401
@@ -47,11 +43,7 @@ except ImportError:  # direct script invocation without PYTHONPATH=src
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.api import SimulationSpec, simulate  # noqa: E402
-from repro.bench.store import (  # noqa: E402
-    bench_environment,
-    save_bench_payload,
-    warn_skipped_criterion,
-)
+from repro.bench.store import Bench, Gate, bench_environment, bench_main  # noqa: E402
 from repro.api.serve import ReproServer, ServeClient  # noqa: E402
 
 WARM_P50_TARGET_MS = 5.0
@@ -247,29 +239,7 @@ def benchmark_serve(quick: bool = False, clients: int = 0) -> dict:
     }
 
 
-def assert_criteria(payload: dict) -> None:
-    """The acceptance gates; latency asserts only where it can hold."""
-    criteria = payload["criteria"]
-    assert criteria["served_equals_simulate_ok"], "served payload diverged from simulate()"
-    assert criteria["coalesce_single_engine_run_ok"], (
-        f"coalescing broke: {payload['legs']['coalesce']['engine_runs']} engine runs "
-        f"for {payload['legs']['coalesce']['concurrent_clients']} identical requests"
-    )
-    assert criteria["coalesce_byte_identical_ok"], "coalesced responses were not byte-identical"
-    if criteria["latency_applicable"]:
-        assert criteria["warm_p50_ok"], criteria
-        assert criteria["throughput_ok"], criteria
-    else:
-        warn_skipped_criterion(
-            "serve_warm_latency_and_throughput",
-            f"cpu_count={payload['environment']['cpu_count']} < {MIN_CPUS_FOR_ASSERT} "
-            f"(measured p50={criteria['warm_p50_ms']:.2f}ms, "
-            f"{criteria['warm_requests_per_second']:.0f} req/s; targets "
-            f"<{criteria['warm_p50_target_ms']}ms, >={criteria['throughput_target']:.0f} req/s)",
-        )
-
-
-def format_payload(payload: dict) -> str:
+def format_payload(payload: dict, args=None) -> str:
     legs = payload["legs"]
     criteria = payload["criteria"]
 
@@ -299,30 +269,30 @@ def format_payload(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def test_serve_perf(benchmark):
-    """Pytest-benchmark target: one four-leg load run at the selected scale."""
-    quick = os.environ.get("REPRO_BENCH_SCALE") != "full"
-    payload = benchmark.pedantic(
-        benchmark_serve, kwargs={"quick": quick}, iterations=1, rounds=1
-    )
-    print()
-    print(format_payload(payload))
-    save_bench_payload(payload, str(OUT_PATH))
-    assert_criteria(payload)
+_LATENCY_SKIPPED = (
+    f"cpu_count={{cpu_count}} < {MIN_CPUS_FOR_ASSERT} (measured p50={{warm_p50_ms:.2f}}ms, "
+    "{warm_requests_per_second:.0f} req/s; targets <{warm_p50_target_ms}ms, "
+    ">={throughput_target:.0f} req/s)"
+)
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="smaller request volume")
-    parser.add_argument("--clients", type=int, default=0, help="override client thread count")
-    parser.add_argument("--out", default=str(OUT_PATH), help="payload destination")
-    args = parser.parse_args(argv)
-    payload = benchmark_serve(quick=args.quick, clients=args.clients)
-    print(format_payload(payload))
-    save_bench_payload(payload, args.out)
-    assert_criteria(payload)
-    return 0
+BENCH = Bench(
+    name="serve",
+    help="repro serve under HTTP load at 100/50/0% hit rates plus a coalescing leg",
+    run=lambda args: benchmark_serve(quick=args.quick, clients=args.clients),
+    format=format_payload,
+    options=lambda parser: parser.add_argument(
+        "--clients", type=int, default=0, help="override client thread count"
+    ),
+    quick_help="smaller request volume",
+    gates=(
+        Gate("served_equals_simulate_ok"),
+        Gate("coalesce_single_engine_run_ok"),
+        Gate("coalesce_byte_identical_ok"),
+        Gate("warm_p50_ok", applicable="latency_applicable", reason=_LATENCY_SKIPPED),
+        Gate("throughput_ok", applicable="latency_applicable", reason=_LATENCY_SKIPPED),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(BENCH))

@@ -1,56 +1,35 @@
-"""Shared plumbing for the benchmark targets.
+"""Shared plumbing for the pytest-benchmark targets.
 
-Each ``bench_tN_*.py`` regenerates one experiment from DESIGN.md's
+``bench_experiments.py`` regenerates every experiment of DESIGN.md's
 per-experiment index (the paper has no tables/figures of its own — the
-experiments are the claim-derived equivalents; see DESIGN.md §1).
+experiments are the claim-derived equivalents; see DESIGN.md §1), and
+``bench_suites.py`` runs every perf suite through the bench runner.
 
 Usage::
 
-    pytest benchmarks/ --benchmark-only                  # quick scale
-    REPRO_BENCH_SCALE=full pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_experiments.py benchmarks/bench_suites.py --benchmark-only
+    REPRO_BENCH_SCALE=full pytest benchmarks/bench_suites.py --benchmark-only -k engines
 
-Every target prints its report table (run pytest with ``-s`` to see it
-live) and persists the JSON payload under ``benchmarks/results/`` so
-EXPERIMENTS.md numbers are regenerable.
+Every target prints its report (run pytest with ``-s`` to see it live):
+experiments persist their JSON under ``benchmarks/results/``, suites
+write ``BENCH_<name>.json`` at the repo root.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.bench import FULL, QUICK, ResultStore, run_experiment
+try:
+    import repro  # noqa: F401
+except ImportError:  # run without PYTHONPATH=src
+    sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-RESULTS_DIR = Path(__file__).parent / "results"
+from repro.bench import FULL, QUICK  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def bench_scale():
     """Experiment scale selected via REPRO_BENCH_SCALE (quick|full)."""
     return FULL if os.environ.get("REPRO_BENCH_SCALE") == "full" else QUICK
-
-
-@pytest.fixture(scope="session")
-def bench_store():
-    return ResultStore(RESULTS_DIR)
-
-
-def run_and_check(benchmark, experiment_id, scale, store):
-    """Run one experiment under pytest-benchmark and assert its checks.
-
-    ``pedantic`` with a single round: the experiments are statistical
-    sweeps with internal trial replication, so wall-clock variance
-    across repeated harness invocations is not the interesting metric.
-    """
-    report = benchmark.pedantic(
-        run_experiment,
-        args=(experiment_id,),
-        kwargs={"scale": scale, "store": store},
-        iterations=1,
-        rounds=1,
-    )
-    print()
-    print(report.format())
-    failed = [name for name, ok in report.checks.items() if not ok]
-    assert not failed, f"{experiment_id} shape checks failed: {failed}"
-    return report

@@ -43,7 +43,7 @@ from .experiments_sync import (
 from .harness import FULL, QUICK, ExperimentReport, ExperimentScale
 from .store import ResultStore
 
-__all__ = ["EXPERIMENTS", "experiment_ids", "run_experiment", "run_all"]
+__all__ = ["EXPERIMENTS", "experiment_ids", "run_experiment"]
 
 EXPERIMENTS: Dict[str, Callable[[ExperimentScale], ExperimentReport]] = {
     "T1": experiment_t1_two_choices_runtime,
@@ -94,12 +94,3 @@ def run_experiment(
         store.save(report.experiment_id, report.to_dict())
     return report
 
-
-def run_all(
-    scale: ExperimentScale = QUICK,
-    store: Optional[ResultStore] = None,
-    ids: Optional[List[str]] = None,
-) -> List[ExperimentReport]:
-    """Run every experiment (or the given subset), in index order."""
-    selected = ids if ids is not None else experiment_ids()
-    return [run_experiment(eid, scale=scale, store=store) for eid in selected]

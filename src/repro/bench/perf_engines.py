@@ -24,8 +24,8 @@ records the speedup.  The acceptance criterion of the ensemble PR —
 at least 10x over the looped path at ``n = 10^6``, ``R = 100`` — is
 emitted under ``criteria``.
 
-``python -m repro engines`` and ``benchmarks/bench_perf_engines.py``
-both call :func:`benchmark_engines` and persist the JSON payload
+``python -m repro bench engines`` runs :data:`BENCH`, which calls
+:func:`benchmark_engines`; ``--out`` persists the JSON payload
 (``BENCH_engines.json`` at the repo root by convention) so the perf
 trajectory stays comparable across PRs.
 """
@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.exceptions import ConfigurationError
 from ..core.rng import spawn_seed_sequences
 from ..engine.continuous import ContinuousEngine
 from ..engine.counts_async import CountsContinuousEngine, CountsSequentialEngine
@@ -46,16 +47,9 @@ from ..graphs.complete import CompleteGraph
 from ..protocols.base import SequentialProtocol
 from ..protocols.two_choices import TwoChoicesSequential, TwoChoicesSequentialCounts
 from ..workloads.initial import benchmark_split
-from .store import bench_environment, save_bench_payload
+from .store import Bench, Gate, bench_environment, parse_int_list
 
-__all__ = [
-    "benchmark_engines",
-    "save_payload",
-    "main",
-    "DEFAULT_NS",
-    "QUICK_NS",
-    "ENSEMBLE_REPS",
-]
+__all__ = ["BENCH", "benchmark_engines", "format_payload"]
 
 #: sizes of the standard sweep (the full run adds the headline 10^8).
 DEFAULT_NS = (10_000, 100_000, 1_000_000)
@@ -277,12 +271,7 @@ def benchmark_engines(
     }
 
 
-def save_payload(payload: Dict, path: str) -> None:
-    """Write the payload as indented JSON (stable key order)."""
-    save_bench_payload(payload, path)
-
-
-def format_payload(payload: Dict) -> str:
+def format_payload(payload: Dict, args=None) -> str:
     """Human-readable table of the payload for terminal output."""
     from .tables import format_table
 
@@ -326,15 +315,8 @@ def format_payload(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def add_cli_arguments(parser) -> None:
-    """Register the benchmark's options on *parser*.
-
-    Shared by the standalone entry point below and the ``engines``
-    subcommand of ``python -m repro`` so the two interfaces cannot
-    drift apart.
-    """
+def _options(parser) -> None:
     parser.add_argument("--ns", default=None, help="comma-separated list of n values")
-    parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=20170725)
     parser.add_argument(
         "--reps",
@@ -342,59 +324,79 @@ def add_cli_arguments(parser) -> None:
         help="comma-separated replication counts for the looped-vs-ensemble "
         "comparison (default 10,100; pass 0 to skip it)",
     )
-    parser.add_argument("--out", default=None, help="write the JSON payload to this path")
-    parser.add_argument(
-        "--quick", action="store_true", help="CI scale: n in {1e4, 1e5}, per-tick baseline capped at 1e4"
-    )
     parser.add_argument(
         "--headline", action="store_true", help="add the n=1e8 counts-engine headline run"
     )
 
 
-def run_cli(args, error) -> int:
-    """Execute a parsed ``add_cli_arguments`` namespace.
-
-    *error* is the owning parser's ``error`` callable (exits with a
-    usage message on invalid ``--ns`` values).
-    """
+def _run(args) -> Dict:
     if args.ns is not None:
-        try:
-            ns = [int(value) for value in args.ns.split(",")]
-        except ValueError:
-            error(f"--ns must be comma-separated integers, got {args.ns!r}")
+        ns = parse_int_list(args.ns, "--ns")
         if any(n < 2 for n in ns):
-            error(f"--ns values must be >= 2, got {ns}")
+            raise ConfigurationError(f"--ns values must be >= 2, got {ns}")
     else:
         ns = list(QUICK_NS if args.quick else DEFAULT_NS)
     if args.headline and 10**8 not in ns:
         ns.append(10**8)
     if args.reps is not None:
-        try:
-            ensemble_reps = [int(value) for value in args.reps.split(",")]
-        except ValueError:
-            error(f"--reps must be comma-separated integers, got {args.reps!r}")
-        ensemble_reps = [reps for reps in ensemble_reps if reps > 0]
+        ensemble_reps = [reps for reps in parse_int_list(args.reps, "--reps") if reps > 0]
     else:
         ensemble_reps = list(ENSEMBLE_REPS)
-    payload = benchmark_engines(
+    return benchmark_engines(
         ns=ns,
         trials=args.trials,
         seed=args.seed,
         baseline_max_n=10_000 if args.quick else None,
         ensemble_reps=ensemble_reps,
     )
-    print(format_payload(payload))
-    if args.out:
-        save_payload(payload, args.out)
-        print(f"wrote {args.out}")
-    return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone CLI entry point."""
-    import argparse
+def _counts_seq_beats(payload: Dict, rival: str, from_n: int) -> bool:
+    """counts-sequential's mean wall beats *rival*'s at every n >= *from_n* where both ran."""
+    means = {(r["engine"], r["n"]): r["mean_seconds"] for r in payload["results"] if not r.get("skipped")}
+    return all(
+        means[("counts-sequential", n)] < means[(rival, n)]
+        for n in payload["ns"]
+        if n >= from_n and ("counts-sequential", n) in means and (rival, n) in means
+    )
 
-    parser = argparse.ArgumentParser(description="benchmark the engine family on async Two-Choices")
-    add_cli_arguments(parser)
-    args = parser.parse_args(argv)
-    return run_cli(args, parser.error)
+
+def _converged(rows: List[Dict]) -> bool:
+    return bool(rows) and all(row["all_converged"] for row in rows)
+
+
+BENCH = Bench(
+    name="engines",
+    help="the engine family (incl. the K_n counts fast path) on async Two-Choices",
+    run=_run,
+    format=format_payload,
+    options=_options,
+    quick_help="CI scale: n in {1e4, 1e5}, per-tick baseline capped at 1e4",
+    trials=3,
+    gates=(
+        Gate("ensemble_faster_than_looped"),
+        Gate(
+            "timed_runs_converged",
+            holds=lambda p: _converged([r for r in p["results"] if not r.get("skipped")]),
+        ),
+        # The counts fast path always beats the seed per-tick baseline; it
+        # beats the batched agent engines from n >= 1e5 (below that, fixed
+        # per-batch numpy overhead dominates and everything is < 0.1 s).
+        Gate("counts_seq_beats_per_tick", holds=lambda p: _counts_seq_beats(p, _BASELINE, 0)),
+        Gate(
+            "counts_seq_beats_sequential_from_1e5",
+            holds=lambda p: _counts_seq_beats(p, "sequential", 100_000),
+        ),
+        Gate("ensemble_runs_converged", holds=lambda p: _converged(p["ensemble"])),
+        # The ensemble path beats the looped run_trials path wherever the
+        # per-run cost is dominated by batch-loop overhead (n >= 1e5, R >= 100).
+        Gate(
+            "ensemble_beats_looped_from_1e5_r100",
+            holds=lambda p: all(
+                row["speedup"] > 1.0
+                for row in p["ensemble"]
+                if row["n"] >= 100_000 and row["reps"] >= 100
+            ),
+        ),
+    ),
+)

@@ -25,8 +25,7 @@ skip under ``criteria["compiled_kernel_skipped"]``.
 
 Usage::
 
-    python -m repro kernels --quick
-    python benchmarks/bench_kernels.py [--quick] [--out PATH]
+    python -m repro bench kernels [--quick] [--out PATH]
 """
 
 from __future__ import annotations
@@ -43,17 +42,10 @@ from ..engine.sequential import SequentialEngine
 from ..graphs.sparse import torus
 from ..protocols.two_choices import TwoChoicesSequential
 from ..workloads.initial import benchmark_split
-from .store import bench_environment, save_bench_payload
+from .store import Bench, Gate, bench_environment
 from .tables import format_table
 
-__all__ = [
-    "benchmark_kernels",
-    "format_payload",
-    "save_payload",
-    "main",
-    "DEFAULT_N",
-    "QUICK_N",
-]
+__all__ = ["BENCH", "benchmark_kernels", "format_payload"]
 
 #: the acceptance criterion is anchored at n = 1e5 (torus).
 DEFAULT_N = 100_000
@@ -222,12 +214,7 @@ def benchmark_kernels(
     }
 
 
-def save_payload(payload: Dict, path: str) -> None:
-    """Write the payload as indented JSON (stable key order)."""
-    save_bench_payload(payload, path)
-
-
-def format_payload(payload: Dict) -> str:
+def format_payload(payload: Dict, args=None) -> str:
     """Human-readable table + criteria lines for CLI output."""
     lines = []
     probe_rows = [
@@ -252,18 +239,9 @@ def format_payload(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def add_cli_arguments(parser) -> None:
-    """Register the benchmark's options on *parser* (shared by the
-    standalone entry point and ``python -m repro kernels``)."""
+def _options(parser) -> None:
     parser.add_argument("--n", type=int, default=None, help=f"nodes (default {DEFAULT_N})")
-    parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=20170725)
-    parser.add_argument("--out", default=None, help="write the JSON payload to this path")
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"CI scale: n = {QUICK_N}, 2 trials",
-    )
     parser.add_argument(
         "--kernels",
         default=None,
@@ -274,41 +252,31 @@ def add_cli_arguments(parser) -> None:
     )
 
 
-def run_cli(args, error) -> int:
-    """Execute a parsed ``add_cli_arguments`` namespace."""
+def _run(args) -> Dict:
     n = args.n if args.n is not None else (QUICK_N if args.quick else DEFAULT_N)
     if n < 16:
-        error(f"--n must be >= 16, got {n}")
-    kernels = args.kernels.split(",") if args.kernels else None
-    try:
-        payload = benchmark_kernels(
-            n=n,
-            trials=2 if args.quick and args.trials == 3 else args.trials,
-            seed=args.seed,
-            kernels=kernels,
-            consensus=not args.no_consensus,
-        )
-    except ConfigurationError as exc:
-        error(str(exc))
-    print(format_payload(payload))
-    if args.out:
-        save_payload(payload, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone CLI entry point."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="perf_kernels",
-        description="benchmark the compiled tick kernels against the numpy loop",
+        raise ConfigurationError(f"--n must be >= 16, got {n}")
+    return benchmark_kernels(
+        n=n,
+        trials=2 if args.quick and args.trials == 3 else args.trials,
+        seed=args.seed,
+        kernels=args.kernels.split(",") if args.kernels else None,
+        consensus=not args.no_consensus,
     )
-    add_cli_arguments(parser)
-    args = parser.parse_args(argv)
-    return run_cli(args, parser.error)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+_NO_COMPILED = "no compiled kernel measured, numpy numbers only: {compiled_kernel_skipped}"
+
+BENCH = Bench(
+    name="kernels",
+    help="the compiled tick kernels (REPRO_KERNEL) against the numpy hazard path",
+    run=_run,
+    format=format_payload,
+    options=_options,
+    quick_help=f"CI scale: n = {QUICK_N}, 2 trials",
+    trials=3,
+    gates=(
+        Gate("kernel_bit_identical", applicable="compiled_kernel", reason=_NO_COMPILED),
+        Gate("kernel_speedup_ge_2x", applicable="compiled_kernel", reason=_NO_COMPILED),
+    ),
+)

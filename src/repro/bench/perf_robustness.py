@@ -24,17 +24,20 @@ pins).  Criteria:
   when ``degradation_assertable`` (enough replications per cell);
   quick CI scale records the numbers and warns instead.
 
-``python -m repro robustness`` and ``benchmarks/bench_robustness.py``
-both call :func:`benchmark_robustness` and persist the payload
+``python -m repro bench robustness`` runs :data:`BENCH`, which calls
+:func:`benchmark_robustness`; ``--out`` persists the payload
 (``BENCH_robustness.json`` at the repo root by convention).
 """
 
 from __future__ import annotations
 
+import json
+import sys
 import time
 from typing import Dict, List, Optional
 
 from ..api.campaign import run_campaign
+from ..core.exceptions import ConfigurationError
 from ..workloads.robustness import (
     FAULT_KINDS,
     critical_rates,
@@ -42,17 +45,9 @@ from ..workloads.robustness import (
     robustness_campaign,
     zipf_robustness_campaign,
 )
-from .store import bench_environment, save_bench_payload
+from .store import Bench, Gate, bench_environment
 
-__all__ = [
-    "benchmark_robustness",
-    "format_payload",
-    "save_payload",
-    "main",
-    "DEFAULT_SCALE",
-    "QUICK_SCALE",
-    "GRID_PROTOCOLS",
-]
+__all__ = ["BENCH", "benchmark_robustness", "format_payload"]
 
 #: protocols every fault kind is mapped for (both have tick footprints,
 #: so the fault wrappers keep their hazard-batched fast path).
@@ -238,15 +233,14 @@ def benchmark_robustness(
     }
 
 
-def save_payload(payload: Dict, path: str) -> None:
-    """Write the payload as indented JSON (stable key order)."""
-    save_bench_payload(payload, path)
-
-
-def format_payload(payload: Dict) -> str:
-    """Human-readable phase-map tables for terminal output."""
+def format_payload(payload: Dict, args=None) -> str:
+    """Human-readable phase-map tables for terminal output; with
+    ``--json``, the deterministic payload (everything but ``execution``)."""
     from .tables import format_table
 
+    if args is not None and args.json:
+        deterministic = {key: v for key, v in payload.items() if key != "execution"}
+        return json.dumps(deterministic, indent=2, sort_keys=True)
     lines: List[str] = []
     for grid in payload["grids"]:
         folded = grid["phase_map"]
@@ -276,11 +270,8 @@ def format_payload(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def add_cli_arguments(parser) -> None:
-    """Register the suite's options on *parser* (shared by the
-    standalone entry point and ``python -m repro robustness``)."""
+def _options(parser) -> None:
     parser.add_argument("--seed", type=int, default=20170725, help="master campaign seed")
-    parser.add_argument("--out", default=None, help="write the JSON payload to this path")
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -294,9 +285,6 @@ def add_cli_arguments(parser) -> None:
         help="worker processes per campaign (>1 selects the process executor)",
     )
     parser.add_argument(
-        "--quick", action="store_true", help="CI scale: 2x2 corner of every map, 2 reps"
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit the deterministic payload as JSON on stdout (execution stats go "
@@ -304,44 +292,41 @@ def add_cli_arguments(parser) -> None:
     )
 
 
-def run_cli(args, error) -> int:
-    """Execute a parsed ``add_cli_arguments`` namespace."""
-    import json
-    import sys
-
+def _run(args) -> Dict:
     if args.workers < 1:
-        error(f"--workers must be >= 1, got {args.workers}")
+        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
     payload = benchmark_robustness(
-        quick=args.quick,
-        seed=args.seed,
-        cache=args.cache_dir,
-        workers=args.workers,
+        quick=args.quick, seed=args.seed, cache=args.cache_dir, workers=args.workers
     )
     execution = payload["execution"]
-    if args.json:
-        deterministic = {key: v for key, v in payload.items() if key != "execution"}
-        print(json.dumps(deterministic, indent=2, sort_keys=True))
-    else:
-        print(format_payload(payload))
     print(
         f"robustness: engine_runs={execution['engine_runs']}, "
         f"cache_hits={execution['cache_hits']}, "
         f"elapsed={execution['elapsed_seconds']:.2f}s",
         file=sys.stderr,
     )
-    if args.out:
-        save_payload(payload, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    return payload
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone CLI entry point."""
-    import argparse
+_SLUGS = [_slug(protocol, fault) for protocol in GRID_PROTOCOLS for fault in FAULT_KINDS]
+_SLUGS.append(f"zipf_{_slug('three-majority', 'stubborn')}")
 
-    parser = argparse.ArgumentParser(
-        description="fault-injection robustness suite: phase-transition maps"
-    )
-    add_cli_arguments(parser)
-    args = parser.parse_args(argv)
-    return run_cli(args, parser.error)
+BENCH = Bench(
+    name="robustness",
+    help="the fault-injection robustness suite: phase-transition maps under "
+    "loss/stubborn/byzantine faults",
+    run=_run,
+    format=format_payload,
+    options=_options,
+    quick_help="CI scale: 2x2 corner of every map, 2 reps",
+    gates=tuple(Gate(f"zero_fault_consensus_ok_{slug}") for slug in _SLUGS)
+    + tuple(
+        Gate(
+            f"fault_injection_bites_{slug}",
+            applicable="degradation_assertable",
+            reason=f"fewer than {ASSERTABLE_REPS} replications per cell; degradation is "
+            f"recorded, asserted at full scale (measured {{max_fault_success_{slug}}})",
+        )
+        for slug in _SLUGS
+    ),
+)

@@ -33,9 +33,9 @@ Two sections:
   coarsening and near-consensus phases that dominate these runs are
   where the actual-write hazard batches widen.
 
-``python -m repro sparse`` and ``benchmarks/bench_sparse.py`` both call
-:func:`benchmark_sparse` and persist the payload (``BENCH_sparse.json``
-at the repo root by convention).
+``python -m repro bench sparse`` runs :data:`BENCH`, which calls
+:func:`benchmark_sparse`; ``--out`` persists the payload
+(``BENCH_sparse.json`` at the repo root by convention).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.exceptions import ConfigurationError
 from ..engine.dispatch import fastest_engine
 from ..engine.sequential import SequentialEngine
 from ..graphs.families import random_regular
@@ -52,16 +53,9 @@ from ..graphs.sparse import torus
 from ..protocols.base import SequentialProtocol
 from ..protocols.two_choices import TwoChoicesSequential
 from ..workloads.initial import benchmark_split
-from .store import bench_environment, save_bench_payload
+from .store import Bench, Gate, bench_environment, parse_int_list
 
-__all__ = [
-    "benchmark_sparse",
-    "format_payload",
-    "save_payload",
-    "main",
-    "DEFAULT_NS",
-    "QUICK_NS",
-]
+__all__ = ["BENCH", "benchmark_sparse", "format_payload"]
 
 #: sizes of the standard sweep; the acceptance criterion lives at 1e5.
 DEFAULT_NS = (10_000, 100_000)
@@ -311,12 +305,7 @@ def benchmark_sparse(
     }
 
 
-def save_payload(payload: Dict, path: str) -> None:
-    """Write the payload as indented JSON (stable key order)."""
-    save_bench_payload(payload, path)
-
-
-def format_payload(payload: Dict) -> str:
+def format_payload(payload: Dict, args=None) -> str:
     """Human-readable tables of the payload for terminal output."""
     from .tables import format_table
 
@@ -365,55 +354,48 @@ def format_payload(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def add_cli_arguments(parser) -> None:
-    """Register the benchmark's options on *parser* (shared by the
-    standalone entry point and ``python -m repro sparse``)."""
+def _options(parser) -> None:
     parser.add_argument("--ns", default=None, help="comma-separated list of n values")
-    parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=20170725)
-    parser.add_argument("--out", default=None, help="write the JSON payload to this path")
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI scale: n = 1e4 only, 2 trials",
-    )
     parser.add_argument(
         "--no-consensus", action="store_true", help="skip the run-to-consensus section"
     )
 
 
-def run_cli(args, error) -> int:
-    """Execute a parsed ``add_cli_arguments`` namespace."""
+def _run(args) -> Dict:
     if args.ns is not None:
-        try:
-            ns = [int(value) for value in args.ns.split(",")]
-        except ValueError:
-            error(f"--ns must be comma-separated integers, got {args.ns!r}")
+        ns = parse_int_list(args.ns, "--ns")
         if any(n < 16 for n in ns):
-            error(f"--ns values must be >= 16, got {ns}")
+            raise ConfigurationError(f"--ns values must be >= 16, got {ns}")
     else:
         ns = list(QUICK_NS if args.quick else DEFAULT_NS)
-    payload = benchmark_sparse(
+    return benchmark_sparse(
         ns=ns,
         trials=2 if args.quick and args.trials == 3 else args.trials,
         seed=args.seed,
         per_tick_max_n=100_000,
         consensus=not args.no_consensus,
     )
-    print(format_payload(payload))
-    if args.out:
-        save_payload(payload, args.out)
-        print(f"wrote {args.out}")
-    return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone CLI entry point."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="benchmark the sparse-topology hazard-batched tick path"
+BENCH = Bench(
+    name="sparse",
+    help="the sparse-topology hazard-batched tick path on torus and random-regular",
+    run=_run,
+    format=format_payload,
+    options=_options,
+    quick_help="CI scale: n = 1e4 only, 2 trials",
+    trials=3,
+    # >= 10x over per-tick, faster to consensus than the zip-apply hooks,
+    # and the small-n mixed phase routed at least on par with zip-apply.
+    gates=tuple(
+        Gate(f"{criterion}_{slug}")
+        for slug in ("torus", "random_regular")
+        for criterion in (
+            "sparse_seq_ge_10x_vs_per_tick",
+            "consensus_faster_than_zip_apply",
+            "sparse_seq_mixed_phase_healed",
+        )
     )
-    add_cli_arguments(parser)
-    args = parser.parse_args(argv)
-    return run_cli(args, parser.error)
+    + (Gate("consensus_random_regular_converged"),),
+)

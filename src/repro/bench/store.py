@@ -1,31 +1,38 @@
-"""JSON result store and shared bench-payload plumbing.
+"""JSON result store and the shared bench plumbing.
 
 Each experiment run can be persisted as ``<dir>/<experiment_id>.json``
 so EXPERIMENTS.md's paper-vs-measured numbers are regenerable and the
 CLI can re-print past results without re-running the sweep.
 
-The module also hosts the two helpers every ``perf_*`` module and
-``benchmarks/bench_*.py`` target shares — the environment stamp and the
-``BENCH_*.json`` emission — so the payload format is defined once.
+It also hosts what every perf suite shares: the environment stamp, the
+``BENCH_*.json`` emission, and the :class:`Bench` declaration with the
+one runner behind ``python -m repro bench NAME``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.exceptions import ExperimentError
+from ..core.exceptions import ConfigurationError, ExperimentError
 from ..core.hazard_kernel import active_kernel_name
 
 __all__ = [
+    "Bench",
+    "Gate",
     "ResultStore",
+    "add_bench_arguments",
     "bench_environment",
+    "bench_main",
+    "run_bench",
     "save_bench_payload",
     "warn_skipped_criterion",
 ]
@@ -44,18 +51,15 @@ def bench_environment() -> Dict[str, object]:
     }
 
 
-def warn_skipped_criterion(name: str, reason: str, stream: Optional[TextIO] = None) -> None:
+def warn_skipped_criterion(name: str, reason: str) -> None:
     """Loudly record that a perf criterion was measured but not asserted.
 
     A speedup gate that silently no-ops on an undersized box looks
     exactly like a pass in CI logs; this prints a GitHub-Actions
-    ``::warning`` annotation on stdout (surfaced on the run summary
-    page) plus a plain line on stderr for terminal runs, so a skipped
-    gate is always visible.
+    ``::warning`` annotation (surfaced on the run summary page).  It
+    goes to stderr, so a suite's stdout stays its payload alone.
     """
-    message = f"perf criterion {name!r} recorded but NOT asserted: {reason}"
-    print(f"::warning::{message}")
-    print(f"repro bench: {message}", file=stream if stream is not None else sys.stderr)
+    print(f"::warning::perf criterion {name!r} recorded but NOT asserted: {reason}", file=sys.stderr)
 
 
 def save_bench_payload(payload: Dict, path: str) -> None:
@@ -65,6 +69,98 @@ def save_bench_payload(payload: Dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=False)
         handle.write("\n")
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One asserted criterion: ``payload["criteria"][key]`` must be truthy
+    (or ``holds(payload)``, for checks over rows no criterion records).
+    While criterion *applicable* is falsy the runner warns with *reason*,
+    formatted with the payload's environment and criteria, instead."""
+
+    key: str
+    applicable: Optional[str] = None
+    reason: str = ""
+    holds: Optional[Callable[[Dict], bool]] = None
+
+
+@dataclass(frozen=True)
+class Bench:
+    """A perf suite: its own options, ``run(args) -> payload``, its table
+    and its gates.  The runner owns ``--quick``, ``--out`` and ``--trials``."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], Dict]
+    format: Callable[[Dict, argparse.Namespace], str]
+    gates: Sequence[Gate] = ()
+    options: Callable[[argparse.ArgumentParser], None] = lambda parser: None
+    quick_help: str = "CI scale"
+    #: default of the runner-owned ``--trials`` option; None: no such option
+    trials: Optional[int] = None
+
+
+def add_bench_arguments(parser: argparse.ArgumentParser, bench: Bench) -> None:
+    """Register the runner's options and *bench*'s own on *parser*."""
+    parser.add_argument("--quick", action="store_true", help=bench.quick_help)
+    parser.add_argument("--out", default=None, help="write the JSON payload to this path")
+    if bench.trials is not None:
+        parser.add_argument("--trials", type=int, default=bench.trials, help="timed runs per row")
+    bench.options(parser)
+    parser.set_defaults(bench=bench)
+
+
+def check_gates(bench: Bench, payload: Dict) -> Dict[str, str]:
+    """Each gate's verdict on *payload*: ``held``, ``skipped`` (warned) or ``FAILED``."""
+    criteria = payload["criteria"]
+    verdicts = {}
+    for gate in bench.gates:
+        if gate.applicable is not None and not criteria.get(gate.applicable):
+            context = {**payload["environment"], **criteria}
+            warn_skipped_criterion(gate.key, gate.reason.format(**context) or f"{gate.applicable} is false")
+            verdicts[gate.key] = "skipped"
+        elif gate.holds(payload) if gate.holds else criteria.get(gate.key):
+            verdicts[gate.key] = "held"
+        else:
+            verdicts[gate.key] = "FAILED"
+    return verdicts
+
+
+def run_bench(bench: Bench, args: argparse.Namespace, error: Callable[[str], None]) -> int:
+    """Run *bench*: 0 when no gate failed, else 1.  *error* (the parser's,
+    exit 2) reports bad input, which ``run`` raises as ``ConfigurationError``."""
+    if bench.trials is not None and args.trials < 1:
+        error(f"--trials must be >= 1, got {args.trials}")
+    try:
+        payload = bench.run(args)
+    except ConfigurationError as exc:
+        error(str(exc))
+    print(bench.format(payload, args))
+    if args.out:
+        save_bench_payload(payload, args.out)
+        print(f"wrote {args.out}", file=sys.stderr)
+    verdicts = check_gates(bench, payload)
+    failed = [key for key, verdict in verdicts.items() if verdict == "FAILED"]
+    for key in failed:
+        print(f"repro bench {bench.name}: gate {key} FAILED", file=sys.stderr)
+    tally = ", ".join(f"{list(verdicts.values()).count(v)} {v.lower()}" for v in ("held", "skipped", "FAILED"))
+    print(f"repro bench {bench.name}: gates {tally}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def parse_int_list(text: str, flag: str) -> List[int]:
+    """Parse a comma-separated integer option such as ``--ns``."""
+    try:
+        return [int(value) for value in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
+def bench_main(bench: Bench, argv: Optional[List[str]] = None) -> int:
+    """Script entry point: parse *argv* for *bench* alone and run it."""
+    parser = argparse.ArgumentParser(description=bench.help)
+    add_bench_arguments(parser, bench)
+    return run_bench(bench, parser.parse_args(argv), parser.error)
 
 
 class ResultStore:

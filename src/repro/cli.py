@@ -14,10 +14,8 @@ Examples::
     python -m repro run all --scale full --store results
     python -m repro show T6 --store results
     python -m repro schedule 100000
-    python -m repro engines --quick --out BENCH_engines.json
-    python -m repro sparse --quick --out BENCH_sparse.json
-    python -m repro kernels --quick --out BENCH_kernels.json
-    python -m repro robustness --quick --cache-dir .repro-cache --out BENCH_robustness.json
+    python -m repro bench engines --quick --out BENCH_engines.json
+    python -m repro bench robustness --quick --cache-dir .repro-cache --json
     python -m repro lint src/repro
     python -m repro lint src/repro --select REPRO-R002,REPRO-H003 --json
 """
@@ -238,39 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
     sched_cmd.add_argument("n", type=int)
     sched_cmd.add_argument("--no-sync", action="store_true", help="disable the Sync Gadget")
 
-    engines_cmd = sub.add_parser(
-        "engines",
-        help="benchmark the engine family (incl. the K_n counts fast path) on async Two-Choices",
+    bench_cmd = sub.add_parser(
+        "bench",
+        help="run one perf suite: print its payload, --out saves it, exit 1 if a gate fails",
     )
-    # single source of truth for the options: the perf module itself
-    from .bench.perf_engines import add_cli_arguments
+    suites = bench_cmd.add_subparsers(dest="suite", required=True, metavar="NAME")
+    from .bench import perf_engines, perf_kernels, perf_robustness, perf_sparse
+    from .bench.store import add_bench_arguments
 
-    add_cli_arguments(engines_cmd)
-
-    sparse_cmd = sub.add_parser(
-        "sparse",
-        help="benchmark the sparse-topology hazard-batched tick path on torus and random-regular",
-    )
-    from .bench.perf_sparse import add_cli_arguments as add_sparse_cli_arguments
-
-    add_sparse_cli_arguments(sparse_cmd)
-
-    kernels_cmd = sub.add_parser(
-        "kernels",
-        help="benchmark the compiled tick kernels (REPRO_KERNEL) against the numpy hazard path",
-    )
-    from .bench.perf_kernels import add_cli_arguments as add_kernels_cli_arguments
-
-    add_kernels_cli_arguments(kernels_cmd)
-
-    robustness_cmd = sub.add_parser(
-        "robustness",
-        help="run the fault-injection robustness suite: phase-transition maps under "
-        "loss/stubborn/byzantine faults",
-    )
-    from .bench.perf_robustness import add_cli_arguments as add_robustness_cli_arguments
-
-    add_robustness_cli_arguments(robustness_cmd)
+    for bench in (perf_engines.BENCH, perf_sparse.BENCH, perf_kernels.BENCH, perf_robustness.BENCH):
+        suite = suites.add_parser(bench.name, help=bench.help, description=bench.help)
+        add_bench_arguments(suite, bench)
 
     lint_cmd = sub.add_parser(
         "lint",
@@ -630,25 +606,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_report(ResultStore(args.store), title=args.title))
         return 0
 
-    if args.command == "engines":
-        from .bench.perf_engines import run_cli
+    if args.command == "bench":
+        from .bench.store import run_bench
 
-        return run_cli(args, parser.error)
-
-    if args.command == "sparse":
-        from .bench.perf_sparse import run_cli as run_sparse_cli
-
-        return run_sparse_cli(args, parser.error)
-
-    if args.command == "kernels":
-        from .bench.perf_kernels import run_cli as run_kernels_cli
-
-        return run_kernels_cli(args, parser.error)
-
-    if args.command == "robustness":
-        from .bench.perf_robustness import run_cli as run_robustness_cli
-
-        return run_robustness_cli(args, parser.error)
+        return run_bench(args.bench, args, parser.error)
 
     if args.command == "lint":
         from .devtools.lint import run_cli as run_lint_cli

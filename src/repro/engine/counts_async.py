@@ -69,7 +69,7 @@ Three guard rails keep the frozen-rate draw lawful:
 
 Because the number of batches per run is ``~ 256 * parallel_time``
 *independent of n*, asynchronous Two-Choices at ``n = 10^8`` converges
-in seconds (see ``benchmarks/bench_perf_engines.py``).
+in seconds (see ``python -m repro bench engines --headline``).
 """
 
 from __future__ import annotations
