@@ -16,9 +16,11 @@ from ..api.registry import ParamSpec, register_stop
 from ..core.colors import ColorConfiguration, assignment_from_counts
 from ..core.exceptions import ConfigurationError
 from ..core.results import RunResult, Trace
+from ..graphs.topology import DynamicTopology, Topology
 
 __all__ = [
     "materialize_initial",
+    "require_static_topology",
     "StopCondition",
     "consensus_reached",
     "near_consensus",
@@ -46,6 +48,21 @@ def materialize_initial(initial, rng: np.random.Generator):
     if colors.ndim != 1 or colors.size == 0:
         raise ConfigurationError("explicit colour arrays must be non-empty and 1-D")
     return colors, int(colors.max()) + 1
+
+
+def require_static_topology(topology: Topology, model: str) -> None:
+    """Refuse a :class:`~repro.graphs.topology.DynamicTopology` for *model*.
+
+    The epoch clock of a dynamic topology is defined in sequential
+    ticks, and only the sequential engine advances it.  A round-based
+    or Poisson-clock engine would run on whatever epoch the object was
+    last left at, so those engines (and the dispatcher) reject it.
+    """
+    if isinstance(topology, DynamicTopology):
+        raise ConfigurationError(
+            f"dynamic topologies advance on a tick-epoch clock; the {model!r} "
+            "model is not supported (use model='sequential')"
+        )
 
 
 def consensus_reached(counts: np.ndarray) -> bool:

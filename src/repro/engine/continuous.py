@@ -31,7 +31,7 @@ from ..core.results import RunResult, Trace
 from ..core.rng import SeedLike, as_generator
 from ..graphs.topology import Topology
 from ..protocols.base import SequentialProtocol
-from .base import StopCondition, build_result, consensus_reached, materialize_initial
+from .base import StopCondition, build_result, consensus_reached, materialize_initial, require_static_topology
 from .delays import DelayModel, NoDelay
 from .events import EventQueue
 
@@ -51,6 +51,7 @@ class ContinuousEngine:
     """Event-driven driver for the Poisson-clock model."""
 
     def __init__(self, protocol: SequentialProtocol, topology: Topology, delay_model: Optional[DelayModel] = None):
+        require_static_topology(topology, "continuous")
         self.protocol = protocol
         self.topology = topology
         self.delay_model = delay_model if delay_model is not None else NoDelay()

@@ -160,13 +160,14 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..core.exceptions import ConfigurationError
-from ..graphs.topology import DynamicTopology, Topology
+from ..graphs.topology import Topology
 from ..protocols.base import (
     CountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
     SynchronousProtocol,
 )
+from .base import require_static_topology
 from .continuous import ContinuousEngine
 from .counts import CountsEngine
 from .counts_async import CountsContinuousEngine, CountsSequentialEngine
@@ -234,15 +235,8 @@ def fastest_engine(
     """
     if n_reps < 1:
         raise ConfigurationError(f"n_reps must be positive, got {n_reps}")
-    if isinstance(topology, DynamicTopology) and model != "sequential":
-        # The epoch clock is defined in sequential ticks; neither the
-        # round-based nor the Poisson-clock engines cut their work at
-        # epoch boundaries, so routing them would silently break the
-        # constant-graph-per-block exactness contract.
-        raise ConfigurationError(
-            f"dynamic topologies advance on a tick-epoch clock; the {model!r} "
-            "model is not supported (use model='sequential')"
-        )
+    if model != "sequential":
+        require_static_topology(topology, model)
     ensemble = n_reps > 1
     on_complete = topology.is_complete()
 

@@ -19,7 +19,7 @@ from ..core.results import RunResult, Trace
 from ..core.rng import SeedLike, as_generator, split
 from ..graphs.topology import Topology
 from ..protocols.base import SynchronousProtocol
-from .base import StopCondition, build_result, consensus_reached, materialize_initial
+from .base import StopCondition, build_result, consensus_reached, materialize_initial, require_static_topology
 
 __all__ = ["SynchronousEngine"]
 
@@ -37,6 +37,7 @@ class SynchronousEngine:
     """
 
     def __init__(self, protocol: SynchronousProtocol, topology: Topology):
+        require_static_topology(topology, "synchronous")
         self.protocol = protocol
         self.topology = topology
 

@@ -106,9 +106,9 @@ class DynamicTopology(Topology):
       the same draws — intact.
 
     Only the sequential model drives dynamic topologies: the epoch
-    clock is defined in ticks, and
-    :func:`repro.engine.dispatch.fastest_engine` rejects the
-    continuous and synchronous models for them.
+    clock is defined in ticks, so the continuous and synchronous
+    engines (and :func:`repro.engine.dispatch.fastest_engine` for those
+    models) refuse them at construction.
     """
 
     #: epoch length in sequential ticks; the graph is constant within

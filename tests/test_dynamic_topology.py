@@ -15,13 +15,15 @@ import pytest
 
 from repro.api import TOPOLOGIES, SimulationSpec, simulate
 from repro.api.cache import spec_key
-from repro.core.exceptions import TopologyError
+from repro.core.colors import ColorConfiguration
+from repro.core.exceptions import ConfigurationError, TopologyError
 from repro.core.rng import as_generator
+from repro.engine import ContinuousEngine, SynchronousEngine
 from repro.engine.sequential import SequentialEngine
 from repro.graphs.complete import CompleteGraph
 from repro.graphs.dynamic import _EPOCH_TAG, ChurnTopology
 from repro.graphs.sparse import ring, torus
-from repro.protocols.two_choices import TwoChoicesSequential
+from repro.protocols.two_choices import TwoChoicesSequential, TwoChoicesSynchronous
 
 
 def _churned_ring(n=64, rate=0.3, **kwargs) -> ChurnTopology:
@@ -173,6 +175,24 @@ class TestEngineEpochCuts:
         for other in (second, fresh):
             assert first.rounds == other.rounds
             assert tuple(first.final.counts) == tuple(other.final.counts)
+
+
+    @pytest.mark.parametrize(
+        "make_engine",
+        [
+            lambda topo: ContinuousEngine(TwoChoicesSequential(), topo),
+            lambda topo: SynchronousEngine(TwoChoicesSynchronous(), topo),
+        ],
+        ids=["continuous", "synchronous"],
+    )
+    def test_engines_without_an_epoch_clock_refuse_dynamic_topologies(self, make_engine):
+        """Only the sequential engine advances the epoch clock; the
+        others would run on whatever epoch the object was left at."""
+        topo = _churned_ring(n=1000, rate=0.05)
+        SequentialEngine(TwoChoicesSequential(), topo).run(ColorConfiguration([600, 400]), max_ticks=2000, seed=7)
+        assert topo.epoch > 0
+        with pytest.raises(ConfigurationError, match="tick-epoch"):
+            make_engine(topo)
 
 
 class TestRegistryAndSpec:
