@@ -30,6 +30,12 @@ protocol, one continuous and one stubborn-faulted run).  The
 :data:`SMALL_BATCH_PINS` cases run the counts tick engines directly
 with one and two ticks per batch.
 
+Traces never enter a payload, so the :data:`TRACE_PINS` cases hash the
+``(time, counts, fields)`` points of traced agent runs instead: both
+clocks, a continuous ``max_time`` cut, odd stop-check cadences, a
+churned ring, the delayed event-queue path and the phased protocol's
+``trace_fields``.  They lock the trace cadence of the tick loops.
+
 Continuous specs that run into their ``max_time`` budget are left out
 on purpose: the budget cut (see :mod:`repro.engine.counts_async`)
 decides their final batch with extra draws.
@@ -42,8 +48,22 @@ import pytest
 
 from repro.api import SimulationSpec, simulate
 from repro.core.colors import ColorConfiguration
-from repro.engine import CountsContinuousEngine, CountsSequentialEngine
+from repro.engine import (
+    ContinuousEngine,
+    CountsContinuousEngine,
+    CountsSequentialEngine,
+    ExponentialDelay,
+    SequentialEngine,
+)
+from repro.graphs.complete import CompleteGraph
+from repro.graphs.dynamic import ChurnTopology
+from repro.graphs.sparse import ring, torus
 from repro.protocols import UndecidedStateSequentialCounts, VoterSequentialCounts
+from repro.protocols.async_plurality import AsyncPluralityProtocol
+from repro.protocols.three_majority import ThreeMajoritySequential
+from repro.protocols.two_choices import TwoChoicesSequential
+from repro.protocols.undecided_state import UndecidedStateSequential
+from repro.protocols.voter import VoterSequential
 
 def _bias(k: int) -> dict:
     return {"initial": "multiplicative-bias", "initial_params": {"k": k, "ratio": 1.5}}
@@ -535,6 +555,66 @@ SMALL_BATCH_PINS = [
 ]
 
 
+#: (case id, engine factory, initial counts, seed, run options, sha256
+#: of the trace points) for traced agent runs on both clocks.
+TRACE_PINS = [
+    (
+        "sequential-kn-two-choices",
+        lambda: SequentialEngine(TwoChoicesSequential(), CompleteGraph(600)),
+        [300, 200, 100], 201, dict(trace_every_parallel=0.5),
+        "8950e7a3b18f054114a1969d0e2b907ce6cd2445b041976d21eb387459eee7e0",
+    ),
+    (
+        "sequential-torus-voter-check137",
+        lambda: SequentialEngine(VoterSequential(), torus(20, 20)),
+        [200, 200], 202, dict(trace_every_parallel=1.5, check_every=137, max_ticks=6_000),
+        "24b69dc07c205912a74c263ddf1806c0793ec1f096e4363fe8b27591e63d84ad",
+    ),
+    (
+        "sequential-dynamic-ring-two-choices",
+        lambda: SequentialEngine(TwoChoicesSequential(), ChurnTopology(ring(800), 0.05, churn_seed=5)),
+        [500, 300], 203, dict(trace_every_parallel=2.0, max_ticks=16_000),
+        "b95fd0fa31fac0cce0e12137d1d68cad0363ab39d402058ec29f9afc8ff7909b",
+    ),
+    (
+        "continuous-kn-three-majority-max-time",
+        lambda: ContinuousEngine(ThreeMajoritySequential(), CompleteGraph(500)),
+        [200, 170, 130], 204, dict(trace_every=0.25, max_time=2.7),
+        "577faa8dc7341f34f7c0f2603ea43c6dc10536f00866194f86080ef68f4c86ac",
+    ),
+    (
+        "continuous-ring-undecided-check1000",
+        lambda: ContinuousEngine(UndecidedStateSequential(), ring(400)),
+        [240, 160], 205, dict(trace_every=1.0, check_every=1_000, max_time=6.5),
+        "11222c61f1e9d16218312b0ea2957b3318c6c47d9b56597b2ab824ef6efe5a2e",
+    ),
+    (
+        "continuous-kn-voter-consensus",
+        lambda: ContinuousEngine(VoterSequential(), CompleteGraph(60)),
+        [40, 20], 206, dict(trace_every=3.0),
+        "fc4ee6fac7e20cb89ee655fb323f2bb1d979241f772b9da322de386f67e7c819",
+    ),
+    (
+        "sequential-async-plurality",
+        lambda: SequentialEngine(AsyncPluralityProtocol(), CompleteGraph(200)),
+        [80, 50, 40, 30], 207, dict(trace_every_parallel=2.0),
+        "c4894c9079756b1efacf5fe424a1a848111f639fefea8017ec99ce4b1d037568",
+    ),
+    (
+        "continuous-async-plurality",
+        lambda: ContinuousEngine(AsyncPluralityProtocol(), CompleteGraph(200)),
+        [80, 50, 40, 30], 208, dict(trace_every=3.0),
+        "fa464f8d6a6644216400b15d96965e9d365e1cc1a129065e43347801f6c7e2e1",
+    ),
+    (
+        "continuous-async-plurality-delayed",
+        lambda: ContinuousEngine(AsyncPluralityProtocol(), CompleteGraph(150), ExponentialDelay(2.0)),
+        [60, 40, 30, 20], 209, dict(trace_every=5.0),
+        "3cdb5cd1cdbdc4d342bdbf2593ba3e7b415763c72f52b8b25a5934b6361c8794",
+    ),
+]
+
+
 def _digest(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -604,3 +684,20 @@ def test_small_batch_run_is_pinned(case):
     if result.trace is not None:
         payload["trace"] = [[point.time, list(point.counts)] for point in result.trace.points]
     assert _digest(payload) == expected
+
+
+def test_trace_pins_cover_both_clocks_and_the_delayed_path():
+    engines = {case_id.split("-")[0] for case_id, *_ in TRACE_PINS}
+    assert engines == {"sequential", "continuous"}
+    assert any("max_time" in options for *_, options, _ in TRACE_PINS)
+    assert any("dynamic" in case_id for case_id, *_ in TRACE_PINS)
+    assert any("delayed" in case_id for case_id, *_ in TRACE_PINS)
+
+
+@pytest.mark.parametrize("case", TRACE_PINS, ids=lambda case: case[0])
+def test_trace_is_pinned(case):
+    _, make_engine, counts, seed, options, expected = case
+    result = make_engine().run(ColorConfiguration(counts), record_trace=True, seed=seed, **options)
+    points = [[point.time, list(point.counts), point.fields] for point in result.trace.points]
+    assert len(points) >= 3
+    assert _digest(points) == expected
