@@ -3,10 +3,11 @@
 Implements the paper's primary model: every node has a rate-1 Poisson
 clock and acts when it ticks.  Two execution paths:
 
-* **Instantaneous responses** (the base model) — simulated through the
-  superposition property: the next tick in the whole system arrives
-  after ``Exp(n)`` time at a uniformly random node.  This is *equal in
-  law* to maintaining ``n`` independent clocks and needs no heap.
+* **Instantaneous responses** (the base model) — the block loop of
+  :mod:`repro.engine.sequential` on the Poisson clock.  By
+  superposition the next tick in the whole system arrives after
+  ``Exp(n)`` time at a uniformly random node, which is *equal in law*
+  to maintaining ``n`` independent clocks and needs no heap.
 * **Delayed responses** (the Discussion-section extension) — a real
   event queue interleaves clock ticks with read/apply events.  When a
   node ticks it issues read requests to its sampled targets; each
@@ -16,10 +17,13 @@ clock and acts when it ticks.  Two execution paths:
   applies its update.  While a request is in flight the node's clock
   keeps ticking but the node performs no new protocol action (it is
   busy waiting) — the modelling choice is documented in DESIGN.md.
+  This path shares the run setup and the result assembly of the block
+  loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -27,13 +31,14 @@ import numpy as np
 
 from ..core.colors import ColorConfiguration
 from ..core.exceptions import ConfigurationError
-from ..core.results import RunResult, Trace
-from ..core.rng import SeedLike, as_generator
+from ..core.results import RunResult
+from ..core.rng import SeedLike
 from ..graphs.topology import Topology
 from ..protocols.base import SequentialProtocol
-from .base import StopCondition, build_result, consensus_reached, materialize_initial, require_static_topology
+from .base import StopCondition, consensus_reached, require_static_topology
 from .delays import DelayModel, NoDelay
 from .events import EventQueue
+from .sequential import _AgentTickEngine
 
 __all__ = ["ContinuousEngine"]
 
@@ -47,14 +52,22 @@ class _PendingRequest:
     outstanding: int = 0
 
 
-class ContinuousEngine:
-    """Event-driven driver for the Poisson-clock model."""
+class ContinuousEngine(_AgentTickEngine):
+    """Driver for the Poisson-clock model: the block loop of
+    :class:`~repro.engine.sequential.SequentialEngine` on the Poisson
+    clock, or an event queue when responses are delayed."""
+
+    _engine_name = "continuous"
+    _continuous = True
+    _block = 4096
 
     def __init__(self, protocol: SequentialProtocol, topology: Topology, delay_model: Optional[DelayModel] = None):
         require_static_topology(topology, "continuous")
-        self.protocol = protocol
-        self.topology = topology
+        super().__init__(protocol, topology)
         self.delay_model = delay_model if delay_model is not None else NoDelay()
+
+    def _metadata(self) -> dict:
+        return {**super()._metadata(), "delay": repr(self.delay_model)}
 
     def run(
         self,
@@ -74,111 +87,18 @@ class ContinuousEngine:
         """
         if record_trace and not trace_every > 0:
             raise ConfigurationError(f"trace_every must be positive, got {trace_every}")
-        rng = as_generator(seed)
-        colors, k = materialize_initial(initial, rng)
-        n = colors.size
-        if n != self.topology.n:
-            raise ConfigurationError(
-                f"initial configuration has {n} nodes but topology has {self.topology.n}"
-            )
-        if max_time is None:
-            max_time = self.protocol.default_budget(n)
-        if check_every is None:
-            check_every = n
-        check_every = max(1, int(check_every))
-
-        state = self.protocol.make_state(colors, k)
-        initial_counts = state.counts()
-        if self.delay_model.is_zero():
-            return self._run_instantaneous(
-                state, initial_counts, max_time, stop, record_trace, trace_every, check_every, rng
-            )
-        return self._run_delayed(
-            state, initial_counts, max_time, stop, record_trace, trace_every, check_every, rng
-        )
-
-    # ------------------------------------------------------------------
-    # base model: superposed Poisson process, no heap needed
-    # ------------------------------------------------------------------
-    def _run_instantaneous(self, state, initial_counts, max_time, stop, record_trace, trace_every, check_every, rng):
-        n = state.n
-        protocol = self.protocol
-        topology = self.topology
-        trace = Trace() if record_trace else None
-        counts = state.counts()
-        if trace is not None:
-            trace.record(0.0, counts, protocol.trace_fields(state))
-        time = 0.0
-        next_trace = trace_every
-        ticks = 0
-        converged = stop(counts)
-        batch = 4096
-        while not converged and time < max_time:
-            # Blocks end on stop-check boundaries (same cadence as the
-            # historical per-tick loop); the clock gaps for the whole
-            # block come from one exponential draw, the protocol work
-            # from one seq_tick_batch call.
-            to_check = check_every - ticks % check_every
-            block = min(batch, to_check)
-            if trace is not None and time < next_trace:
-                # End the block near the next trace boundary (expected
-                # tick count to reach it) so trace_every is honoured
-                # even when check_every is large.
-                expected = int((next_trace - time) * n) + 1
-                block = min(block, max(1, expected))
-            gaps = rng.exponential(1.0 / n, size=block)
-            nodes = rng.integers(0, n, size=block)
-            tick_times = time + np.cumsum(gaps)
-            if tick_times[-1] >= max_time:
-                # A tick happening at or after max_time is not applied.
-                fits = int(np.searchsorted(tick_times, max_time, side="right"))
-                nodes = nodes[:fits]
-                time = max_time
-            else:
-                time = float(tick_times[-1])
-            protocol.seq_tick_batch(state, nodes, topology, rng)
-            ticks += len(nodes)
-            # Trace cadence is independent of the stop-check cadence:
-            # trace_every is honoured (to block granularity) even when
-            # check_every is large.
-            if trace is not None and time >= next_trace:
-                trace.record(time, state.counts(), protocol.trace_fields(state))
-                while next_trace <= time:
-                    next_trace += trace_every
-            if len(nodes) == block and ticks % check_every == 0:
-                counts = state.counts()
-                if stop(counts):
-                    converged = True
-                elif protocol.is_absorbed(state):
-                    break
-            if time >= max_time:
-                break
-        counts = state.counts()
-        converged = converged or stop(counts)
-        if trace is not None:
-            trace.record(time, counts, protocol.trace_fields(state))
-        return build_result(
-            converged=converged,
-            initial_counts=initial_counts,
-            final_counts=counts,
-            rounds=ticks,
-            parallel_time=time,
-            trace=trace,
-            metadata={"engine": "continuous", "protocol": protocol.name, "delay": repr(self.delay_model)},
-        )
+        loop = self._run_blocks if self.delay_model.is_zero() else self._run_delayed
+        return self._run(loop, initial, math.inf, max_time, stop, record_trace, trace_every, check_every, seed)
 
     # ------------------------------------------------------------------
     # extension model: event queue with read/apply events
     # ------------------------------------------------------------------
-    def _run_delayed(self, state, initial_counts, max_time, stop, record_trace, trace_every, check_every, rng):
+    def _run_delayed(self, state, max_ticks, max_time, stop, trace, trace_every, check_every, rng):
+        """Process tick, read and apply events until *stop* holds at a
+        check, the state is absorbed or *max_time* passes."""
         n = state.n
         protocol = self.protocol
         topology = self.topology
-        trace = Trace() if record_trace else None
-        counts = state.counts()
-        if trace is not None:
-            trace.record(0.0, counts, protocol.trace_fields(state))
-
         queue = EventQueue()
         for node in range(n):
             queue.push(rng.exponential(1.0), ("tick", node))
@@ -190,7 +110,7 @@ class ContinuousEngine:
         ticks = 0
         events = 0
         next_trace = trace_every
-        converged = stop(counts)
+        converged = stop(state.counts())
         while queue and not converged:
             event_time, payload = queue.pop()
             if event_time >= max_time:
@@ -227,29 +147,16 @@ class ContinuousEngine:
                     busy[request.node] = False
                     protocol.tick_apply(state, request.node, np.asarray(request.observed, dtype=np.int64))
             events += 1
-            # As on the instantaneous path, the trace cadence is
-            # independent of the stop-check cadence.
+            # As in the block loop, the trace cadence is independent of
+            # the stop-check cadence.
             if trace is not None and time >= next_trace:
                 trace.record(time, state.counts(), protocol.trace_fields(state))
                 while next_trace <= time:
                     next_trace += trace_every
             if events % check_every == 0:
-                counts = state.counts()
-                if stop(counts):
+                if stop(state.counts()):
                     converged = True
                 # Reads made before absorption may still be applied.
                 elif protocol.is_absorbed(state) and not any(r.observed for r in pending.values()):
                     break
-        counts = state.counts()
-        converged = converged or stop(counts)
-        if trace is not None:
-            trace.record(time, counts, protocol.trace_fields(state))
-        return build_result(
-            converged=converged,
-            initial_counts=initial_counts,
-            final_counts=counts,
-            rounds=ticks,
-            parallel_time=time,
-            trace=trace,
-            metadata={"engine": "continuous", "protocol": protocol.name, "delay": repr(self.delay_model)},
-        )
+        return converged, ticks, time

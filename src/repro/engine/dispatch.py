@@ -112,14 +112,15 @@ Counts-crossover note (asynchronous models, on ``K_n``)
     agrees where it is cheap to time: sequential, ``R = 1``, counts 269
     vs agent 19 ms at ``n = 100`` and 3623 vs 294 ms at ``n = 10^3``.
 
-One agent engine per clock
+One agent tick loop, two clocks
     Every agent tick run that does not take the counts route, at every
-    ``n`` and on every topology, runs on
-    :class:`~repro.engine.sequential.SequentialEngine` or
-    :class:`~repro.engine.continuous.ContinuousEngine`.  Both apply
-    fixed blocks (8192 / 4096 ticks) through the protocol's
-    ``seq_tick_batch``: footprint protocols presample the block's
-    targets and apply hazard-free chunks
+    ``n`` and on every topology, runs the one block loop of
+    :mod:`repro.engine.sequential`: :class:`~repro.engine.sequential.
+    SequentialEngine` on the sequential clock (8192-tick blocks) and
+    :class:`~repro.engine.continuous.ContinuousEngine` on the Poisson
+    clock (4096-tick blocks, ``Exp(n)`` gaps).  Each block goes through
+    the protocol's ``seq_tick_batch``: footprint protocols presample the
+    block's targets and apply hazard-free chunks
     (:func:`~repro.core.hazard.apply_hazard_free`, or the compiled
     ``REPRO_KERNEL`` loop); async-plurality has its own block path
     (:func:`~repro.protocols.async_plurality.apply_tick_block`, two
