@@ -58,14 +58,11 @@ scalar rule wins.  :func:`apply_hazard_free` predicts ``L`` from the
 the first call assumes ``w = 1``) and takes the scalar rule iff ``L <
 ``:data:`SCALAR_RUN_BREAK_EVEN`.  Choosing per window instead would
 convert the whole ``O(n)`` state on every switch.  Either choice gives
-the same bits, so the choice trades wall-clock only.
-
-Protocols that declare a :class:`~repro.protocols.base.TickFootprint`
-but no vectorised :meth:`~repro.protocols.base.SequentialProtocol.
-tick_values` rule fall back to a conservative windowed variant — every
-tick counts as a writer — which is exact for the same reasons (the true
-write set is a subset of the assumed one) and still batches whenever
-initiators and reads stay disjoint.
+the same bits, so the choice trades wall-clock only.  The windows need
+the protocol's vectorised :attr:`~repro.protocols.base.
+SequentialProtocol.tick_values` rule to tell actual writes from no-ops,
+so a footprint protocol without one takes the scalar rule on every
+block.
 
 The first-writer table is ``O(n)`` memory but is written sparsely — a
 monotone *clock* distinguishes the current evaluation from stale
@@ -170,7 +167,7 @@ class HazardScratch:
         :data:`SCALAR_RUN_BREAK_EVEN` (compared squared)."""
         return 2 * self.n < SCALAR_RUN_BREAK_EVEN ** 2 * (1 + samples) * self.write_fraction
 
-    def prefix_length(self, reads: np.ndarray, wrote: Optional[np.ndarray] = None) -> int:
+    def prefix_length(self, reads: np.ndarray, wrote: np.ndarray) -> int:
         """Longest hazard-free prefix of a presampled tick block.
 
         Parameters
@@ -180,9 +177,8 @@ class HazardScratch:
             column 0 is the acting (written) node, columns ``1:`` the
             presampled target identities.
         wrote:
-            Optional ``bool[m]``: which ticks actually write (their
-            optimistic value differs from the current colour).  Omitted
-            means every tick counts as a writer (conservative).
+            ``bool[m]``: which ticks actually write (their optimistic
+            value differs from the current colour).
 
         Returns the largest ``p`` such that no tick ``t < p`` reads
         (targets or own node) a node written by a tick ``< t`` of the
@@ -200,11 +196,8 @@ class HazardScratch:
         first = self._first
         # Reversed fancy assignment: for duplicate writers the last
         # store wins, which (reversed) is the *earliest* tick position.
-        if wrote is None:
-            first[reads[::-1, 0]] = ahead[::-1] + base
-        else:
-            writer_positions = ahead[wrote]
-            first[reads[writer_positions[::-1], 0]] = writer_positions[::-1] + base
+        writer_positions = ahead[wrote]
+        first[reads[writer_positions[::-1], 0]] = writer_positions[::-1] + base
         self._clock = base + m
         # Tick t is hazardous iff some node of its read set was stamped
         # by an *earlier* tick of this evaluation: fresh stamp
@@ -243,9 +236,10 @@ def apply_hazard_free(
     runs through one of two exact realisations, chosen once per call
     (see the module docstring): the protocol's scalar ``tick_rule``
     (:func:`apply_scalar`) when the hazard-free run predicted from the
-    previous block is shorter than :data:`SCALAR_RUN_BREAK_EVEN`, numpy
-    hazard windows (:func:`apply_windows`) otherwise or when the
-    protocol has no scalar rule.  When *scratch* is omitted the per-run
+    previous block is shorter than :data:`SCALAR_RUN_BREAK_EVEN` or the
+    protocol has no ``tick_values`` rule, numpy hazard windows
+    (:func:`apply_windows`) otherwise or when the protocol has no scalar
+    rule.  When *scratch* is omitted the per-run
     scratch cached on *state* is reused
     (:meth:`HazardScratch.for_state`); it carries the measured write
     fraction from block to block.  Returns the number of hazard cuts
@@ -269,7 +263,9 @@ def apply_hazard_free(
         return kernel.apply(protocol, state, nodes, targets)
     if scratch is None:
         scratch = HazardScratch.for_state(state)
-    if getattr(protocol, "tick_rule", None) is not None and scratch.prefers_scalar(targets.shape[1]):
+    if protocol.tick_rule is not None and (
+        protocol.tick_values is None or scratch.prefers_scalar(targets.shape[1])
+    ):
         return apply_scalar(protocol, state, nodes, targets, scratch)
     return apply_windows(protocol, state, nodes, targets, scratch)
 
@@ -306,16 +302,14 @@ def apply_windows(
 ) -> int:
     """Apply the block as a sequence of hazard-free numpy windows.
 
-    Protocols exposing a vectorised ``tick_values`` rule run the
-    optimistic actual-write path; others are batched conservatively
-    through ``tick_apply_batch``.  Evaluation is *windowed*: each pass
+    Every tick is evaluated optimistically with the protocol's
+    vectorised ``tick_values`` rule.  Evaluation is *windowed*: each pass
     evaluates an adaptive span that doubles after clean (hazard-free)
     windows and shrinks to twice the cut length after a hazard, so
     total evaluation work stays a small constant multiple of the ticks
     applied even when the caller's block is far longer than the typical
     hazard-free run.  Records the block's write fraction on *scratch*
-    (1.0 on the conservative path, where every tick counts as a
-    writer) and returns the number of hazard cuts.
+    and returns the number of hazard cuts.
     """
     if scratch is None:
         scratch = HazardScratch.for_state(state)
@@ -346,24 +340,17 @@ def apply_windows(
         own = read_colors[:, 0]
         observed = read_colors[:, 1:]
         values = protocol.tick_values(state, own, observed)
-        if values is not None and frozen is not None:
+        if frozen is not None:
             values = np.where(frozen[sub_reads[:, 0]], own, values)
-        if values is None:
-            # No vectorised value rule: conservative hazard test plus
-            # the protocol's own (possibly looping) batch apply.
-            prefix = scratch.prefix_length(sub_reads)
-            protocol.tick_apply_batch(state, nodes[start:start + prefix], observed[:prefix])
-            writes += prefix
+        wrote = values != own
+        if not wrote.any():
+            # Nothing changes: the whole window is clean.
+            prefix = sub_reads.shape[0]
         else:
-            wrote = values != own
-            if not wrote.any():
-                # Nothing changes: the whole window is clean.
-                prefix = sub_reads.shape[0]
-            else:
-                prefix = scratch.prefix_length(sub_reads, wrote)
-                writers = np.flatnonzero(wrote[:prefix])
-                colors[sub_reads[writers, 0]] = values[writers]
-                writes += writers.shape[0]
+            prefix = scratch.prefix_length(sub_reads, wrote)
+            writers = np.flatnonzero(wrote[:prefix])
+            colors[sub_reads[writers, 0]] = values[writers]
+            writes += writers.shape[0]
         if prefix == end - start:
             window *= 2
         else:

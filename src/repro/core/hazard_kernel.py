@@ -35,8 +35,8 @@ Selection order (the capability probe used by
 3. per protocol: a kernel only engages for protocols that declare a
    ``tick_kernel`` rule id matching their
    :class:`~repro.protocols.base.TickFootprint`; everything else stays
-   on the numpy path (which itself falls back from vectorised to
-   conservative batching — see :mod:`repro.core.hazard`).
+   on the Python paths (the scalar list rule or the numpy hazard
+   windows — see :mod:`repro.core.hazard`).
 
 ``python -m repro kernels`` prints the probe results and benchmarks
 the available kernels; ``tests/test_hazard_kernel.py`` pins the

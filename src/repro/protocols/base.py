@@ -80,7 +80,10 @@ class TickFootprint:
     * the tick may *read* the acting node's own colour plus the
       observed target colours, and nothing else (``reads_own`` is
       informational — the hazard check always counts the acting node as
-      read, so a False value never weakens it).
+      read, so a False value never weakens it);
+    * the protocol carries a scalar :attr:`~SequentialProtocol.tick_rule`,
+      a vectorised :attr:`~SequentialProtocol.tick_values` rule, or
+      both: the block path runs every block through one of them.
 
     Protocols whose sampling is state-dependent (phase schedules,
     lossy observation channels, ...) leave the footprint ``None`` and
@@ -237,6 +240,20 @@ class SequentialProtocol(ABC):
     #: apply_scalar`) and :meth:`tick_apply` runs it on one tick.
     tick_rule = None
 
+    #: vectorised value rule, or ``None`` when the protocol has none.  A
+    #: rule is a method ``tick_values(state, own, observed) -> values``:
+    #: *own* is ``int64[B]`` (the acting nodes' current colours),
+    #: *observed* the ``(B, samples)`` matrix of their targets' colours,
+    #: and row ``t`` of the result is the colour tick ``t`` would leave
+    #: its actor with — including "keeps its colour", expressed as
+    #: ``own[t]`` — when :meth:`tick_apply` runs on the same
+    #: observations.  The rule must be **pure**: no state mutation, no
+    #: RNG.  The numpy hazard windows (:func:`repro.core.hazard.
+    #: apply_windows`) evaluate whole blocks with it and detect actual
+    #: writes as ``values != own``; a footprint protocol without one
+    #: runs every block through :attr:`tick_rule`.
+    tick_values = None
+
     def make_state(self, colors: np.ndarray, k: int) -> NodeArrayState:
         """Build the state object this protocol operates on."""
         return NodeArrayState(colors=np.asarray(colors, dtype=np.int64), k=k)
@@ -268,54 +285,6 @@ class SequentialProtocol(ABC):
         targets = self.tick_targets(state, node, topology, rng)
         observed = state.colors[targets] if len(targets) else np.empty(0, dtype=np.int64)
         self.tick_apply(state, node, observed)
-
-    def tick_values(
-        self, state: NodeArrayState, own: np.ndarray, observed: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Vectorised value rule: the post-tick colour of every actor.
-
-        *own* is ``int64[B]`` (the acting nodes' current colours),
-        *observed* the ``(B, samples)`` matrix of their targets'
-        colours; the result row ``t`` must equal the colour tick ``t``
-        would leave its actor with — including "keeps its colour",
-        expressed as ``own[t]`` — when :meth:`tick_apply` runs on the
-        same observations.  The rule must be **pure**: no state
-        mutation, no RNG (randomised updates cannot use this hook).
-        The hazard-batched paths use it to evaluate whole blocks
-        optimistically and to detect actual writes (``values != own``);
-        returning ``None`` (the default) routes them through the
-        conservative :meth:`tick_apply_batch` instead.
-        """
-        return None
-
-    def tick_apply_batch(self, state: NodeArrayState, nodes: np.ndarray, observed: np.ndarray) -> None:
-        """Apply one tick per row of *nodes* / *observed* at once.
-
-        Only called on *hazard-free* blocks (no row reads or writes a
-        node another row actually writes — see
-        :mod:`repro.core.hazard`), so all reads may come from the
-        current state and all writes may be scattered in one pass; the
-        result must be bit-identical to looping :meth:`tick_apply` row
-        by row.  *observed* is the ``(B, samples)`` matrix of the
-        targets' colours at apply time.  The default applies the
-        :meth:`tick_values` rule when the protocol has one and loops
-        over :meth:`tick_apply` otherwise.
-        """
-        own = state.colors[nodes]
-        values = self.tick_values(state, own, observed)
-        if values is None:
-            for i in range(nodes.shape[0]):
-                self.tick_apply(state, int(nodes[i]), observed[i])
-            return
-        # Fault-masked states (repro.protocols.faults) carry a boolean
-        # ``frozen`` mask of nodes that never update; suppressing their
-        # writes here keeps the scatter bit-identical to the tick_apply
-        # loop, which checks the same mask.
-        frozen = getattr(state, "frozen", None)
-        if frozen is not None:
-            values = np.where(frozen[nodes], own, values)
-        changed = values != own
-        state.colors[nodes[changed]] = values[changed]
 
     def seq_tick_batch(self, state: NodeArrayState, nodes: np.ndarray, topology: Topology, rng: np.random.Generator) -> None:
         """Apply one instantaneous tick per entry of *nodes*, in order.

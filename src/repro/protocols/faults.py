@@ -22,9 +22,7 @@ behavioural change is that frozen nodes never write.  That write
 suppression is honoured at every layer that can write a node:
 
 * :meth:`~repro.protocols.base.SequentialProtocol.tick_apply` here
-  (checks the mask before delegating),
-* the default :meth:`~repro.protocols.base.SequentialProtocol.
-  tick_apply_batch` scatter, and
+  (checks the mask before delegating), and
 * the hazard-batched fast path (:func:`repro.core.hazard.
   apply_windows` forces frozen actors' optimistic values back to their
   own colour before the actual-write test, and :func:`repro.core.
@@ -152,8 +150,7 @@ class _FaultWrapper(SequentialProtocol):
     """
 
     # Bare annotation (no value): the instance attribute below delegates
-    # the inner protocol's footprint, and the annotation opts this class
-    # into the REPRO-P001/P002 purity lint on tick_values.
+    # the inner protocol's footprint.
     tick_footprint: Optional[TickFootprint]
 
     def __init__(self, inner: SequentialProtocol, fraction: float, fault_seed: int):
@@ -171,10 +168,13 @@ class _FaultWrapper(SequentialProtocol):
         # writes differently), but tick_kernel stays None — compiled
         # per-tick loops do not consult the frozen mask.
         self.tick_footprint = inner.tick_footprint
-        # The scalar rule passes through too: the hazard path drops
-        # frozen actors' ticks before running it (repro.core.hazard.
-        # apply_scalar), and tick_apply below checks the mask itself.
+        # Both value rules pass through too: the hazard path drops
+        # frozen actors' ticks before running the scalar rule
+        # (repro.core.hazard.apply_scalar) and forces their vectorised
+        # values back to their own colour (apply_windows); tick_apply
+        # below checks the mask itself.
         self.tick_rule = inner.tick_rule
+        self.tick_values = inner.tick_values
 
     def _apply_faults(self, state: FaultMaskedState, colors: np.ndarray) -> None:
         """Install this wrapper's faulty nodes into *state* (subclass hook).
@@ -212,14 +212,6 @@ class _FaultWrapper(SequentialProtocol):
         if frozen is not None and frozen[node]:
             return
         self.inner.tick_apply(state, node, observed_colors)
-
-    def tick_values(self, state: NodeArrayState, own: np.ndarray, observed: np.ndarray) -> Optional[np.ndarray]:
-        """Delegate the pure value rule; frozen actors are forced back
-        to their own colour by the callers that know the acting nodes
-        (:func:`repro.core.hazard.apply_hazard_free` and the default
-        ``tick_apply_batch``), not here — this hook never sees node
-        identities."""
-        return self.inner.tick_values(state, own, observed)
 
     def is_absorbed(self, state: NodeArrayState) -> bool:
         """Delegate absorption (honest consensus under a masked state)."""

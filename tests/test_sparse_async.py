@@ -11,7 +11,8 @@ Four layers of guarantees, mirroring the exactness argument in
    equal the per-tick reference loop node for node — exercised on
    adversarial graphs where collisions are the common case (star hub,
    3-ring) for every footprint protocol, with and without a frozen
-   fault mask, and for the conservative no-``tick_values`` path.
+   fault mask, and for a footprint protocol without ``tick_values``
+   (which takes the scalar rule on every block).
 3. *Law*: ``SequentialEngine`` and ``ContinuousEngine``, whose blocks
    run through the hazard path, draw convergence times from the same
    distribution as the same engines driving one Python ``seq_tick`` per
@@ -62,31 +63,41 @@ def _reads(nodes, targets):
     return np.concatenate([nodes[:, None], targets], axis=1)
 
 
+def _all_write(reads):
+    """The write mask under which every tick counts as a writer."""
+    return np.ones(reads.shape[0], dtype=bool)
+
+
+def _conservative_prefix(scratch, nodes, targets):
+    reads = _reads(nodes, targets)
+    return scratch.prefix_length(reads, _all_write(reads))
+
+
 class TestHazardScratchUnit:
     def test_read_of_earlier_write_cuts(self):
         scratch = HazardScratch(10)
         # tick 2 reads node 0, written by tick 0.
-        assert scratch.prefix_length(_reads([0, 1, 2], [[1], [2], [0]])) == 2
+        assert _conservative_prefix(scratch, [0, 1, 2], [[1], [2], [0]]) == 2
 
     def test_duplicate_initiator_cuts(self):
         scratch = HazardScratch(10)
-        assert scratch.prefix_length(_reads([5, 5], [[1], [2]])) == 1
+        assert _conservative_prefix(scratch, [5, 5], [[1], [2]]) == 1
 
     def test_clean_block_passes_whole(self):
         scratch = HazardScratch(10)
-        assert scratch.prefix_length(_reads([0, 1, 2], [[3], [4], [5]])) == 3
+        assert _conservative_prefix(scratch, [0, 1, 2], [[3], [4], [5]]) == 3
 
     def test_stale_epoch_is_ignored(self):
         scratch = HazardScratch(10)
-        assert scratch.prefix_length(_reads([0], [[1]])) == 1
+        assert _conservative_prefix(scratch, [0], [[1]]) == 1
         # Node 0's stamp is from the previous call: not a hazard now.
-        assert scratch.prefix_length(_reads([1, 2], [[0], [0]])) == 2
+        assert _conservative_prefix(scratch, [1, 2], [[0], [0]]) == 2
 
     def test_write_mask_limits_hazards(self):
         scratch = HazardScratch(10)
         reads = _reads([0, 1, 2], [[2], [3], [0]])
         # Conservatively tick 2's read of node 0 is a hazard ...
-        assert scratch.prefix_length(reads) == 2
+        assert scratch.prefix_length(reads, _all_write(reads)) == 2
         # ... but not when tick 0 did not actually write.
         wrote = np.array([False, True, True])
         assert scratch.prefix_length(reads, wrote) == 3
@@ -99,14 +110,13 @@ class TestHazardScratchUnit:
 
     def test_first_tick_never_hazardous(self):
         scratch = HazardScratch(4)
-        assert scratch.prefix_length(_reads([1], [[1]])) == 1
+        assert _conservative_prefix(scratch, [1], [[1]]) == 1
 
 
 class _ConservativeVoter(VoterSequential):
-    """Footprint but no vectorised value rule: the conservative path."""
+    """Footprint but no vectorised value rule: the scalar rule on every block."""
 
-    def tick_values(self, state, own, observed):
-        return None
+    tick_values = None
 
 
 ADVERSARIAL_TOPOLOGIES = [
@@ -206,26 +216,32 @@ class TestBitExactPinning:
         apply_hazard_free(protocol, state, nodes, targets, kernel=None)
         assert 0.0 < scratch.write_fraction <= 1.0
 
-    def test_star_hub_forces_many_cuts_conservatively(self):
-        # On a star every tick reads or writes the hub.  Without a
-        # value rule every tick counts as a writer, so the numpy
-        # windows degrade towards per-tick chunks without losing
-        # exactness.  Called directly: apply_hazard_free would run
-        # this dense block through the scalar rule, which never cuts.
+    def test_protocol_without_value_rule_takes_scalar_rule(self):
+        # A sparse write history predicts numpy windows, but those need
+        # tick_values; the block must go through the scalar rule.
         protocol = _ConservativeVoter()
-        topology = star(8)
-        rng = np.random.default_rng(0)
-        state = protocol.make_state(rng.integers(0, 2, size=8), 2)
-        nodes = rng.integers(0, 8, size=256)
+        topology = torus(10, 10)
+        rng = np.random.default_rng(5)
+        colors = rng.integers(0, 3, size=topology.n)
+        state = protocol.make_state(colors.copy(), 3)
+        reference = protocol.make_state(colors.copy(), 3)
+        scratch = HazardScratch.for_state(state)
+        scratch.write_fraction = 0.0
+        assert not scratch.prefers_scalar(1)
+        nodes = rng.integers(0, topology.n, size=500)
         targets = topology.sample_neighbors_block(nodes, 1, rng)
-        cuts = apply_windows(protocol, state, nodes, targets)
-        assert cuts > 50
+        assert apply_hazard_free(protocol, state, nodes, targets, kernel=None) == 0
+        assert scratch.write_fraction > 0.0
+        for i in range(len(nodes)):
+            protocol.tick_apply(reference, int(nodes[i]), reference.colors[targets[i]])
+        assert np.array_equal(state.colors, reference.colors)
 
     def test_actual_write_tracking_avoids_cuts(self):
         # The optimistic windows see through no-op ticks: voter on a
         # star agrees with the hub quickly, after which almost nothing
         # actually writes and chunks span nearly the whole block.
-        # Called directly, for the reason above.
+        # Called directly: apply_hazard_free would run this dense block
+        # through the scalar rule, which never cuts.
         protocol = VoterSequential()
         topology = star(8)
         rng = np.random.default_rng(0)
