@@ -4,9 +4,12 @@ The four package suites (``repro bench NAME``) and the three that live
 here because they start servers and worker subprocesses
 (``bench_campaign.py``, ``bench_distributed.py``, ``bench_serve.py``)
 run at ``--quick`` scale, or at full scale under
-``REPRO_BENCH_SCALE=full``, and write ``BENCH_<name>.json`` at the repo
-root.  A target passes when the runner exits 0: every gate held or was
-recorded with a ``::warning::`` where it does not apply.
+``REPRO_BENCH_SCALE=full``.  Only a full-scale run writes
+``BENCH_<name>.json`` at the repo root; a quick run writes it to the
+test's temporary directory, so it never overwrites the committed
+full-scale payloads.  A target passes when the runner exits 0: every
+gate held or was recorded with a ``::warning::`` where it does not
+apply.
 """
 
 from pathlib import Path
@@ -36,9 +39,10 @@ SUITES = {
 
 
 @pytest.mark.parametrize("name", list(SUITES))
-def test_suite(benchmark, bench_scale, name):
-    argv = ["--out", str(ROOT / f"BENCH_{name}.json")]
-    if bench_scale is QUICK:
+def test_suite(benchmark, bench_scale, name, tmp_path):
+    quick = bench_scale is QUICK
+    argv = ["--out", str((tmp_path if quick else ROOT) / f"BENCH_{name}.json")]
+    if quick:
         argv.append("--quick")
     code = benchmark.pedantic(bench_main, args=(SUITES[name], argv), iterations=1, rounds=1)
     assert code == 0, f"{name}: a gate failed (named on stderr)"

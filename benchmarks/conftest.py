@@ -11,8 +11,11 @@ Usage::
     REPRO_BENCH_SCALE=full pytest benchmarks/bench_suites.py --benchmark-only -k engines
 
 Every target prints its report (run pytest with ``-s`` to see it live):
-experiments persist their JSON under ``benchmarks/results/``, suites
-write ``BENCH_<name>.json`` at the repo root.
+experiments persist their JSON under ``benchmarks/results/``, and
+suites write ``BENCH_<name>.json`` at the repo root under
+``REPRO_BENCH_SCALE=full`` (to pytest's temporary directory at the
+default quick scale, so a quick run leaves the committed payloads
+alone).
 """
 
 import os
