@@ -248,10 +248,11 @@ class SequentialProtocol(ABC):
     #: its actor with — including "keeps its colour", expressed as
     #: ``own[t]`` — when :meth:`tick_apply` runs on the same
     #: observations.  The rule must be **pure**: no state mutation, no
-    #: RNG.  The numpy hazard windows (:func:`repro.core.hazard.
-    #: apply_windows`) evaluate whole blocks with it and detect actual
-    #: writes as ``values != own``; a footprint protocol without one
-    #: runs every block through :attr:`tick_rule`.
+    #: RNG (randomised updates cannot have one).  The numpy hazard
+    #: windows (:func:`repro.core.hazard.apply_windows`) evaluate whole
+    #: blocks with it and detect actual writes as ``values != own``; a
+    #: footprint protocol without one runs every block through
+    #: :attr:`tick_rule`.
     tick_values = None
 
     def make_state(self, colors: np.ndarray, k: int) -> NodeArrayState:
