@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..core.colors import ColorConfiguration
-from ..core.exceptions import ConfigurationError
 from ..core.results import RunResult
 from ..core.rng import SeedLike
 from ..graphs.topology import Topology
@@ -85,8 +84,6 @@ class ContinuousEngine(_AgentTickEngine):
         which the stop condition was first observed; ``rounds`` counts
         processed tick events.
         """
-        if record_trace and not trace_every > 0:
-            raise ConfigurationError(f"trace_every must be positive, got {trace_every}")
         loop = self._run_blocks if self.delay_model.is_zero() else self._run_delayed
         return self._run(loop, initial, math.inf, max_time, stop, record_trace, trace_every, check_every, seed)
 

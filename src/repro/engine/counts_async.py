@@ -190,6 +190,8 @@ class _CountsTickEngine:
             raise ConfigurationError(f"{type(self).__name__} requires a ColorConfiguration initial state")
         if n_reps < 1:
             raise ConfigurationError(f"n_reps must be positive, got {n_reps}")
+        if trace_every is not None and not trace_every > 0:
+            raise ConfigurationError(f"the trace cadence must be positive, got trace_every={trace_every}")
         n = initial.n
         if n < 2:
             raise ConfigurationError("counts tick engines need at least 2 nodes")

@@ -67,6 +67,8 @@ class _AgentTickEngine:
         return {"engine": self._engine_name, "protocol": self.protocol.name}
 
     def _run(self, loop, initial, max_ticks, max_time, stop, record_trace, trace_every, check_every, seed) -> RunResult:
+        if record_trace and not trace_every > 0:
+            raise ConfigurationError(f"the trace cadence must be positive, got trace_every={trace_every}")
         rng = as_generator(seed)
         colors, k = materialize_initial(initial, rng)
         n = colors.size

@@ -10,11 +10,17 @@ from repro.core.exceptions import ConfigurationError
 from repro.engine.base import consensus_reached, near_consensus, plurality_fraction_at_least
 from repro.engine.continuous import ContinuousEngine
 from repro.engine.counts import CountsEngine
+from repro.engine.counts_async import CountsContinuousEngine, CountsSequentialEngine
 from repro.engine.delays import ExponentialDelay, FixedDelay
 from repro.engine.sequential import SequentialEngine
 from repro.engine.synchronous import SynchronousEngine
 from repro.graphs.complete import CompleteGraph
-from repro.protocols.two_choices import TwoChoicesCounts, TwoChoicesSequential, TwoChoicesSynchronous
+from repro.protocols.two_choices import (
+    TwoChoicesCounts,
+    TwoChoicesSequential,
+    TwoChoicesSequentialCounts,
+    TwoChoicesSynchronous,
+)
 from repro.protocols.voter import VoterSequential
 
 
@@ -235,3 +241,23 @@ class TestContinuousEngine:
         engine = ContinuousEngine(TwoChoicesSequential(), CompleteGraph(500))
         result = engine.run(ColorConfiguration([400, 100]), seed=5)
         assert result.parallel_time == pytest.approx(result.rounds / 500, rel=0.35)
+
+
+#: (engine factory, name of its trace-cadence option) for every tick engine.
+TICK_ENGINES = [
+    (lambda: SequentialEngine(TwoChoicesSequential(), CompleteGraph(40)), "trace_every_parallel"),
+    (lambda: ContinuousEngine(TwoChoicesSequential(), CompleteGraph(40)), "trace_every"),
+    (lambda: CountsSequentialEngine(TwoChoicesSequentialCounts()), "trace_every_parallel"),
+    (lambda: CountsContinuousEngine(TwoChoicesSequentialCounts()), "trace_every"),
+]
+
+
+@pytest.mark.parametrize("cadence", [0, -1])
+@pytest.mark.parametrize(
+    "make_engine, option", TICK_ENGINES, ids=["sequential", "continuous", "counts-sequential", "counts-continuous"]
+)
+def test_tick_engines_reject_nonpositive_trace_cadence(make_engine, option, cadence):
+    # A cadence of zero or less used to trace every tick (or every
+    # batch) instead of failing.
+    with pytest.raises(ConfigurationError, match="trace cadence"):
+        make_engine().run(ColorConfiguration([30, 10]), seed=1, record_trace=True, **{option: cadence})
