@@ -44,7 +44,7 @@ class SimulationResult:
         identical values whether the ensemble or the looped path ran.
     engine:
         Class name of the engine the dispatcher selected (e.g.
-        ``"EnsembleCountsSequentialEngine"``).
+        ``"CountsSequentialEngine"``).
     elapsed_seconds:
         Wall-clock time of the whole replicated run.
     """

@@ -96,7 +96,7 @@ class SimulationSpec:
     record_trace / trace_every:
         Record a counts trace every *trace_every* native time units
         (rounds for the synchronous model, parallel time otherwise).
-        Only valid with ``reps == 1`` — the ensemble engines do not
+        Only valid with ``reps == 1`` — ``run_ensemble`` does not
         trace.
     """
 

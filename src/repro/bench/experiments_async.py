@@ -18,8 +18,9 @@ from ..analysis.convergence import spread_trace, synchrony_summary
 from ..analysis.polya import PolyaUrn, limit_fraction_variance
 from ..api import SimulationSpec, simulate
 from ..engine.continuous import ContinuousEngine
+from ..engine.counts_async import CountsSequentialEngine
 from ..engine.delays import ExponentialDelay
-from ..engine.ensemble import EnsembleCountsSequentialEngine, run_replicated
+from ..engine.ensemble import run_replicated
 from ..engine.sequential import SequentialEngine
 from ..graphs.complete import CompleteGraph
 from ..protocols.async_plurality import AsyncPluralityProtocol
@@ -294,8 +295,8 @@ def experiment_t10_model_equivalence(scale: ExperimentScale) -> ExperimentReport
         # The counts fast path is hand-wired like the reference engines:
         # at this n * trials (below COUNTS_TICK_CROSSOVER) the
         # dispatcher routes the spec to the agent engine, so the leg
-        # builds the ensemble counts engine itself to keep testing its law.
-        fast_engine = EnsembleCountsSequentialEngine(protocol.as_sequential_counts())
+        # builds the counts engine itself to keep testing its law.
+        fast_engine = CountsSequentialEngine(protocol.as_sequential_counts())
         fast_results = run_replicated(fast_engine, config, trials, seed=scale.seed + 2)
         seq_times = [r.parallel_time for r in seq_results if r.converged]
         cont_times = [r.parallel_time for r in cont_results if r.converged]
@@ -325,7 +326,7 @@ def experiment_t10_model_equivalence(scale: ExperimentScale) -> ExperimentReport
             "ks_test_not_rejected": ks_pvalue >= 0.01,
             # The K_n counts fast path is a drop-in: same law.
             "fast_path_is_counts_engine": all(
-                r.metadata["engine"] == "ensemble-counts-sequential" for r in fast_results
+                r.metadata["engine"] == "counts-sequential" for r in fast_results
             ),
             "fast_path_always_converges": len(fast_times) == trials,
             "fast_path_cis_overlap": fast_overlap,

@@ -472,7 +472,7 @@ def experiment_t11_protocol_comparison(scale: ExperimentScale) -> ExperimentRepo
             # n * trials and agrees with the synchronous landscape.
             "async_fast_path_dispatched": async_results[0].metadata["engine"]
             in (
-                ("counts-sequential", "ensemble-counts-sequential")
+                ("counts-sequential",)
                 if n * async_trials >= COUNTS_TICK_CROSSOVER
                 else ("sequential",)
             ),

@@ -19,7 +19,7 @@ On top of the single-run engine table, the payload carries an
 *ensemble* section: for each ``R`` in ``ensemble_reps`` it times R
 replications the looped way (one ``CountsSequentialEngine.run`` per
 replication — the ``run_trials`` path before the ensemble layer)
-against one ``EnsembleCountsSequentialEngine.run_ensemble`` call, and
+against one ``CountsSequentialEngine.run_ensemble`` call, and
 records the speedup.  The acceptance criterion of the ensemble PR —
 at least 10x over the looped path at ``n = 10^6``, ``R = 100`` — is
 emitted under ``criteria``.
@@ -41,7 +41,6 @@ from ..core.exceptions import ConfigurationError
 from ..core.rng import spawn_seed_sequences
 from ..engine.continuous import ContinuousEngine
 from ..engine.counts_async import CountsContinuousEngine, CountsSequentialEngine
-from ..engine.ensemble import EnsembleCountsSequentialEngine
 from ..engine.sequential import SequentialEngine
 from ..graphs.complete import CompleteGraph
 from ..protocols.base import SequentialProtocol
@@ -114,8 +113,8 @@ def _benchmark_ensemble(
     The looped side is the pre-ensemble ``run_trials`` path: R
     independent ``CountsSequentialEngine.run`` calls on spawned child
     streams.  The ensemble side is a single
-    ``EnsembleCountsSequentialEngine.run_ensemble`` call advancing all
-    R replications per numpy batch.
+    ``CountsSequentialEngine.run_ensemble`` call advancing all R
+    replications per numpy batch.
     """
     rows: List[Dict] = []
     for n in ns:
@@ -124,17 +123,16 @@ def _benchmark_ensemble(
             # side alone would dominate the benchmark's wall time.
             continue
         config = benchmark_split(n)
-        looped_engine = CountsSequentialEngine(TwoChoicesSequentialCounts())
-        ensemble_engine = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
+        engine = CountsSequentialEngine(TwoChoicesSequentialCounts())
         for reps in ensemble_reps:
             start = time.perf_counter()
             looped = [
-                looped_engine.run(config, seed=child)
+                engine.run(config, seed=child)
                 for child in spawn_seed_sequences(seed, reps)
             ]
             looped_seconds = time.perf_counter() - start
             start = time.perf_counter()
-            ensembled = ensemble_engine.run_ensemble(config, n_reps=reps, seed=seed)
+            ensembled = engine.run_ensemble(config, n_reps=reps, seed=seed)
             ensemble_seconds = time.perf_counter() - start
             rows.append(
                 {

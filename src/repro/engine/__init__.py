@@ -12,12 +12,7 @@ from .counts import CountsEngine
 from .counts_async import CountsContinuousEngine, CountsSequentialEngine
 from .delays import DelayModel, ExponentialDelay, FixedDelay, NoDelay
 from .dispatch import fastest_engine
-from .ensemble import (
-    EnsembleCountsContinuousEngine,
-    EnsembleCountsEngine,
-    EnsembleCountsSequentialEngine,
-    run_replicated,
-)
+from .ensemble import run_replicated
 from .events import EventQueue
 from .sequential import SequentialEngine
 from .synchronous import SynchronousEngine
@@ -36,9 +31,6 @@ __all__ = [
     "ExponentialDelay",
     "FixedDelay",
     "NoDelay",
-    "EnsembleCountsContinuousEngine",
-    "EnsembleCountsEngine",
-    "EnsembleCountsSequentialEngine",
     "run_replicated",
     "EventQueue",
     "SequentialEngine",

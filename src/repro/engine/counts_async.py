@@ -28,11 +28,11 @@ advances by ``Gamma(B) / n`` per batch — the sum of ``B`` i.i.d.
 replication.  The loop itself runs ``R`` independent replications as an
 ``(R, m)`` state matrix whose rows are drawn by stacked multinomials
 (numpy draws stacked arguments row by row, so every row is an
-independent exact draw); a single run is the ``R = 1`` case, plus
-tracing.  The four public classes are short declarations of a clock
-and an entry point: ``run`` for :class:`CountsSequentialEngine` /
-:class:`CountsContinuousEngine`, ``run_ensemble`` for their
-:mod:`repro.engine.ensemble` twins.
+independent exact draw).  :class:`CountsSequentialEngine` and
+:class:`CountsContinuousEngine` declare a clock over that loop and
+have two entry points each: ``run`` is the ``R = 1`` case, plus
+tracing, and ``run_ensemble`` the ``R``-replication case (see
+:mod:`repro.engine.ensemble`).
 
 Batch exactness
 ---------------
@@ -84,6 +84,7 @@ from ..core.results import RunResult, Trace
 from ..core.rng import SeedLike, as_generator
 from ..protocols.base import SequentialCountsProtocol
 from .base import StopCondition, build_result, consensus_reached
+from .ensemble import _tag_replications
 
 __all__ = ["CountsSequentialEngine", "CountsContinuousEngine"]
 
@@ -148,10 +149,10 @@ def _draw_batch(
 
 
 class _CountsTickEngine:
-    """The batched tick loop shared by the four counts tick engines.
+    """The batched tick loop shared by both counts tick engines.
 
     Subclasses declare the clock (``_continuous``) and the public entry
-    point; :meth:`_run` advances ``n_reps`` replications as one
+    points; :meth:`_run` advances ``n_reps`` replications as one
     ``(R, m)`` state matrix and retires each replication — records its
     :class:`~repro.core.results.RunResult` and compacts its row away —
     as soon as its stop condition holds at a grid check, it reaches an
@@ -184,7 +185,7 @@ class _CountsTickEngine:
         The initial state must be a :class:`ColorConfiguration` — the
         engine never materialises per-node colours.  ``rounds`` in each
         result is its tick count.  A *trace_every* (parallel time)
-        records a trace; only the single-run entry points pass one.
+        records a trace; only ``run`` passes one.
         """
         if not isinstance(initial, ColorConfiguration):
             raise ConfigurationError(f"{type(self).__name__} requires a ColorConfiguration initial state")
@@ -324,6 +325,19 @@ class CountsSequentialEngine(_CountsTickEngine):
         [result] = self._run(initial, 1, max_ticks, None, stop, check_every, seed, trace_every)
         return result
 
+    def run_ensemble(
+        self,
+        initial: ColorConfiguration,
+        n_reps: int,
+        max_ticks: Optional[int] = None,
+        stop: StopCondition = consensus_reached,
+        check_every: Optional[int] = None,
+        seed: SeedLike = None,
+    ) -> List[RunResult]:
+        """Run *n_reps* replications until each stops or exhausts
+        *max_ticks* (parameters mirror :meth:`run`, minus tracing)."""
+        return _tag_replications(self._run(initial, n_reps, max_ticks, None, stop, check_every, seed))
+
 
 class CountsContinuousEngine(_CountsTickEngine):
     """Batched counts-level driver for the Poisson-clock model on ``K_n``.
@@ -355,3 +369,16 @@ class CountsContinuousEngine(_CountsTickEngine):
         trace_every = trace_every if record_trace else None
         [result] = self._run(initial, 1, None, max_time, stop, check_every, seed, trace_every)
         return result
+
+    def run_ensemble(
+        self,
+        initial: ColorConfiguration,
+        n_reps: int,
+        max_time: Optional[float] = None,
+        stop: StopCondition = consensus_reached,
+        check_every: Optional[int] = None,
+        seed: SeedLike = None,
+    ) -> List[RunResult]:
+        """Run *n_reps* replications until each stops or its own clock
+        reaches *max_time* (parameters mirror :meth:`run`, minus tracing)."""
+        return _tag_replications(self._run(initial, n_reps, None, max_time, stop, check_every, seed))

@@ -4,8 +4,8 @@ fastest engine that draws from its law.
 Exactness class per route.  The synchronous engines (agent and counts)
 and the agent tick engines are *exact*: every run follows the
 protocol's law.  The counts tick routes taken from the crossover up
-(``CountsSequentialEngine``, ``CountsContinuousEngine`` and their
-ensemble twins) are *batched(B/n)*: they freeze the tick rates over
+(``CountsSequentialEngine`` and ``CountsContinuousEngine``, through
+either entry point) are *batched(B/n)*: they freeze the tick rates over
 batches of ``B = max(1, round(n / 256))`` ticks, an ``O(B / n)`` error
 (:mod:`repro.engine.counts_async`), exact only where ``B = 1``
 (``n < 384``).
@@ -20,9 +20,7 @@ automatically instead of hard-coding engine classes:
 model               on ``K_n``                 elsewhere / with delays
 ==================  =========================  ===============================
 ``"synchronous"``   CountsEngine (counts       SynchronousEngine
-                    protocols, all five
-                    with an ensemble
-                    twin) else
+                    protocols) else
                     SynchronousEngine
 ``"sequential"``    CountsSequentialEngine     SequentialEngine
                     when the protocol has a
@@ -45,12 +43,11 @@ Counts-crossover note (asynchronous models, on ``K_n``)
     A counts tick engine advances ``B = round(n / 256)`` ticks (at least
     one) per multinomial batch, so a run costs about ``256 * T``
     batches for ``T`` units of parallel time once ``n >= 384``, and one
-    batch per tick below; the ensembles stack ``R`` replications into
-    each batch.  The per-tick agent engines cost ``~ n * R * T``.  The
+    batch per tick below; ``run_ensemble`` stacks ``R`` replications
+    into each batch.  The per-tick agent engines cost ``~ n * R * T``.  The
     counts route therefore wins only from a fixed amount of work in
     ``n * n_reps``: :data:`COUNTS_TICK_CROSSOVER` (``10^5``) and up take
-    the counts companion (its ensemble twin for ``n_reps > 1``), below
-    it :class:`~repro.engine.sequential.SequentialEngine` /
+    the counts companion, below it :class:`~repro.engine.sequential.SequentialEngine` /
     :class:`~repro.engine.continuous.ContinuousEngine` run and
     :func:`~repro.engine.ensemble.run_replicated` loops them on
     spawn-child seeds.  Below the crossover the reroute is also the
@@ -139,13 +136,14 @@ One agent tick loop, two clocks
     on ``REPRO_KERNEL``; fixed blocks make free-running runs
     bit-identical under every kernel.
 
-When *n_reps* asks for more than one replication, the counts-level
-rows of the table are additionally lifted to their ensemble twins
-(:mod:`repro.engine.ensemble`), which advance all replications per
-numpy batch and expose ``run_ensemble`` instead of ``run``.  Every
-counts protocol, round or tick, has one ``(R, m)`` hook, so every
-counts row has its twin; the agent rows return single-run engines and
-the caller loops (see :func:`repro.engine.ensemble.run_replicated`).
+Three counts engines, two entry points: every counts engine has
+``run`` (one replication, traceable) and ``run_ensemble``, which
+advances all *n_reps* replications per numpy batch
+(:mod:`repro.engine.ensemble`).  Every counts protocol, round or tick,
+has one ``(R, m)`` hook, so *n_reps* never changes the class a counts
+row returns; it only feeds the crossover.  The agent rows have ``run``
+alone and the caller loops (see
+:func:`repro.engine.ensemble.run_replicated`).
 
 Every returned engine draws from the *same law* as the engine it
 replaces, up to the counts batches' ``O(B / n)`` error (see the
@@ -173,11 +171,6 @@ from .continuous import ContinuousEngine
 from .counts import CountsEngine
 from .counts_async import CountsContinuousEngine, CountsSequentialEngine
 from .delays import DelayModel
-from .ensemble import (
-    EnsembleCountsContinuousEngine,
-    EnsembleCountsEngine,
-    EnsembleCountsSequentialEngine,
-)
 from .sequential import SequentialEngine
 from .synchronous import SynchronousEngine
 
@@ -219,12 +212,10 @@ def fastest_engine(
         How many independent replications the caller wants.  It also
         sets the work the counts crossover weighs: tick protocols take
         their counts companion on ``K_n`` only from ``topology.n *
-        n_reps >= COUNTS_TICK_CROSSOVER``.  With
-        ``n_reps > 1`` the counts-level routes return the
-        ensemble-vectorised engines (``run_ensemble`` instead of
-        ``run``); the agent routes return single-run engines and the
-        caller loops — use
-        :func:`repro.engine.ensemble.run_replicated` to not care which.
+        n_reps >= COUNTS_TICK_CROSSOVER``.  The counts engines also
+        offer ``run_ensemble``; the agent engines do not and the caller
+        loops — use :func:`repro.engine.ensemble.run_replicated` to not
+        care which.
 
     Returns
     -------
@@ -238,7 +229,6 @@ def fastest_engine(
         raise ConfigurationError(f"n_reps must be positive, got {n_reps}")
     if model != "sequential":
         require_static_topology(topology, model)
-    ensemble = n_reps > 1
     on_complete = topology.is_complete()
 
     if model == "synchronous":
@@ -247,7 +237,7 @@ def fastest_engine(
         if isinstance(protocol, CountsProtocol):
             if not on_complete:
                 raise ConfigurationError(f"{protocol.name} is counts-level and needs K_n")
-            return EnsembleCountsEngine(protocol) if ensemble else CountsEngine(protocol)
+            return CountsEngine(protocol)
         if isinstance(protocol, SynchronousProtocol):
             return SynchronousEngine(protocol, topology)
         raise ConfigurationError(f"{protocol.name} does not implement the synchronous model")
@@ -260,12 +250,7 @@ def fastest_engine(
     zero_delay = delay_model is None or delay_model.is_zero()
     if model == "sequential" and not zero_delay:
         raise ConfigurationError("response delays require the continuous model")
-    if ensemble:
-        counts_engine = (
-            EnsembleCountsSequentialEngine if model == "sequential" else EnsembleCountsContinuousEngine
-        )
-    else:
-        counts_engine = CountsSequentialEngine if model == "sequential" else CountsContinuousEngine
+    counts_engine = CountsSequentialEngine if model == "sequential" else CountsContinuousEngine
 
     if isinstance(protocol, SequentialCountsProtocol):
         if not on_complete:

@@ -89,8 +89,8 @@ def convergence_time_sweep(
     naming the initial condition) or a protocol *object* (the original
     PR-2 path, kept as a value-for-value shim: routed through
     :func:`repro.engine.dispatch.fastest_engine` with ``n_reps=reps``
-    so eligible (protocol, ``K_n``) pairs take the ensemble-vectorised
-    engines, with *make_config* mapping ``n`` to the configuration).
+    so eligible (protocol, ``K_n``) pairs take a counts engine's
+    ``run_ensemble``, with *make_config* mapping ``n`` to the configuration).
     Both paths draw every replication from the same law; the spec path
     derives per-grid-point integer seeds (so its specs stay
     serializable) while the object path spawns ``SeedSequence``

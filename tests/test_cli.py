@@ -74,7 +74,7 @@ class TestMain:
         n = str(-(-COUNTS_TICK_CROSSOVER // 3))
         assert main(["simulate", "two-choices", "--n", n, "--reps", "3", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert "engine: EnsembleCountsSequentialEngine " in out
+        assert "engine: CountsSequentialEngine " in out
         assert "converged" in out and "3/3" in out
 
     def test_simulate_quick_shrinks_n(self, capsys):

@@ -14,13 +14,13 @@ import pytest
 
 from repro.api import SimulationSpec, simulate
 from repro.core.colors import ColorConfiguration
-from repro.engine import EnsembleCountsContinuousEngine
+from repro.engine import CountsContinuousEngine
 from repro.protocols import TwoChoicesSequentialCounts
 
 #: (case id, routed engine, spec fields).
 ROUTES = [
     ("CountsContinuousEngine", "CountsContinuousEngine", dict(n=200_000)),
-    ("EnsembleCountsContinuousEngine", "EnsembleCountsContinuousEngine", dict(n=50_000, reps=4)),
+    ("CountsContinuousEngine-reps4", "CountsContinuousEngine", dict(n=50_000, reps=4)),
     ("ContinuousEngine", "ContinuousEngine", dict(n=2_000, reps=3)),
     (
         "ContinuousEngine-torus",
@@ -61,7 +61,7 @@ def test_counts_cut_keeps_the_poisson_tick_count():
     replications sits within 4 standard errors of ``n T`` (an overrun
     of half a batch per run, ~39 ticks here, would sit outside)."""
     n, max_time, reps = 20_000, 0.5, 200
-    runs = EnsembleCountsContinuousEngine(TwoChoicesSequentialCounts()).run_ensemble(
+    runs = CountsContinuousEngine(TwoChoicesSequentialCounts()).run_ensemble(
         ColorConfiguration([12_000, 8_000]),
         reps,
         max_time=max_time,

@@ -15,11 +15,6 @@ from repro.engine.counts import CountsEngine
 from repro.engine.counts_async import CountsContinuousEngine, CountsSequentialEngine
 from repro.engine.delays import ExponentialDelay, FixedDelay
 from repro.engine.dispatch import COUNTS_TICK_CROSSOVER, fastest_engine
-from repro.engine.ensemble import (
-    EnsembleCountsContinuousEngine,
-    EnsembleCountsEngine,
-    EnsembleCountsSequentialEngine,
-)
 from repro.engine.sequential import SequentialEngine
 from repro.engine.synchronous import SynchronousEngine
 from repro.graphs.complete import CompleteGraph
@@ -75,13 +70,13 @@ def _stubborn_lossy():
 ROUTING_TABLE = [
     # --- synchronous model ------------------------------------------------
     ("counts/sync/K_n/1", TwoChoicesCounts, "synchronous", K_N, None, 1, CountsEngine),
-    ("counts/sync/K_n/R", TwoChoicesCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
-    ("counts-voter/sync/K_n/R", VoterCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
-    ("counts-3maj/sync/K_n/R", ThreeMajorityCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
-    ("counts-usd/sync/K_n/R", UndecidedStateCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
+    ("counts/sync/K_n/R", TwoChoicesCounts, "synchronous", K_N, None, 8, CountsEngine),
+    ("counts-voter/sync/K_n/R", VoterCounts, "synchronous", K_N, None, 8, CountsEngine),
+    ("counts-3maj/sync/K_n/R", ThreeMajorityCounts, "synchronous", K_N, None, 8, CountsEngine),
+    ("counts-usd/sync/K_n/R", UndecidedStateCounts, "synchronous", K_N, None, 8, CountsEngine),
     # OneExtraBit's (R, 2k+1) round hook stacks replications like the others.
     ("counts-oeb/sync/K_n/1", OneExtraBitCounts, "synchronous", K_N, None, 1, CountsEngine),
-    ("counts-oeb/sync/K_n/R", OneExtraBitCounts, "synchronous", K_N, None, 8, EnsembleCountsEngine),
+    ("counts-oeb/sync/K_n/R", OneExtraBitCounts, "synchronous", K_N, None, 8, CountsEngine),
     # Agent-level synchronous protocols run the reference engine anywhere.
     ("agent/sync/K_n/1", TwoChoicesSynchronous, "synchronous", K_N, None, 1, SynchronousEngine),
     ("agent/sync/ring/1", TwoChoicesSynchronous, "synchronous", RING, None, 1, SynchronousEngine),
@@ -96,24 +91,24 @@ ROUTING_TABLE = [
     ("seq/sub-K_n/1", TwoChoicesSequential, "sequential", SUB_K_N, None, 1, SequentialEngine),
     ("seq/sub-K_n/R", TwoChoicesSequential, "sequential", SUB_K_N_R, None, R, SequentialEngine),
     ("seq/big-K_n/1", TwoChoicesSequential, "sequential", BIG_K_N, None, 1, CountsSequentialEngine),
-    ("seq/big-K_n/R", TwoChoicesSequential, "sequential", BIG_K_N_R, None, R, EnsembleCountsSequentialEngine),
+    ("seq/big-K_n/R", TwoChoicesSequential, "sequential", BIG_K_N_R, None, R, CountsSequentialEngine),
     # n alone does not decide: a graph below the crossover for one run
     # crosses it with enough replications.
     ("seq/big-K_n-R/1", TwoChoicesSequential, "sequential", BIG_K_N_R, None, 1, SequentialEngine),
     ("seq-voter/K_n/1", VoterSequential, "sequential", K_N, None, 1, SequentialEngine),
     ("seq-voter/K_n/R", VoterSequential, "sequential", K_N, None, R, SequentialEngine),
     ("seq-voter/big-K_n/1", VoterSequential, "sequential", BIG_K_N, None, 1, CountsSequentialEngine),
-    ("seq-voter/big-K_n/R", VoterSequential, "sequential", BIG_K_N_R, None, R, EnsembleCountsSequentialEngine),
+    ("seq-voter/big-K_n/R", VoterSequential, "sequential", BIG_K_N_R, None, R, CountsSequentialEngine),
     ("seq-3maj/K_n/R", ThreeMajoritySequential, "sequential", K_N, None, R, SequentialEngine),
     ("seq-3maj/sub-K_n/R", ThreeMajoritySequential, "sequential", SUB_K_N_R, None, R, SequentialEngine),
-    ("seq-3maj/big-K_n/R", ThreeMajoritySequential, "sequential", BIG_K_N_R, None, R, EnsembleCountsSequentialEngine),
+    ("seq-3maj/big-K_n/R", ThreeMajoritySequential, "sequential", BIG_K_N_R, None, R, CountsSequentialEngine),
     ("seq-usd/K_n/R", UndecidedStateSequential, "sequential", K_N, None, R, SequentialEngine),
     ("seq-usd/sub-K_n/1", UndecidedStateSequential, "sequential", SUB_K_N, None, 1, SequentialEngine),
     ("seq-usd/big-K_n/1", UndecidedStateSequential, "sequential", BIG_K_N, None, 1, CountsSequentialEngine),
-    ("seq-usd/big-K_n/R", UndecidedStateSequential, "sequential", BIG_K_N_R, None, R, EnsembleCountsSequentialEngine),
+    ("seq-usd/big-K_n/R", UndecidedStateSequential, "sequential", BIG_K_N_R, None, R, CountsSequentialEngine),
     # ... while counts tick protocols route there directly at any size.
     ("seq-counts/K_n/1", TwoChoicesSequentialCounts, "sequential", K_N, None, 1, CountsSequentialEngine),
-    ("seq-counts/K_n/R", TwoChoicesSequentialCounts, "sequential", K_N, None, R, EnsembleCountsSequentialEngine),
+    ("seq-counts/K_n/R", TwoChoicesSequentialCounts, "sequential", K_N, None, R, CountsSequentialEngine),
     # Off K_n every tick protocol runs on SequentialEngine at every n;
     # footprint protocols take its hazard-batched blocks, the others
     # its per-tick loop.  run_replicated loops it for reps.
@@ -168,8 +163,8 @@ ROUTING_TABLE = [
     ("cont/sub-K_n/1", TwoChoicesSequential, "continuous", SUB_K_N, None, 1, ContinuousEngine),
     ("cont/sub-K_n/R", TwoChoicesSequential, "continuous", SUB_K_N_R, None, R, ContinuousEngine),
     ("cont/big-K_n/1", TwoChoicesSequential, "continuous", BIG_K_N, None, 1, CountsContinuousEngine),
-    ("cont/big-K_n/R", TwoChoicesSequential, "continuous", BIG_K_N_R, None, R, EnsembleCountsContinuousEngine),
-    ("cont-3maj/big-K_n/R", ThreeMajoritySequential, "continuous", BIG_K_N_R, None, R, EnsembleCountsContinuousEngine),
+    ("cont/big-K_n/R", TwoChoicesSequential, "continuous", BIG_K_N_R, None, R, CountsContinuousEngine),
+    ("cont-3maj/big-K_n/R", ThreeMajoritySequential, "continuous", BIG_K_N_R, None, R, CountsContinuousEngine),
     ("cont-usd/sub-K_n/R", UndecidedStateSequential, "continuous", SUB_K_N_R, None, R, ContinuousEngine),
     ("cont-counts/K_n/1", TwoChoicesSequentialCounts, "continuous", K_N, None, 1, CountsContinuousEngine),
     ("cont/ring/1", TwoChoicesSequential, "continuous", RING, None, 1, ContinuousEngine),

@@ -1,12 +1,12 @@
-"""The ensemble-vectorised counts engines.
+"""The ensemble entry point of the counts engines.
 
 Evidence layers for the ensemble exactness contract (see
 ``repro/engine/ensemble.py``):
 
-1. *Value-for-value at R = 1*: a one-replication ensemble reproduces
-   the single-run counts engines exactly from a shared seed — same
-   rounds/ticks, same final counts, same parallel time — for every
-   counts protocol and all three engine pairs.
+1. *Value-for-value at R = 1*: on each of the three counts engines, a
+   one-replication ``run_ensemble`` reproduces ``run`` exactly from a
+   shared seed — every field of the result, apart from the
+   ``n_reps``/``replication`` tags — for every counts protocol.
 2. *Marginal law at R = 64*: KS agreement between ensemble samples and
    looped single-engine samples of the convergence-time distribution.
 3. *Masking/compaction edge cases*: shrinking active sets, everyone
@@ -32,9 +32,6 @@ from repro.engine import (
     CountsContinuousEngine,
     CountsEngine,
     CountsSequentialEngine,
-    EnsembleCountsContinuousEngine,
-    EnsembleCountsEngine,
-    EnsembleCountsSequentialEngine,
     SequentialEngine,
     SynchronousEngine,
     fastest_engine,
@@ -75,55 +72,43 @@ TICK_PROTOCOLS = [
 CONFIG = ColorConfiguration([70, 40, 20])
 
 
-def _same_result(a, b):
-    return (
-        a.converged == b.converged
-        and a.rounds == b.rounds
-        and a.parallel_time == b.parallel_time
-        and a.final.counts == b.final.counts
-        and a.winner == b.winner
-    )
+def _assert_same_values(single, ensembled):
+    """*ensembled* equals *single* in every field but the ensemble tags."""
+    tagged = ensembled.to_dict()
+    assert tagged["metadata"].pop("n_reps") == 1
+    assert tagged["metadata"].pop("replication") == 0
+    assert tagged == single.to_dict()
 
 
 class TestExactnessAtR1:
-    """Layer 1: R = 1 replays the single-run engines value-for-value."""
+    """Layer 1: on each counts engine, ``run_ensemble`` at R = 1 replays
+    ``run`` value-for-value."""
 
     @pytest.mark.parametrize("protocol", SYNC_PROTOCOLS, ids=lambda p: p.name)
     def test_sync_rounds(self, protocol):
+        engine = CountsEngine(protocol)
         for seed in (0, 11, 202):
-            single = CountsEngine(protocol).run(CONFIG, seed=seed, max_rounds=5000)
-            [ensembled] = EnsembleCountsEngine(protocol).run_ensemble(
-                CONFIG, 1, max_rounds=5000, seed=seed
-            )
-            assert _same_result(single, ensembled), (protocol.name, seed)
+            single = engine.run(CONFIG, seed=seed, max_rounds=5000)
+            [ensembled] = engine.run_ensemble(CONFIG, 1, max_rounds=5000, seed=seed)
+            _assert_same_values(single, ensembled)
 
     @pytest.mark.parametrize("protocol", TICK_PROTOCOLS, ids=lambda p: p.name)
     def test_sequential_ticks(self, protocol):
+        engine = CountsSequentialEngine(protocol)
         for seed in (0, 11, 202):
-            single = CountsSequentialEngine(protocol).run(CONFIG, seed=seed)
-            [ensembled] = EnsembleCountsSequentialEngine(protocol).run_ensemble(
-                CONFIG, 1, seed=seed
-            )
-            assert _same_result(single, ensembled), (protocol.name, seed)
+            _assert_same_values(engine.run(CONFIG, seed=seed), *engine.run_ensemble(CONFIG, 1, seed=seed))
 
     @pytest.mark.parametrize("protocol", TICK_PROTOCOLS, ids=lambda p: p.name)
     def test_continuous_ticks(self, protocol):
+        engine = CountsContinuousEngine(protocol)
         for seed in (0, 11, 202):
-            single = CountsContinuousEngine(protocol).run(CONFIG, seed=seed)
-            [ensembled] = EnsembleCountsContinuousEngine(protocol).run_ensemble(
-                CONFIG, 1, seed=seed
-            )
-            assert _same_result(single, ensembled), (protocol.name, seed)
+            _assert_same_values(engine.run(CONFIG, seed=seed), *engine.run_ensemble(CONFIG, 1, seed=seed))
 
     def test_r1_with_nondefault_batch_and_check_every(self):
-        protocol = TwoChoicesSequentialCounts()
-        single = CountsSequentialEngine(protocol, batch_ticks=17).run(
-            CONFIG, seed=5, check_every=50
-        )
-        [ensembled] = EnsembleCountsSequentialEngine(protocol, batch_ticks=17).run_ensemble(
-            CONFIG, 1, seed=5, check_every=50
-        )
-        assert _same_result(single, ensembled)
+        engine = CountsSequentialEngine(TwoChoicesSequentialCounts(), batch_ticks=17)
+        single = engine.run(CONFIG, seed=5, check_every=50)
+        [ensembled] = engine.run_ensemble(CONFIG, 1, seed=5, check_every=50)
+        _assert_same_values(single, ensembled)
 
 
 class TestMarginalLawAtR64:
@@ -144,7 +129,7 @@ class TestMarginalLawAtR64:
         config = ColorConfiguration([100, 20] if voter else [int(0.6 * n), n - int(0.6 * n)])
         single = CountsSequentialEngine(protocol)
         looped = [single.run(config, seed=1000 + s) for s in range(self.REPS)]
-        ensembled = EnsembleCountsSequentialEngine(protocol).run_ensemble(
+        ensembled = CountsSequentialEngine(protocol).run_ensemble(
             config, self.REPS, seed=77
         )
         if not voter:
@@ -160,7 +145,7 @@ class TestMarginalLawAtR64:
         config = ColorConfiguration([240, 160])
         single = CountsContinuousEngine(protocol)
         looped = [single.run(config, seed=1000 + s) for s in range(self.REPS)]
-        ensembled = EnsembleCountsContinuousEngine(protocol).run_ensemble(
+        ensembled = CountsContinuousEngine(protocol).run_ensemble(
             config, self.REPS, seed=77
         )
         statistic, pvalue = ks_two_sample(
@@ -176,7 +161,7 @@ class TestMarginalLawAtR64:
         config = ColorConfiguration([240, 160])
         single = CountsEngine(protocol)
         looped = [single.run(config, seed=1000 + s) for s in range(self.REPS)]
-        ensembled = EnsembleCountsEngine(protocol).run_ensemble(config, self.REPS, seed=77)
+        ensembled = CountsEngine(protocol).run_ensemble(config, self.REPS, seed=77)
         statistic, pvalue = ks_two_sample(
             [r.rounds for r in looped], [r.rounds for r in ensembled]
         )
@@ -187,14 +172,14 @@ class TestMaskingAndCompaction:
     """Layer 3: shrinking active sets and budget edge cases."""
 
     def test_results_are_in_replication_order(self):
-        results = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
+        results = CountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
             ColorConfiguration([700, 300]), 16, seed=3
         )
         assert [r.metadata["replication"] for r in results] == list(range(16))
         assert all(r.metadata["n_reps"] == 16 for r in results)
 
     def test_population_conserved_across_all_reps(self):
-        results = EnsembleCountsSequentialEngine(UndecidedStateSequentialCounts()).run_ensemble(
+        results = CountsSequentialEngine(UndecidedStateSequentialCounts()).run_ensemble(
             ColorConfiguration([60, 40, 30]), 12, seed=9
         )
         assert all(sum(r.final.counts) == 130 for r in results)
@@ -202,8 +187,8 @@ class TestMaskingAndCompaction:
     def test_all_converged_at_once_from_consensus_start(self):
         consensus = ColorConfiguration([500, 0])
         for engine in (
-            EnsembleCountsEngine(TwoChoicesCounts()),
-            EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts()),
+            CountsEngine(TwoChoicesCounts()),
+            CountsSequentialEngine(TwoChoicesSequentialCounts()),
         ):
             results = engine.run_ensemble(consensus, 8, seed=1)
             assert all(r.converged and r.rounds == 0 and r.parallel_time == 0.0 for r in results)
@@ -212,26 +197,26 @@ class TestMaskingAndCompaction:
         # A tiny tick budget: no replication can converge, every result
         # must report the full budget and converged=False.
         n = 500
-        results = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
+        results = CountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
             ColorConfiguration([300, 200]), 6, max_ticks=2 * n, seed=4
         )
         assert all(not r.converged and r.rounds == 2 * n for r in results)
         # A generous budget converges some seeds earlier than others —
         # the active set genuinely shrinks (distinct retirement ticks).
-        results = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
+        results = CountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
             ColorConfiguration([300, 200]), 24, seed=4
         )
         assert all(r.converged for r in results)
         assert len({r.rounds for r in results}) > 1
 
     def test_max_rounds_hit_mid_ensemble_sync(self):
-        results = EnsembleCountsEngine(VoterCounts()).run_ensemble(
+        results = CountsEngine(VoterCounts()).run_ensemble(
             ColorConfiguration([60, 40]), 8, max_rounds=3, seed=2
         )
         assert all(not r.converged and r.rounds == 3 for r in results)
 
     def test_max_time_budget_continuous(self):
-        results = EnsembleCountsContinuousEngine(TwoChoicesSequentialCounts()).run_ensemble(
+        results = CountsContinuousEngine(TwoChoicesSequentialCounts()).run_ensemble(
             ColorConfiguration([300, 200]), 8, max_time=0.5, seed=6
         )
         assert all(not r.converged for r in results)
@@ -244,15 +229,15 @@ class TestMaskingAndCompaction:
         assert bool(protocol.is_absorbed_ensemble(states)[0])
 
     def test_invalid_arguments(self):
-        engine = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
+        engine = CountsSequentialEngine(TwoChoicesSequentialCounts())
         with pytest.raises(ConfigurationError):
             engine.run_ensemble(CONFIG, 0)
         with pytest.raises(ConfigurationError):
             engine.run_ensemble(np.array([5, 5]), 2)
         with pytest.raises(ConfigurationError):
-            EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts(), batch_ticks=0)
+            CountsSequentialEngine(TwoChoicesSequentialCounts(), batch_ticks=0)
         with pytest.raises(ConfigurationError):
-            EnsembleCountsEngine(TwoChoicesSequential())
+            CountsEngine(TwoChoicesSequential())
 
 
 class TestGridInvariants:
@@ -260,7 +245,7 @@ class TestGridInvariants:
 
     def test_sequential_times_on_ticks_over_n_grid(self):
         n = 600
-        results = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
+        results = CountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
             ColorConfiguration([360, 240]), 16, seed=8
         )
         for r in results:
@@ -268,13 +253,13 @@ class TestGridInvariants:
 
     def test_converged_reps_stop_on_check_grid(self):
         n = 600
-        results = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
+        results = CountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
             ColorConfiguration([360, 240]), 16, seed=8
         )
         assert all(r.converged and r.rounds % n == 0 for r in results)
 
     def test_custom_check_every_grid(self):
-        results = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
+        results = CountsSequentialEngine(TwoChoicesSequentialCounts()).run_ensemble(
             ColorConfiguration([360, 240]), 8, seed=8, check_every=97
         )
         assert all(r.converged and r.rounds % 97 == 0 for r in results)
@@ -282,8 +267,9 @@ class TestGridInvariants:
 
 class TestDispatchAndRouting:
     def test_n_reps_routes_to_ensemble_engines(self):
-        # Tick protocols lift to the ensembles from the counts crossover
-        # in n * n_reps; below it they stay on the looped agent engines.
+        # Tick protocols take the counts engines from the counts
+        # crossover in n * n_reps; below it they stay on the looped
+        # agent engines.
         graph = CompleteGraph(-(-COUNTS_TICK_CROSSOVER // 10))
         small = CompleteGraph(100)
         assert isinstance(
@@ -296,20 +282,20 @@ class TestDispatchAndRouting:
         )
         assert isinstance(
             fastest_engine(TwoChoicesSequential(), graph, model="sequential", n_reps=10),
-            EnsembleCountsSequentialEngine,
+            CountsSequentialEngine,
         )
         assert isinstance(
             fastest_engine(TwoChoicesSequential(), graph, model="continuous", n_reps=10),
-            EnsembleCountsContinuousEngine,
+            CountsContinuousEngine,
         )
         for protocol in SYNC_PROTOCOLS:
             assert isinstance(
                 fastest_engine(protocol, small, model="synchronous", n_reps=10),
-                EnsembleCountsEngine,
+                CountsEngine,
             )
         assert isinstance(
             fastest_engine(TwoChoicesSequentialCounts(), small, model="sequential", n_reps=10),
-            EnsembleCountsSequentialEngine,
+            CountsSequentialEngine,
         )
 
     def test_n_reps_one_keeps_single_run_engines(self):
@@ -342,10 +328,11 @@ class TestDispatchAndRouting:
 
     def test_run_replicated_uses_ensemble_when_available(self):
         config = ColorConfiguration([700, 300])
-        engine = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
+        engine = CountsSequentialEngine(TwoChoicesSequentialCounts())
         results = run_replicated(engine, config, 5, seed=1)
         assert len(results) == 5
-        assert all(r.metadata["engine"] == "ensemble-counts-sequential" for r in results)
+        assert all(r.metadata["engine"] == "counts-sequential" for r in results)
+        assert all(r.metadata["n_reps"] == 5 for r in results)
 
     def test_run_replicated_loops_plain_engines(self):
         config = ColorConfiguration([20, 12])
@@ -356,10 +343,11 @@ class TestDispatchAndRouting:
         again = run_replicated(engine, config, 3, seed=1)
         assert [r.rounds for r in results] == [r.rounds for r in again]
 
+
     def test_run_engine_trials_matches_run_replicated(self):
         config = ColorConfiguration([700, 300])
         looped = fastest_engine(TwoChoicesSequential(), CompleteGraph(1000), n_reps=4)
-        ensemble = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
+        ensemble = CountsSequentialEngine(TwoChoicesSequentialCounts())
         for engine in (looped, ensemble):
             a = run_engine_trials(engine, config, 4, 9)
             b = run_replicated(engine, config, 4, seed=9)
@@ -411,10 +399,9 @@ class TestSeedingContract:
         # Same master seed, different (independent) streams: the two
         # routing paths must not replay each other's draws.
         config = ColorConfiguration([120, 80])
-        single = CountsSequentialEngine(TwoChoicesSequentialCounts())
-        ensemble = EnsembleCountsSequentialEngine(TwoChoicesSequentialCounts())
-        looped = run_replicated(single, config, 8, seed=42)
-        ensembled = run_replicated(ensemble, config, 8, seed=42)
+        engine = CountsSequentialEngine(TwoChoicesSequentialCounts())
+        looped = [engine.run(config, seed=child) for child in spawn_seed_sequences(42, 8)]
+        ensembled = run_replicated(engine, config, 8, seed=42)
         assert [r.rounds for r in looped] != [r.rounds for r in ensembled]
 
 
@@ -424,7 +411,7 @@ class TestSweepHelper:
         big = -(-COUNTS_TICK_CROSSOVER // 6)
         out = convergence_time_sweep(TwoChoicesSequential(), [300, big], reps=6, seed=5)
         assert sorted(out) == [300, big]
-        expected = {300: "sequential", big: "ensemble-counts-sequential"}
+        expected = {300: "sequential", big: "counts-sequential"}
         for n, results in out.items():
             assert len(results) == 6
             assert all(r.converged for r in results)

@@ -3,11 +3,11 @@
 Each case is a seeded :class:`~repro.api.SimulationSpec` whose
 canonical ``simulate(spec).to_dict()`` (minus the wall-clock
 ``elapsed_seconds``) must hash to the recorded SHA-256.  Together the
-:data:`PINS` cases reach all four counts tick routes —
-``CountsSequentialEngine``, ``CountsContinuousEngine`` and their
-ensemble twins — over the four protocols with counts tick laws, both
-asynchronous models, one and six replications, one traced run and two
-sequential ``max_steps`` budget hits.  The :data:`AGENT_PINS` cases
+:data:`PINS` cases reach both counts tick engines —
+``CountsSequentialEngine`` and ``CountsContinuousEngine``, each through
+``run`` (one replication) and ``run_ensemble`` (six) — over the four
+protocols with counts tick laws, both asynchronous models, one traced
+run and two sequential ``max_steps`` budget hits.  The :data:`AGENT_PINS` cases
 reach the per-tick agent routes below the counts crossover
 (``SequentialEngine``, ``ContinuousEngine``) over the same protocols
 and models, one and three (looped) replications, one traced run and
@@ -15,10 +15,10 @@ one ``max_steps`` budget hit.  The :data:`ASYNC_PINS` cases run the
 phased protocol of Theorem 1.3 on both agent routes: the sequential
 and zero-delay continuous block path (on ``K_n`` and a torus, traced,
 under a ``max_steps`` budget and with three replications), and the
-delayed continuous event-queue path.  The :data:`SYNC_PINS` cases reach both synchronous
-counts routes (``CountsEngine``, ``EnsembleCountsEngine``) over all
-five counts protocols, one and six replications, two traced runs and
-two ``max_steps`` budget hits.  The :data:`SPARSE_PINS` cases run the
+delayed continuous event-queue path.  The :data:`SYNC_PINS` cases reach
+both entry points of ``CountsEngine`` (one and six replications) over
+all five counts protocols, two traced runs and two ``max_steps``
+budget hits.  The :data:`SPARSE_PINS` cases run the
 agent routes off ``K_n`` — torus, ring, random-regular, Watts-Strogatz,
 a churned ring and a stubborn-fault random-regular graph — under both
 asynchronous models, so they also lock each graph builder's CSR row
@@ -85,13 +85,13 @@ PINS = [
     ),
     (
         dict(protocol="two-choices", n=20_000, model="sequential", reps=6, seed=3),
-        "EnsembleCountsSequentialEngine",
-        "0dd0d4e3f65331323d3aec237b7928fd7704fe7e691611217312ca0d7891cebe",
+        "CountsSequentialEngine",
+        "e7a179eea738174d747fbd326bd51990882e8096effa93f9242178a0c4b69a50",
     ),
     (
         dict(protocol="two-choices", n=20_000, model="continuous", reps=6, seed=4),
-        "EnsembleCountsContinuousEngine",
-        "476a868d9370c5cae553c861164cd502625d609390806cce054a01fbf92dcd18",
+        "CountsContinuousEngine",
+        "d8602975b6202b0d615c723ea34bf1423ba53480b22de993d9c3dfa8ead8c224",
     ),
     (
         dict(
@@ -107,8 +107,8 @@ PINS = [
     ),
     (
         dict(protocol="three-majority", n=20_000, model="sequential", reps=6, seed=6, **BIAS_3),
-        "EnsembleCountsSequentialEngine",
-        "10988d6659dbe38a1f9a25249594c73bb0d48f43761cea27d5d865666333f14a",
+        "CountsSequentialEngine",
+        "6d2d0da3992687daa4f20f03f6aaa1f5750cd6cb78adcbb0b3cb7088bde07ff3",
     ),
     (
         dict(protocol="undecided-state", n=100_000, model="sequential", seed=7, **BIAS_3),
@@ -117,8 +117,8 @@ PINS = [
     ),
     (
         dict(protocol="undecided-state", n=20_000, model="continuous", reps=6, seed=8),
-        "EnsembleCountsContinuousEngine",
-        "5fb3e3ce051d21ee697a4f13fcc244031a2e854468adb2c008a8eabc56734550",
+        "CountsContinuousEngine",
+        "913d7d67f0e6397a0f87fe78285e6da81340a5fe3989753db1a987e7f05c4b29",
     ),
     (
         dict(protocol="voter", n=100_000, model="sequential", seed=9, max_steps=300_000),
@@ -135,8 +135,8 @@ PINS = [
             initial="two-colors",
             initial_params={"gap": 19_990},
         ),
-        "EnsembleCountsContinuousEngine",
-        "b71e276b3c02ca00282b8701dd4be67936d1413333c44f3f40f292e70bf2f3bb",
+        "CountsContinuousEngine",
+        "9401e909924fb4a4f97527c4c5338953fd4ea2c65b6e6dd5f54257832674dd9a",
     ),
     (
         dict(
@@ -152,8 +152,8 @@ PINS = [
     ),
     (
         dict(protocol="three-majority", n=20_000, model="sequential", reps=6, seed=12, max_steps=50_000),
-        "EnsembleCountsSequentialEngine",
-        "df49a6f10ae70e8058cd573116860eb5672ea264369f75f4ab591de5f683b5ed",
+        "CountsSequentialEngine",
+        "df533c3d3ebcd5205c8ce3b19b98794ad1546e6d263bc763a28314aae6e6c660",
     ),
 ]
 
@@ -316,8 +316,8 @@ SYNC_PINS = [
     ),
     (
         dict(protocol="two-choices", n=100_000, model="synchronous", reps=6, seed=42, **BIAS_3),
-        "EnsembleCountsEngine",
-        "73f9886c0f6492bbb590823458185d3d0aa15d7c12a3b445029f5321665faafd",
+        "CountsEngine",
+        "4fdd93f1913e3039406333c843e1a7eefd1c9ffa869cb92b3022ce930070eff2",
     ),
     (
         dict(protocol="three-majority", n=100_000, model="synchronous", seed=43, **BIAS_3),
@@ -326,8 +326,8 @@ SYNC_PINS = [
     ),
     (
         dict(protocol="three-majority", n=100_000, model="synchronous", reps=6, seed=44),
-        "EnsembleCountsEngine",
-        "786ae9de4f39aace3ff9385e0e17ec8bf1e171a4e0f35db5e7912663d2176feb",
+        "CountsEngine",
+        "13509e728dc2053c3c92c0073d4cebde40400463d3d6f4010d78c639e21a0172",
     ),
     (
         dict(protocol="undecided-state", n=100_000, model="synchronous", seed=45, **BIAS_3),
@@ -336,8 +336,8 @@ SYNC_PINS = [
     ),
     (
         dict(protocol="undecided-state", n=100_000, model="synchronous", reps=6, seed=46),
-        "EnsembleCountsEngine",
-        "31b6d2d8e37bd85c03c3aeecae0c682ea17344002762712aea2658e4e5a55a7c",
+        "CountsEngine",
+        "860cf9743c3e203678f623c795d85d4797f24b24ef9c17818b7f3a7732697b3a",
     ),
     (
         dict(protocol="voter", n=2_000, model="synchronous", seed=47),
@@ -354,20 +354,20 @@ SYNC_PINS = [
             initial="two-colors",
             initial_params={"gap": 990},
         ),
-        "EnsembleCountsEngine",
-        "96597d6122c878bb2d82798afd06f07b1c128ad0f14ecf3db85a0fc6c2549dde",
+        "CountsEngine",
+        "ed78e44f6921657e78c8185ee33f88217b56fc5b367efd2243f4045000c14534",
     ),
     (
         dict(protocol="one-extra-bit", n=100_000, model="synchronous", seed=49, **BIAS_8),
         "CountsEngine",
         "fb2ae14cd2039c13c417bd8524e06a97ffd8dd305baa6fb19a55d83bd69d4116",
     ),
-    # Recorded on EnsembleCountsEngine; one-extra-bit ensembles used to
-    # loop CountsEngine on spawned seeds (same law, other values).
+    # One-extra-bit ensembles used to loop CountsEngine.run on spawned
+    # seeds (same law, other values).
     (
         dict(protocol="one-extra-bit", n=100_000, model="synchronous", reps=6, seed=50, **BIAS_8),
-        "EnsembleCountsEngine",
-        "236251fec597e2bfb60a56e7eab1c95282eaccbfae08af0d1ae9f88c73bf3711",
+        "CountsEngine",
+        "9f29be02e0430f82e0ce0be29ee00332109975035e134bda42bb5e568e58c2db",
     ),
     (
         dict(
@@ -396,8 +396,8 @@ SYNC_PINS = [
     ),
     (
         dict(protocol="voter", n=100_000, model="synchronous", reps=6, seed=53, max_steps=40),
-        "EnsembleCountsEngine",
-        "b91a3834e91632a05bfb2f0bcd17dd521954b6d762521afeffd34c5e9b48d936",
+        "CountsEngine",
+        "30ad675ee8225e04fed7658f93d5427267f0c9a1771cf9b64550486aa367327e",
     ),
     (
         dict(protocol="one-extra-bit", n=100_000, model="synchronous", seed=54, max_steps=5, **BIAS_8),
@@ -627,17 +627,21 @@ def _case_id(case) -> str:
     return f"{prefix}{fields['protocol']}-{fields['model']}-r{fields.get('reps', 1)}-s{fields['seed']}"
 
 
+def _entry_points(pins) -> set:
+    """(routed engine, reps > 1) of every case: ``run`` or ``run_ensemble``."""
+    return {(engine, fields.get("reps", 1) > 1) for fields, engine, _ in pins}
+
+
 def test_pins_reach_every_counts_tick_route():
-    assert {engine for _, engine, _ in PINS} == {
-        "CountsSequentialEngine",
-        "CountsContinuousEngine",
-        "EnsembleCountsSequentialEngine",
-        "EnsembleCountsContinuousEngine",
+    assert _entry_points(PINS) == {
+        (engine, replicated)
+        for engine in ("CountsSequentialEngine", "CountsContinuousEngine")
+        for replicated in (False, True)
     }
 
 
 def test_sync_pins_reach_both_round_routes():
-    assert {engine for _, engine, _ in SYNC_PINS} == {"CountsEngine", "EnsembleCountsEngine"}
+    assert _entry_points(SYNC_PINS) == {("CountsEngine", False), ("CountsEngine", True)}
 
 
 def test_agent_pins_reach_both_agent_tick_routes():
