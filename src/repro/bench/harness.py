@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.rng import SeedLike, spawn_seed_sequences
-from ..engine.ensemble import run_replicated
 from .tables import format_table
 
 __all__ = [
     "ExperimentScale",
     "ExperimentReport",
     "run_trials",
-    "run_engine_trials",
     "QUICK",
     "FULL",
 ]
@@ -112,20 +110,6 @@ def run_trials(fn: Callable[[object], object], trials: int, seed: SeedLike) -> L
     child anywhere a ``seed`` argument is accepted.
     """
     return [fn(s) for s in spawn_seed_sequences(seed, trials)]
-
-
-def run_engine_trials(engine, config, trials: int, seed: SeedLike, **run_kwargs) -> List[object]:
-    """Collect *trials* :class:`~repro.core.results.RunResult`\\ s from
-    *engine* on *config*, replication-vectorised when possible.
-
-    Engines built with ``fastest_engine(..., n_reps=trials)`` expose
-    ``run_ensemble`` on eligible (protocol, ``K_n``) pairs; those
-    advance all trials per numpy batch in one call.  Everything else
-    falls back to the looped :func:`run_trials` path.  Both paths draw
-    every trial from the same law, so experiments can treat the routing
-    as a pure wall-clock optimisation.
-    """
-    return run_replicated(engine, config, trials, seed=seed, **run_kwargs)
 
 
 class timed:

@@ -15,15 +15,15 @@ Evidence layers for the ensemble exactness contract (see
    float grid, stop checks on the ``check_every = n`` tick grid.
 
 Plus the ``n_reps`` routing of ``fastest_engine``, the
-``run_replicated``/``run_engine_trials`` front doors, and the
-``SeedSequence.spawn`` seeding contract of ``run_trials``.
+``run_replicated`` front door, and the ``SeedSequence.spawn`` seeding
+contract of ``run_trials``.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.statistics import ks_permutation_test, ks_two_sample
-from repro.bench.harness import run_engine_trials, run_trials
+from repro.bench.harness import run_trials
 from repro.core.colors import ColorConfiguration
 from repro.core.exceptions import ConfigurationError
 from repro.core.rng import spawn_seed_sequences
@@ -342,16 +342,6 @@ class TestDispatchAndRouting:
         # Reproducible from the master seed.
         again = run_replicated(engine, config, 3, seed=1)
         assert [r.rounds for r in results] == [r.rounds for r in again]
-
-
-    def test_run_engine_trials_matches_run_replicated(self):
-        config = ColorConfiguration([700, 300])
-        looped = fastest_engine(TwoChoicesSequential(), CompleteGraph(1000), n_reps=4)
-        ensemble = CountsSequentialEngine(TwoChoicesSequentialCounts())
-        for engine in (looped, ensemble):
-            a = run_engine_trials(engine, config, 4, 9)
-            b = run_replicated(engine, config, 4, seed=9)
-            assert [r.rounds for r in a] == [r.rounds for r in b]
 
 
 class TestSeedingContract:
