@@ -7,7 +7,7 @@ experiments are the claim-derived equivalents; see DESIGN.md §1), and
 
 Usage::
 
-    pytest benchmarks/bench_experiments.py benchmarks/bench_suites.py --benchmark-only
+    pytest benchmarks/ --benchmark-only
     REPRO_BENCH_SCALE=full pytest benchmarks/bench_suites.py --benchmark-only -k engines
 
 Every target prints its report (run pytest with ``-s`` to see it live):
