@@ -44,10 +44,11 @@ Counts-crossover note (asynchronous models, on ``K_n``)
     one) per multinomial batch, so a run costs about ``256 * T``
     batches for ``T`` units of parallel time once ``n >= 384``, and one
     batch per tick below; ``run_ensemble`` stacks ``R`` replications
-    into each batch.  The per-tick agent engines cost ``~ n * R * T``.  The
-    counts route therefore wins only from a fixed amount of work in
+    into each batch.  The per-tick agent engines cost ``~ n * R * T``.
+    The counts route therefore wins only from a fixed amount of work in
     ``n * n_reps``: :data:`COUNTS_TICK_CROSSOVER` (``10^5``) and up take
-    the counts companion, below it :class:`~repro.engine.sequential.SequentialEngine` /
+    the counts companion, below it
+    :class:`~repro.engine.sequential.SequentialEngine` /
     :class:`~repro.engine.continuous.ContinuousEngine` run and
     :func:`~repro.engine.ensemble.run_replicated` loops them on
     spawn-child seeds.  Below the crossover the reroute is also the

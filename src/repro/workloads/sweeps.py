@@ -90,12 +90,13 @@ def convergence_time_sweep(
     PR-2 path, kept as a value-for-value shim: routed through
     :func:`repro.engine.dispatch.fastest_engine` with ``n_reps=reps``
     so eligible (protocol, ``K_n``) pairs take a counts engine's
-    ``run_ensemble``, with *make_config* mapping ``n`` to the configuration).
-    Both paths draw every replication from the same law; the spec path
-    derives per-grid-point integer seeds (so its specs stay
-    serializable) while the object path spawns ``SeedSequence``
-    children, so only the object path replays pre-API sweeps
-    bit-for-bit.  The campaign routing is value-for-value with the
+    ``run_ensemble``, with *make_config* mapping ``n`` to the
+    configuration).  Both paths draw every replication from the same
+    law; the spec path derives per-grid-point integer seeds (so its
+    specs stay serializable) while the object path spawns
+    ``SeedSequence`` children, so only the object path replays pre-API
+    sweeps bit-for-bit (except ``reps=1`` on a counts route, which
+    takes the ensemble stream; DESIGN.md §2.1b).  The campaign routing is value-for-value with the
     pre-campaign spec path (asserted in ``tests/test_sweeps.py``).
 
     *executor*, *cache* and *workers* apply to the spec path only and

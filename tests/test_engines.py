@@ -257,7 +257,7 @@ TICK_ENGINES = [
     "make_engine, option", TICK_ENGINES, ids=["sequential", "continuous", "counts-sequential", "counts-continuous"]
 )
 def test_tick_engines_reject_nonpositive_trace_cadence(make_engine, option, cadence):
-    # A cadence of zero or less used to trace every tick (or every
-    # batch) instead of failing.
+    # A cadence of zero or less would record a trace point on every
+    # tick (or every batch).
     with pytest.raises(ConfigurationError, match="trace cadence"):
         make_engine().run(ColorConfiguration([30, 10]), seed=1, record_trace=True, **{option: cadence})
