@@ -399,7 +399,7 @@ class TestSweepHelper:
     def test_convergence_time_sweep_routes_ensembles(self):
         # One grid point on each side of the counts crossover in n * reps.
         big = -(-COUNTS_TICK_CROSSOVER // 6)
-        out = convergence_time_sweep(TwoChoicesSequential(), [300, big], reps=6, seed=5)
+        out = convergence_time_sweep("two-choices", [300, big], reps=6, seed=5)
         assert sorted(out) == [300, big]
         expected = {300: "sequential", big: "counts-sequential"}
         for n, results in out.items():
@@ -409,8 +409,8 @@ class TestSweepHelper:
             assert all(r.parallel_time == r.rounds / n for r in results)
 
     def test_convergence_time_sweep_reproducible(self):
-        a = convergence_time_sweep(TwoChoicesSequential(), [300], reps=4, seed=5)
-        b = convergence_time_sweep(TwoChoicesSequential(), [300], reps=4, seed=5)
+        a = convergence_time_sweep("two-choices", [300], reps=4, seed=5)
+        b = convergence_time_sweep("two-choices", [300], reps=4, seed=5)
         assert [r.rounds for r in a[300]] == [r.rounds for r in b[300]]
 
 

@@ -1,26 +1,15 @@
 """Value-for-value regression gates for ``convergence_time_sweep``.
 
 ISSUE 4 routed the sweep's *spec path* through
-``run_campaign(executor="serial")``.  These tests pin both paths to
-their pre-campaign semantics:
-
-* the spec path must reproduce, bit-for-bit, what the pre-campaign
-  implementation produced (a hand-rolled ``spawn_seeds`` +
-  ``simulate`` loop, inlined here as the reference);
-* the object path is untouched and must keep replaying the PR-2
-  ``fastest_engine`` + ``run_replicated`` wiring bit-for-bit.
+``run_campaign(executor="serial")``.  These tests pin it to its
+pre-campaign semantics: it must reproduce, bit-for-bit, what the
+pre-campaign implementation produced (a hand-rolled ``spawn_seeds`` +
+``simulate`` loop, inlined here as the reference).
 """
-
-import pytest
 
 from repro.api import SimulationSpec, simulate
 from repro.api import executors as executors_module
-from repro.core.rng import spawn_seed_sequences, spawn_seeds
-from repro.engine.dispatch import fastest_engine
-from repro.engine.ensemble import run_replicated
-from repro.graphs.complete import CompleteGraph
-from repro.protocols.two_choices import TwoChoicesSequential
-from repro.workloads.initial import benchmark_split
+from repro.core.rng import spawn_seeds
 from repro.workloads.sweeps import convergence_time_sweep
 
 NS = [200, 300, 400]
@@ -94,28 +83,3 @@ class TestSpecPathRegression:
             "two-choices", NS, reps=REPS, seed=SEED, executor="process", workers=2
         )
         assert _payloads(process) == _payloads(serial)
-
-
-class TestObjectPathRegression:
-    def test_object_path_is_bit_for_bit_pr2(self):
-        """The object path replays the PR-2 wiring exactly (untouched)."""
-        protocol = TwoChoicesSequential()
-        via_sweep = convergence_time_sweep(protocol, NS, reps=REPS, seed=SEED)
-        reference = {}
-        for n, child in zip(NS, spawn_seed_sequences(SEED, len(NS))):
-            engine = fastest_engine(protocol, CompleteGraph(n), model="sequential", n_reps=REPS)
-            reference[n] = run_replicated(engine, benchmark_split(n), REPS, seed=child)
-        assert _payloads(via_sweep) == _payloads(reference)
-
-    def test_object_path_ignores_campaign_kwargs_gracefully(self):
-        protocol = TwoChoicesSequential()
-        # executor/cache/workers are spec-path-only; the object path takes
-        # its historical route regardless and stays bit-for-bit.
-        via_sweep = convergence_time_sweep(
-            protocol, [200], reps=2, seed=5, executor="process", workers=2
-        )
-        engine = fastest_engine(protocol, CompleteGraph(200), model="sequential", n_reps=2)
-        reference = run_replicated(
-            engine, benchmark_split(200), 2, seed=spawn_seed_sequences(5, 1)[0]
-        )
-        assert _payloads(via_sweep) == {200: [r.to_dict() for r in reference]}
