@@ -38,6 +38,7 @@ import numpy as np
 
 from ..core.exceptions import ConfigurationError
 from ..core.hazard_kernel import KERNEL_ENV, available_kernels, reset_active_kernel
+from ..engine.base import never
 from ..engine.sequential import SequentialEngine
 from ..graphs.sparse import torus
 from ..protocols.two_choices import TwoChoicesSequential
@@ -54,10 +55,6 @@ QUICK_N = 10_000
 #: fixed throughput budget, in units of parallel time (ticks / n).
 BUDGET_PARALLEL = 2
 
-def _never(counts) -> bool:
-    return False
-
-
 def _torus(n: int):
     rows = next(r for r in range(int(np.sqrt(n)), 0, -1) if n % r == 0)
     return torus(rows, n // rows)
@@ -73,7 +70,7 @@ def _run_rows(
     budget_ticks = BUDGET_PARALLEL * n
     rows: List[Dict] = []
 
-    phases = [("mixed", {"max_ticks": budget_ticks, "stop": _never})]
+    phases = [("mixed", {"max_ticks": budget_ticks, "stop": never})]
     if consensus:
         max_ticks = int(100 * n * max(np.log(n), 1.0))
         phases.append(("consensus", {"max_ticks": max_ticks}))

@@ -47,6 +47,7 @@ import numpy as np
 
 from ..core.exceptions import ConfigurationError
 from ..engine.dispatch import fastest_engine
+from ..engine.base import never
 from ..engine.sequential import SequentialEngine
 from ..graphs.families import random_regular
 from ..graphs.sparse import torus
@@ -92,10 +93,6 @@ class _ZipApplyTwoChoices(TwoChoicesSequential):
                 colors[node] = seen
 
 
-def _never(counts) -> bool:
-    return False
-
-
 def _topologies(n: int, seed: int) -> List:
     rows = next(r for r in range(int(np.sqrt(n)), 0, -1) if n % r == 0)
     return [
@@ -109,15 +106,15 @@ def _engine_specs():
 
     def per_tick(topology, budget_ticks):
         engine = SequentialEngine(_PerTickTwoChoices(), topology)
-        return lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=_never, seed=seed)
+        return lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=never, seed=seed)
 
     def zip_apply(topology, budget_ticks):
         engine = SequentialEngine(_ZipApplyTwoChoices(), topology)
-        return lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=_never, seed=seed)
+        return lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=never, seed=seed)
 
     def routed(topology, budget_ticks):
         engine = fastest_engine(TwoChoicesSequential(), topology, model="sequential")
-        runner = lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=_never, seed=seed)  # noqa: E731
+        runner = lambda config, seed: engine.run(config, max_ticks=budget_ticks, stop=never, seed=seed)  # noqa: E731
         runner.resolved_engine = type(engine).__name__
         return runner
 

@@ -3,7 +3,8 @@
 Engines advance a protocol until a *stop condition* holds or a step
 budget runs out.  The default condition is consensus (the event all the
 paper's run-time theorems are about); :func:`near_consensus` expresses
-the part-one goal of the asynchronous protocol (``c1 >= (1-eps) n``).
+the part-one goal of the asynchronous protocol (``c1 >= (1-eps) n``);
+:func:`never` leaves the end of a run to absorption or the budget.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "require_static_topology",
     "StopCondition",
     "consensus_reached",
+    "never",
     "near_consensus",
     "plurality_fraction_at_least",
     "build_result",
@@ -70,6 +72,12 @@ def consensus_reached(counts: np.ndarray) -> bool:
     return int(counts.max()) == int(counts.sum())
 
 
+def never(counts: np.ndarray) -> bool:
+    """Never stop: the run ends when the protocol is absorbed (e.g.
+    every async-plurality node has terminated) or its budget runs out."""
+    return False
+
+
 def near_consensus(epsilon: float) -> StopCondition:
     """Stop once the largest colour reaches ``(1 - epsilon) * n``.
 
@@ -101,6 +109,11 @@ register_stop(
     "consensus",
     lambda: consensus_reached,
     description="Stop when one colour holds every node (the theorems' event)",
+)
+register_stop(
+    "never",
+    lambda: never,
+    description="Never stop: run to absorption or the step budget",
 )
 register_stop(
     "near-consensus",

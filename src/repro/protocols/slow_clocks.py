@@ -19,7 +19,8 @@ Thinning cannot speed a clock up, so rates above 1 are rejected (see
 DESIGN.md for what a fast minority does to tick-counted termination).
 The per-tick path that the delayed continuous engine drives
 (``tick_targets`` / ``tick_apply``) cannot see the thinning and is
-refused.
+refused.  Specs name the wrapper as the ``slow-clocks`` fault
+(``{"fraction": ..., "rate": ...}``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..api.registry import ParamSpec, register_fault
 from ..core.exceptions import ConfigurationError
 from ..core.state import NodeArrayState
 from ..graphs.topology import Topology
@@ -90,3 +92,14 @@ class SlowClocks(SequentialProtocol):
         some clocks are slow: their schedule takes that much longer."""
         budget = self.inner.default_budget(n)
         return budget / self.rate if self.slow_count(n) else budget
+
+
+register_fault(
+    "slow-clocks",
+    SlowClocks,
+    params=[
+        ParamSpec("fraction", kind="float", required=True, doc="slow share: ids below round(fraction * n)"),
+        ParamSpec("rate", kind="float", required=True, doc="slow clock rate in (0, 1]"),
+    ],
+    description="The first round(fraction * n) nodes' clocks tick at rate (Poisson thinning)",
+)

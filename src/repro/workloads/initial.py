@@ -13,7 +13,7 @@ over:
 * :func:`power_law` / :func:`dirichlet_random` — skewed landscapes for
   the example applications and robustness checks.
 * :func:`near_consensus_start` — the endgame's ``c1 = (1 - eps) n``
-  start (experiment T9; not a registered initial).
+  start (experiment T9).
 
 All generators return counts sorted in descending order (colour 0 is
 the plurality) that sum exactly to ``n``.
@@ -172,9 +172,9 @@ def near_consensus_start(n: int, k: int, epsilon: float) -> ColorConfiguration:
     Experiment T9 runs the endgame alone from here.
     """
     if k < 2:
-        raise ValueError(f"need k >= 2 colours, got {k}")
+        raise ConfigurationError(f"need k >= 2 colours, got {k}")
     if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+        raise ConfigurationError(f"epsilon must be in (0, 0.5), got {epsilon}")
     minority = max(k - 1, int(round(epsilon * n)))
     share, remainder = divmod(minority, k - 1)
     return ColorConfiguration([n - minority] + [share + (j < remainder) for j in range(k - 1)])
@@ -217,6 +217,12 @@ register_initial(
     two_colors,
     params=[ParamSpec("gap", kind="int", required=True, doc="additive bias c1 - c2")],
     description="The classic k = 2 setting with an explicit gap",
+)
+register_initial(
+    "near-consensus",
+    near_consensus_start,
+    params=[_K, ParamSpec("epsilon", kind="float", required=True, doc="minority share: c1 = (1 - epsilon) n")],
+    description="c1 = (1 - epsilon) n, the minority spread over k - 1 runners-up (the endgame's start)",
 )
 register_initial(
     "benchmark-split",

@@ -7,14 +7,11 @@ import pytest
 from repro.analysis import spread_trace
 from repro.core.colors import ColorConfiguration
 from repro.core.exceptions import ConfigurationError
+from repro.engine.base import never
 from repro.engine.sequential import SequentialEngine
 from repro.graphs.complete import CompleteGraph
 from repro.protocols.async_plurality import AsyncPluralityProtocol
 from repro.workloads.initial import multiplicative_bias
-
-
-def _never(counts):
-    return False
 
 
 def _run(config, seed, protocol=None, **kwargs):
@@ -62,7 +59,7 @@ class TestFullRuns:
 class TestRunToTermination:
     def test_all_nodes_terminate(self):
         config = multiplicative_bias(400, 4, 2.0)
-        result = _run(config, 3, stop=_never, record_trace=True)
+        result = _run(config, 3, stop=never, record_trace=True)
         assert result.trace.points[-1].fields["terminated"] == 400
         assert result.final.is_consensus()
 
@@ -88,7 +85,7 @@ class TestVariants:
         config = multiplicative_bias(400, 2, 2.0)
         protocol = AsyncPluralityProtocol(phases=3)
         assert protocol.params.compile(400).phases == 3
-        result = _run(config, 5, protocol, stop=_never, record_trace=True)
+        result = _run(config, 5, protocol, stop=never, record_trace=True)
         assert result.trace.points[-1].fields["terminated"] == 400
 
     def test_explicit_color_array_input(self):
@@ -123,6 +120,6 @@ class TestCountsConsistency:
         counts, the reported final counts and the population agree
         (regression guard for the bookkeeping)."""
         config = multiplicative_bias(500, 8, 1.5)
-        result = _run(config, 21, stop=_never, record_trace=True)
+        result = _run(config, 21, stop=never, record_trace=True)
         assert sum(result.final.counts) == 500
         assert result.trace.points[-1].counts == result.final.counts

@@ -4,9 +4,11 @@ of a fraction of the nodes' ticks around any tick protocol."""
 import numpy as np
 import pytest
 
+from repro.api import SimulationSpec, resolve, simulate
 from repro.core.exceptions import ConfigurationError
 from repro.engine.continuous import ContinuousEngine
 from repro.engine.delays import ExponentialDelay
+from repro.engine.ensemble import run_replicated
 from repro.engine.sequential import SequentialEngine
 from repro.graphs.complete import CompleteGraph
 from repro.protocols.async_plurality import AsyncPluralityProtocol
@@ -109,3 +111,31 @@ class TestSlowClockRuns:
         engine = ContinuousEngine(protocol, CompleteGraph(100), delay_model=ExponentialDelay(1.0))
         with pytest.raises(ConfigurationError):
             engine.run(multiplicative_bias(100, 4, 2.0), seed=1)
+
+
+def _slow_spec(protocol="async-plurality", n=300, fraction=0.1, rate=0.5, **fields):
+    return SimulationSpec(
+        protocol=protocol, n=n, initial="multiplicative-bias", initial_params={"k": 4, "ratio": 2.0},
+        faults=[{"name": "slow-clocks", "params": {"fraction": fraction, "rate": rate}}], **fields,
+    )
+
+
+class TestSlowClocksSpec:
+    def test_spec_equals_the_hand_wired_wrapper(self):
+        sim = simulate(_slow_spec(reps=6, seed=11))
+        engine = SequentialEngine(SlowClocks(AsyncPluralityProtocol(), 0.1, 0.5), CompleteGraph(300))
+        reference = run_replicated(engine, multiplicative_bias(300, 4, 2.0), 6, seed=11)
+        assert [r.to_dict() for r in sim.runs] == [r.to_dict() for r in reference]
+
+    @pytest.mark.parametrize("model,engine", [("sequential", SequentialEngine), ("continuous", ContinuousEngine)])
+    def test_counts_route_never_bypasses_the_thinning(self, model, engine):
+        # n * reps is past the counts crossover, where a bare
+        # two-choices spec takes its counts companion.
+        spec = _slow_spec("two-choices", n=20_000, model=model, reps=8)
+        resolved = resolve(spec)
+        assert type(resolved.engine) is engine
+        assert isinstance(resolved.protocol, SlowClocks)
+
+    def test_delayed_spec_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            simulate(_slow_spec(model="continuous", delay="exponential", seed=1))

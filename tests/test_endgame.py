@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.exceptions import ConfigurationError
 from repro.engine.sequential import SequentialEngine
 from repro.graphs.complete import CompleteGraph
 from repro.protocols.async_plurality import AsyncPluralityProtocol
@@ -38,9 +39,9 @@ class TestNearConsensusStart:
         assert all(c >= 1 for c in config.counts)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             near_consensus_start(100, 1, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             near_consensus_start(100, 5, 0.9)
 
 

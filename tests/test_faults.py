@@ -265,7 +265,7 @@ class TestBatchedLoopIdentity:
 
 class TestRegistryAndSpec:
     def test_registry_lists_all_wrappers(self):
-        assert {"loss", "stubborn", "byzantine"} <= set(FAULTS.names())
+        assert {"loss", "stubborn", "byzantine", "slow-clocks"} <= set(FAULTS.names())
 
     def test_registry_builds_wrap_protocols(self):
         inner = TwoChoicesSequential()
