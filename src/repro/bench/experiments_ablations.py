@@ -7,7 +7,7 @@ the empirical justification for the defaults.
 
 * A1 — clock-skew robustness: the paper tolerates ``o(n)`` poorly
   synchronised nodes; we create them deliberately with slow clocks
-  (:class:`~repro.protocols.slow_clocks.SlowClocks`).
+  (the ``slow-clocks`` fault).
 * A2 — Sync-Gadget sample count (the ``log^3 log n`` choice).
 * A3 — block length ``Delta`` (the ``log n / log log n`` choice).
 * A4 — Bit-Propagation sub-phase length.
@@ -17,13 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.sequential import SequentialEngine
-from ..graphs.complete import CompleteGraph
 from ..protocols.async_plurality import AsyncPluralityProtocol
-from ..protocols.slow_clocks import SlowClocks
-from ..workloads.initial import multiplicative_bias
-from .experiments_async import async_plurality_runs, core_spread_thirds, never
-from .harness import ExperimentReport, ExperimentScale, run_trials, timed
+from .experiments_async import bias_spec, core_spread_thirds
+from .harness import ExperimentReport, ExperimentScale, spec_trials, timed
 
 __all__ = [
     "experiment_a1_clock_skew",
@@ -49,7 +45,6 @@ def experiment_a1_clock_skew(scale: ExperimentScale) -> ExperimentReport:
     with timed() as clock:
         n = scale.scaled(2_000, minimum=400)
         k = 4
-        config = multiplicative_bias(n, k, 1.8)
         trials = max(6, scale.trials // 3)
         variants = [("none", 0.0, 1.0), ("5% at rate 0.3", 0.05, 0.3),
                     ("15% at rate 0.3", 0.15, 0.3), ("30% at rate 0.3", 0.30, 0.3)]
@@ -57,8 +52,8 @@ def experiment_a1_clock_skew(scale: ExperimentScale) -> ExperimentReport:
         win_rates = []
         times = []
         for label, fraction, rate in variants:
-            engine = SequentialEngine(SlowClocks(AsyncPluralityProtocol(), fraction, rate), CompleteGraph(n))
-            results = run_trials(lambda s: engine.run(config, seed=s), trials, scale.seed + len(label))
+            slow = {"name": "slow-clocks", "params": {"fraction": fraction, "rate": rate}}
+            results = spec_trials(bias_spec(n, k, 1.8, faults=[slow]), trials, scale.seed + len(label))
             wins, mean_time = _success_and_time(results)
             win_rates.append(wins)
             times.append(mean_time)
@@ -89,22 +84,18 @@ def experiment_a2_sync_samples(scale: ExperimentScale) -> ExperimentReport:
     with timed() as clock:
         n = scale.scaled(3_000, minimum=500)
         k = 8
-        config = multiplicative_bias(n, k, 1.5)
         trials = max(3, scale.trials // 2)
         default = AsyncPluralityProtocol().params.compile(n).sync_samples
         variants = [("2 samples", 2), (f"default ({default})", None), (f"3x default ({3 * default})", 3 * default)]
         rows = []
         late_spreads = []
         for label, samples in variants:
-            protocol = AsyncPluralityProtocol(sync_samples=samples)
-            engine = SequentialEngine(protocol, CompleteGraph(n))
-            results = run_trials(
-                lambda s: engine.run(config, seed=s, stop=never, record_trace=True, trace_every_parallel=10.0),
-                trials,
-                scale.seed + (samples or 0),
-            )
+            spec = bias_spec(n, k, 1.5, protocol_params={"sync_samples": samples}, stop="never",
+                             record_trace=True, trace_every=10.0)
+            results = spec_trials(spec, trials, scale.seed + (samples or 0))
             wins, mean_time = _success_and_time(results)
-            _, late = core_spread_thirds(results, protocol.params.compile(n).part_one_length)
+            part_one = AsyncPluralityProtocol(sync_samples=samples).params.compile(n).part_one_length
+            _, late = core_spread_thirds(results, part_one)
             late_spreads.append(float(np.mean(late)))
             rows.append([label, wins, mean_time, late_spreads[-1]])
         checks = {
@@ -139,7 +130,8 @@ def experiment_a3_delta_factor(scale: ExperimentScale) -> ExperimentReport:
         for factor in (0.5, 1.0, 2.0, 4.0):
             schedule = AsyncPluralityProtocol(delta_factor=factor).params.compile(n)
             wins, mean_time = _success_and_time(
-                async_plurality_runs(n, k, 1.5, trials, scale.seed + int(10 * factor), delta_factor=factor)
+                spec_trials(bias_spec(n, k, 1.5, protocol_params={"delta_factor": factor}), trials,
+                            scale.seed + int(10 * factor))
             )
             outcomes[factor] = (wins, mean_time)
             rows.append([factor, schedule.delta, schedule.part_one_length, wins, mean_time])
@@ -174,7 +166,7 @@ def experiment_a4_bp_length(scale: ExperimentScale) -> ExperimentReport:
         for blocks in (1, 2, 4):
             schedule = AsyncPluralityProtocol(bp_blocks=blocks).params.compile(n)
             wins, mean_time = _success_and_time(
-                async_plurality_runs(n, k, 1.8, trials, scale.seed + blocks, bp_blocks=blocks)
+                spec_trials(bias_spec(n, k, 1.8, protocol_params={"bp_blocks": blocks}), trials, scale.seed + blocks)
             )
             outcomes[blocks] = (wins, mean_time)
             rows.append([blocks, blocks * schedule.delta, schedule.part_one_length, wins, mean_time])

@@ -9,24 +9,22 @@ Discussion-section response-delay extension.
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
 from ..analysis import statistics as stats
 from ..analysis.convergence import spread_trace, synchrony_summary
 from ..analysis.polya import PolyaUrn, limit_fraction_variance
-from ..api import SimulationSpec, simulate
+from ..api import SimulationSpec
 from ..engine.continuous import ContinuousEngine
 from ..engine.counts_async import CountsSequentialEngine
-from ..engine.delays import ExponentialDelay
 from ..engine.ensemble import run_replicated
 from ..engine.sequential import SequentialEngine
 from ..graphs.complete import CompleteGraph
 from ..protocols.async_plurality import AsyncPluralityProtocol
 from ..protocols.two_choices import TwoChoicesSequential
-from ..workloads.initial import multiplicative_bias, near_consensus_start, two_colors
-from .harness import ExperimentReport, ExperimentScale, run_trials, timed
+from ..workloads.initial import multiplicative_bias, two_colors
+from .harness import ExperimentReport, ExperimentScale, run_trials, spec_trials, timed
 
 __all__ = [
     "experiment_t6_async_runtime",
@@ -38,22 +36,13 @@ __all__ = [
 ]
 
 
-def async_plurality_runs(n: int, k: int, ratio: float, trials: int, seed: int, **protocol_params) -> List:
-    """*trials* async-plurality runs on ``K_n`` from a multiplicative
-    bias, through :func:`~repro.api.simulate` (one spec, ``reps=trials``:
-    spawn-child seeds of *seed*, as :func:`run_trials` draws them)."""
-    spec = SimulationSpec(
-        protocol="async-plurality", n=n, reps=trials, seed=seed, protocol_params=protocol_params,
-        initial="multiplicative-bias", initial_params={"k": k, "ratio": ratio},
+def bias_spec(n: int, k: int, ratio: float, **fields) -> SimulationSpec:
+    """Async-plurality on ``K_n`` from a multiplicative bias: the
+    Theorem 1.3 workload of T6, T7, T12 and the A-series."""
+    return SimulationSpec(
+        protocol="async-plurality", n=n, initial="multiplicative-bias",
+        initial_params={"k": k, "ratio": ratio}, **fields,
     )
-    return simulate(spec).runs
-
-
-def never(counts) -> bool:
-    """Stop condition that never fires: an async-plurality run then
-    ends when every node has terminated (consensus is absorbing, so the
-    final counts tell whether it was reached)."""
-    return False
 
 
 def core_spread_thirds(results, part_one: int):
@@ -80,7 +69,7 @@ def experiment_t6_async_runtime(scale: ExperimentScale) -> ExperimentReport:
         times = []
         win_rates = []
         for n in ns:
-            results = async_plurality_runs(n, k, ratio, trials, scale.seed + n)
+            results = spec_trials(bias_spec(n, k, ratio), trials, scale.seed + n)
             mean_pt = float(np.mean([r.parallel_time for r in results]))
             wins = float(np.mean([r.converged and r.winner == 0 for r in results]))
             times.append(mean_pt)
@@ -118,20 +107,17 @@ def experiment_t7_sync_gadget(scale: ExperimentScale) -> ExperimentReport:
     with timed() as clock:
         n = scale.scaled(4_000, minimum=512)
         k = 8
-        config = multiplicative_bias(n, k, 1.5)
         trials = max(2, scale.trials // 2)
         rows = []
         late_core = {}
         growths = {}
         for sync in (True, False):
-            protocol = AsyncPluralityProtocol(sync_enabled=sync)
-            engine = SequentialEngine(protocol, CompleteGraph(n))
-            results = run_trials(
-                lambda s: engine.run(config, seed=s, stop=never, record_trace=True, trace_every_parallel=10.0),
-                trials,
-                scale.seed + int(sync),
-            )
-            part_one = protocol.params.compile(n).part_one_length
+            # Run to absorption (a stop that never fires), tracing the
+            # working-time spread every 10 units of parallel time.
+            spec = bias_spec(n, k, 1.5, protocol_params={"sync_enabled": sync}, stop="never",
+                             record_trace=True, trace_every=10.0)
+            results = spec_trials(spec, trials, scale.seed + int(sync))
+            part_one = AsyncPluralityProtocol(sync_enabled=sync).params.compile(n).part_one_length
             early, late = core_spread_thirds(results, part_one)
             poor = [max(e["poor_fraction_4x"] for e in spread_trace(r, part_one)) for r in results]
             early_mean = float(np.mean(early))
@@ -236,17 +222,14 @@ def experiment_t9_endgame(scale: ExperimentScale) -> ExperimentReport:
         trials = scale.trials
         rows = []
         orderings = []
-        # The endgame alone: async-plurality with an empty part one.
-        protocol = AsyncPluralityProtocol(phases=0, endgame_factor=10.0)
         for n in ns:
-            config = near_consensus_start(n, k, epsilon)
-            engine = SequentialEngine(protocol, CompleteGraph(n))
-            results = run_trials(
-                lambda s: engine.run(config, seed=s, record_trace=True, check_every=n // 4),
-                trials,
-                scale.seed + n,
+            # The endgame alone: async-plurality with an empty part one.
+            spec = SimulationSpec(
+                protocol="async-plurality", n=n, protocol_params={"phases": 0, "endgame_factor": 10.0},
+                initial="near-consensus", initial_params={"k": k, "epsilon": epsilon}, record_trace=True,
             )
-            # The run stops at consensus (checked 4x per time unit) or
+            results = spec_trials(spec, trials, scale.seed + n)
+            # The run stops at consensus (checked once per time unit) or
             # when every node has terminated; the order holds when it
             # converged with no node terminated yet.
             order_ok = [r.converged and r.trace.points[-1].fields["terminated"] == 0 for r in results]
@@ -292,10 +275,12 @@ def experiment_t10_model_equivalence(scale: ExperimentScale) -> ExperimentReport
         continuous = ContinuousEngine(protocol, topology)
         seq_results = run_trials(lambda s: sequential.run(config, seed=s), trials, scale.seed)
         cont_results = run_trials(lambda s: continuous.run(config, seed=s), trials, scale.seed + 1)
-        # The counts fast path is hand-wired like the reference engines:
-        # at this n * trials (below COUNTS_TICK_CROSSOVER) the
-        # dispatcher routes the spec to the agent engine, so the leg
-        # builds the counts engine itself to keep testing its law.
+        # All three legs are hand-wired: simulate() would route them by
+        # n * trials, which is below COUNTS_TICK_CROSSOVER at quick
+        # scale (agent engines only) but reaches it at full scale
+        # (2000 * 50 = 1e5: counts engines only), so no spec keeps the
+        # three engines side by side at both scales.  T10 moves to
+        # simulate() once each model is checked against an exact law.
         fast_engine = CountsSequentialEngine(protocol.as_sequential_counts())
         fast_results = run_replicated(fast_engine, config, trials, seed=scale.seed + 2)
         seq_times = [r.parallel_time for r in seq_results if r.converged]
@@ -360,27 +345,20 @@ def experiment_t12_response_delays(scale: ExperimentScale) -> ExperimentReport:
     with timed() as clock:
         n = scale.scaled(600, minimum=128)
         k = 4
-        config = multiplicative_bias(n, k, 1.8)
-        topology = CompleteGraph(n)
         trials = max(2, scale.trials // 2)
+        max_time = 4.0 * AsyncPluralityProtocol().params.compile(n).total_length
         variants = [
-            ("no delay", None),
-            ("exp(rate=1.0)", ExponentialDelay(rate=1.0)),
-            ("exp(rate=0.5)", ExponentialDelay(rate=0.5)),
+            ("no delay", None, {}),
+            ("exp(rate=1.0)", "exponential", {"rate": 1.0}),
+            ("exp(rate=0.5)", "exponential", {"rate": 0.5}),
         ]
         rows = []
         win_rates = {}
         mean_times = {}
-        for label, delay in variants:
-            protocol = AsyncPluralityProtocol()
-            engine = ContinuousEngine(protocol, topology, delay_model=delay)
-            schedule = protocol.params.compile(n)
-            max_time = 4.0 * schedule.total_length
-
-            def one_run(seed):
-                return engine.run(config, seed=seed, max_time=max_time)
-
-            results = run_trials(one_run, trials, scale.seed + sum(ord(c) for c in label))
+        for label, delay, delay_params in variants:
+            spec = bias_spec(n, k, 1.8, model="continuous", delay=delay, delay_params=delay_params,
+                             max_time=max_time)
+            results = spec_trials(spec, trials, scale.seed + sum(ord(c) for c in label))
             wins = [r.converged and r.winner == 0 for r in results]
             times = [r.parallel_time for r in results if r.converged]
             win_rates[label] = float(np.mean(wins))

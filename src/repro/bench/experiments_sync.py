@@ -24,10 +24,10 @@ import numpy as np
 from ..analysis import statistics as stats
 from ..analysis import theory
 from ..analysis.convergence import per_phase_ratio_growth, ratio_trace
-from ..api import CampaignSpec, SimulationSpec, SweepSpec, run_campaign
+from ..api import SimulationSpec
 from ..engine.dispatch import COUNTS_TICK_CROSSOVER
 from ..protocols.one_extra_bit import default_bp_rounds
-from .harness import ExperimentReport, ExperimentScale, timed
+from .harness import ExperimentReport, ExperimentScale, campaign_grid, timed
 
 __all__ = [
     "experiment_t1_two_choices_runtime",
@@ -50,21 +50,6 @@ def _sync_base(protocol, n, initial, initial_params, trials, max_rounds=1_000_00
         reps=trials,
         max_steps=max_rounds,
     )
-
-
-def _campaign_grid(base, cells, name):
-    """Run one zipped campaign over explicit per-cell overrides.
-
-    Every T-series sweep below is one campaign: *cells* are override
-    dicts (sweep coordinates plus the historical per-cell ``"seed"``),
-    zipped into axes so the expansion order is the cell order.  The
-    serial executor keeps the drivers value-for-value with their
-    pre-campaign form; per-point ``SimulationResult``s come back in
-    cell order.
-    """
-    axes = {key: [cell[key] for cell in cells] for key in cells[0]}
-    campaign = CampaignSpec(base=base, sweep=SweepSpec(axes=axes, mode="zip"), name=name)
-    return [point.result for point in run_campaign(campaign, executor="serial").points]
 
 
 def _stats(sim):
@@ -97,7 +82,7 @@ def experiment_t1_two_choices_runtime(scale: ExperimentScale) -> ExperimentRepor
         rows: List[List] = []
         per_log_n = []
         envelope_ratios = []
-        n_sweep = _campaign_grid(
+        n_sweep = campaign_grid(
             _sync_base("two-choices", ns[0], "theorem-1-1-gap", {"k": k_fixed, "z": 2.0}, scale.trials),
             [{"n": n, "seed": scale.seed + n} for n in ns],
             name="T1/n-sweep",
@@ -113,7 +98,7 @@ def experiment_t1_two_choices_runtime(scale: ExperimentScale) -> ExperimentRepor
         ks = (2, 4, 8, 16, 32)
         k_rounds = []
         inv_fractions = []
-        k_sweep = _campaign_grid(
+        k_sweep = campaign_grid(
             _sync_base("two-choices", n_fixed, "theorem-1-1-gap", {"z": 1.0}, scale.trials),
             [{"initial_params.k": k, "seed": scale.seed + k} for k in ks],
             name="T1/k-sweep",
@@ -162,7 +147,7 @@ def experiment_t2_two_choices_lower_bound(scale: ExperimentScale) -> ExperimentR
         means = []
         inv_fractions = []
         lower_ratios = []
-        k_sweep = _campaign_grid(
+        k_sweep = campaign_grid(
             _sync_base("two-choices", n, "theorem-1-1-gap", {"z": 1.0}, scale.trials),
             [{"initial_params.k": k, "seed": scale.seed + 13 * k} for k in ks],
             name="T2/k-sweep",
@@ -224,7 +209,7 @@ def experiment_t3_bias_threshold(scale: ExperimentScale) -> ExperimentReport:
         ]
         rows = []
         rates = []
-        gap_sweep = _campaign_grid(
+        gap_sweep = campaign_grid(
             _sync_base("two-choices", n, "two-colors", {}, trials),
             [{"initial_params.gap": gap, "seed": scale.seed + gap} for _, gap in gaps],
             name="T3/gap-sweep",
@@ -271,7 +256,7 @@ def experiment_t4_one_extra_bit(scale: ExperimentScale) -> ExperimentReport:
             cells.append({"protocol": "two-choices", "initial_params.k": k, "seed": scale.seed + k})
             cells.append({"protocol": "one-extra-bit", "initial_params.k": k, "seed": scale.seed + 7 * k})
         sims = iter(
-            _campaign_grid(
+            campaign_grid(
                 _sync_base("two-choices", n, "theorem-1-1-gap", {"z": 1.0}, trials),
                 cells,
                 name="T4/crossover",
@@ -318,22 +303,17 @@ def experiment_t5_quadratic_growth(scale: ExperimentScale) -> ExperimentReport:
         phase_length = 1 + default_bp_rounds(n, k)
         # A singleton campaign: traced points are pinned to the driver
         # process by run_campaign, so the trace survives.
-        campaign = CampaignSpec(
-            base=SimulationSpec(
-                protocol="one-extra-bit",
-                n=n,
-                model="synchronous",
-                initial="multiplicative-bias",
-                initial_params={"k": k, "ratio": ratio0},
-                reps=1,
-                max_steps=phase_length * 12,
-                record_trace=True,
-                trace_every=phase_length,
-            ),
-            sweep=SweepSpec(axes={"seed": [scale.seed]}, mode="zip"),
-            name="T5/quadratic-growth",
+        base = SimulationSpec(
+            protocol="one-extra-bit",
+            n=n,
+            model="synchronous",
+            initial="multiplicative-bias",
+            initial_params={"k": k, "ratio": ratio0},
+            max_steps=phase_length * 12,
+            record_trace=True,
+            trace_every=phase_length,
         )
-        result = run_campaign(campaign, executor="serial").points[0].result.runs[0]
+        result = campaign_grid(base, [{"seed": scale.seed}], name="T5/quadratic-growth")[0].runs[0]
         ratios = ratio_trace(result.trace)
         growth = per_phase_ratio_growth(list(ratios))
         rows = []
@@ -407,7 +387,7 @@ def experiment_t11_protocol_comparison(scale: ExperimentScale) -> ExperimentRepo
                     }
                 )
         sims = iter(
-            _campaign_grid(
+            campaign_grid(
                 _sync_base("two-choices", scenarios[0][4], "benchmark-split", {}, 1, max_rounds=1),
                 cells,
                 name="T11/landscape",
@@ -432,21 +412,10 @@ def experiment_t11_protocol_comparison(scale: ExperimentScale) -> ExperimentRepo
         # the notes column names the engine that ran.
         scenario_name, initial, initial_params, _, n = scenarios[0]
         async_trials = min(3, scale.trials)
-        async_sim = run_campaign(
-            CampaignSpec(
-                base=SimulationSpec(
-                    protocol="two-choices",
-                    n=n,
-                    model="sequential",
-                    initial=initial,
-                    initial_params=initial_params,
-                    reps=async_trials,
-                ),
-                sweep=SweepSpec(axes={"seed": [scale.seed + 11]}, mode="zip"),
-                name="T11/async-probe",
-            ),
-            executor="serial",
-        ).points[0].result
+        async_base = SimulationSpec(
+            protocol="two-choices", n=n, initial=initial, initial_params=initial_params, reps=async_trials
+        )
+        async_sim = campaign_grid(async_base, [{"seed": scale.seed + 11}], name="T11/async-probe")[0]
         async_results = async_sim.runs
         async_mean = float(np.mean([r.parallel_time for r in async_results if r.converged]))
         async_preserved = float(np.mean([r.converged and r.winner == 0 for r in async_results]))

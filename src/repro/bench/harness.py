@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from ..core.rng import SeedLike, spawn_seed_sequences
+from ..api import CampaignSpec, SimulationSpec, SweepSpec, run_campaign, simulate
+from ..core.rng import SeedLike, spawn_seed_sequences, spawn_seeds
 from .tables import format_table
 
 __all__ = [
     "ExperimentScale",
     "ExperimentReport",
     "run_trials",
+    "campaign_grid",
+    "spec_trials",
     "QUICK",
     "FULL",
 ]
@@ -110,6 +113,36 @@ def run_trials(fn: Callable[[object], object], trials: int, seed: SeedLike) -> L
     child anywhere a ``seed`` argument is accepted.
     """
     return [fn(s) for s in spawn_seed_sequences(seed, trials)]
+
+
+def campaign_grid(base: SimulationSpec, cells: List[Dict], name: str) -> List:
+    """Run one zipped campaign over explicit per-cell overrides.
+
+    *cells* are override dicts (sweep coordinates plus the historical
+    per-cell ``"seed"``), zipped into axes so the expansion order is
+    the cell order.  The serial executor keeps the drivers
+    value-for-value with their pre-campaign form; per-point
+    ``SimulationResult``s come back in cell order.
+    """
+    axes = {key: [cell[key] for cell in cells] for key in cells[0]}
+    campaign = CampaignSpec(base=base, sweep=SweepSpec(axes=axes, mode="zip"), name=name)
+    return [point.result for point in run_campaign(campaign, executor="serial").points]
+
+
+def spec_trials(spec: SimulationSpec, trials: int, seed: int) -> List:
+    """*trials* runs of *spec* from the master *seed*.
+
+    An untraced spec is one ``simulate(spec.replace(reps=trials,
+    seed=seed))``; on an agent route that loops the spawn children of
+    *seed*, :func:`run_trials`' stream.  A traced spec (``reps == 1``)
+    runs as the one-rep points of a serial campaign over
+    ``spawn_seeds(seed, trials)``, which keeps each trace in the
+    driver process.
+    """
+    if not spec.record_trace:
+        return simulate(spec.replace(reps=trials, seed=seed)).runs
+    cells = [{"seed": trial_seed} for trial_seed in spawn_seeds(seed, trials)]
+    return [sim.runs[0] for sim in campaign_grid(spec, cells, name=f"trials/{spec.protocol}")]
 
 
 class timed:
