@@ -28,7 +28,11 @@ as a hash mismatch.  The :data:`MISS_PINS` cases are shaped like the
 cold misses of ``repro serve`` (small ``K_n``, every footprint
 protocol, one continuous and one stubborn-faulted run).  The
 :data:`SMALL_BATCH_PINS` cases run the counts tick engines directly
-with one and two ticks per batch.
+with one and two ticks per batch.  The :data:`SYNC_AGENT_PINS` cases
+run the agent round route, ``SynchronousEngine``: through specs off
+``K_n`` for every protocol that has that route, and on ``K_n`` through
+one directly built engine.  They hash values only, without the
+per-run metadata.
 
 Traces never enter a payload, so the :data:`TRACE_PINS` cases hash the
 ``(time, counts, fields)`` points of traced agent runs instead: both
@@ -48,12 +52,14 @@ import pytest
 
 from repro.api import SimulationSpec, simulate
 from repro.core.colors import ColorConfiguration
+from repro.api.registry import PROTOCOLS
 from repro.engine import (
     ContinuousEngine,
     CountsContinuousEngine,
     CountsSequentialEngine,
     ExponentialDelay,
     SequentialEngine,
+    SynchronousEngine,
 )
 from repro.graphs.complete import CompleteGraph
 from repro.graphs.dynamic import ChurnTopology
@@ -62,7 +68,7 @@ from repro.protocols import UndecidedStateSequentialCounts, VoterSequentialCount
 from repro.protocols.async_plurality import AsyncPluralityProtocol
 from repro.protocols.three_majority import ThreeMajoritySequential
 from repro.protocols.two_choices import TwoChoicesSequential
-from repro.protocols.undecided_state import UndecidedStateSequential
+from repro.protocols.undecided_state import UndecidedStateSequential, UndecidedStateSynchronous
 from repro.protocols.voter import VoterSequential
 
 def _bias(k: int) -> dict:
@@ -539,6 +545,76 @@ MISS_PINS = [
 ]
 
 
+BIAS_3_RATIO_2 = {"initial": "multiplicative-bias", "initial_params": {"k": 3, "ratio": 2.0}}
+SMALL_WORLD = {"neighbors": 4, "rewire_probability": 0.1}
+
+#: (case id, spec fields or a direct engine run, sha256 of the value
+#: digest) on the agent synchronous route, ``SynchronousEngine``.  No
+#: spec on ``K_n`` reaches it (the counts protocols take ``K_n``), so
+#: the specs run off ``K_n`` and one engine built directly covers
+#: ``K_n``.  The digest drops each run's ``metadata``: it names the
+#: protocol class, which is not a value of the run.
+SYNC_AGENT_PINS = [
+    (
+        "torus-two-choices",
+        dict(protocol="two-choices", n=2_500, topology="torus", model="synchronous", seed=301,
+             **BIAS_3_RATIO_2),
+        "6664c3f98fd426d2ed3f39c4a1b263f825f9d5c203f65d09d250b9ad8302c353",
+    ),
+    (
+        "watts-strogatz-two-choices",
+        dict(protocol="two-choices", n=2_000, topology="watts-strogatz",
+             topology_params={**SMALL_WORLD, "graph_seed": 302}, model="synchronous", seed=302, **BIAS_3),
+        "a849943e04c2c7050fa059d313f1095d25bcf91226fd037d575ee5dc3081adef",
+    ),
+    (
+        "barabasi-albert-two-choices-r3",
+        dict(protocol="two-choices", n=2_000, topology="barabasi-albert",
+             topology_params={"attachments": 3, "graph_seed": 303}, model="synchronous", reps=3, seed=303,
+             **BIAS_3),
+        "83c80a317307c5367a6afb4abe7b755efeb2b0be31e8f43554de534628405421",
+    ),
+    (
+        "watts-strogatz-voter",
+        dict(protocol="voter", n=2_000, topology="watts-strogatz",
+             topology_params={**SMALL_WORLD, "graph_seed": 304}, model="synchronous", seed=304,
+             max_steps=200, **BIAS_3),
+        "e730baa649ae4c26a001d100c7795907a0dfb3517e2f4e206b5d0bfa23cdfeae",
+    ),
+    (
+        "watts-strogatz-undecided-state",
+        dict(protocol="undecided-state", n=2_000, topology="watts-strogatz",
+             topology_params={**SMALL_WORLD, "graph_seed": 305}, model="synchronous", seed=305, **BIAS_3),
+        "b44483222c85d007ca4d74ef6dba8d42942e06b9647c83248b7d7cbb2e6770d8",
+    ),
+    (
+        "torus-three-majority",
+        dict(protocol="three-majority", n=2_500, topology="torus", model="synchronous", seed=306,
+             **BIAS_3_RATIO_2),
+        "1055593287bb69b8c2fb26e64ced84592a10771c4fe4cb9d43de4e064a035cd6",
+    ),
+    (
+        "torus-voter",
+        dict(protocol="voter", n=900, topology="torus", model="synchronous", seed=307, max_steps=200,
+             **BIAS_3),
+        "433f9aff71ba3d72fec47624699e3a367b6de0689b8ec54783b55c40c0eb687d",
+    ),
+    (
+        "torus-one-extra-bit",
+        dict(protocol="one-extra-bit", n=2_500, topology="torus", model="synchronous", seed=308,
+             **BIAS_3_RATIO_2),
+        "47a306801df9a374e5bac7c02ae2b20f578c553e88e2461a88afe45dcacca053",
+    ),
+    (
+        "kn-undecided-state-engine",
+        lambda: SynchronousEngine(UndecidedStateSynchronous(), CompleteGraph(3_000)).run(
+            ColorConfiguration([1_500, 900, 600]), seed=309
+        ),
+        "23174775d8b909fb7b9e0141a64b208f4856d3abfe4f2ca4bad56c511ca74bd0",
+    ),
+]
+
+
 #: (engine, counts protocol, initial counts, batch_ticks, seed, run
 #: options, sha256) for direct counts-engine runs with one and two
 #: ticks per batch, the regime no spec reaches below the crossover.
@@ -705,3 +781,39 @@ def test_trace_is_pinned(case):
     points = [[point.time, list(point.counts), point.fields] for point in result.trace.points]
     assert len(points) >= 3
     assert _digest(points) == expected
+
+
+def _sync_agent_values(source) -> dict:
+    """The payload of a :data:`SYNC_AGENT_PINS` case, less wall time and
+    each run's metadata."""
+    if callable(source):
+        payload = {"runs": [source().to_dict()]}
+    else:
+        result = simulate(SimulationSpec(**source))
+        assert result.engine == "SynchronousEngine"
+        payload = result.to_dict()
+        payload.pop("elapsed_seconds")
+    for run in payload["runs"]:
+        run.pop("metadata")
+    return payload
+
+
+def test_every_footprint_protocol_reaches_the_agent_round_off_kn():
+    footprint = {
+        name for name in PROTOCOLS.names()
+        if PROTOCOLS.get(name).sequential is not None
+        and PROTOCOLS.get(name).sequential().tick_values is not None
+    }
+    assert footprint == {"voter", "two-choices", "three-majority", "undecided-state"}
+    for name in sorted(footprint):
+        spec = SimulationSpec(protocol=name, n=100, topology="ring", model="synchronous", seed=1,
+                              max_steps=5, **_bias(2))
+        assert simulate(spec).engine == "SynchronousEngine", name
+    pinned = {source["protocol"] for _, source, _ in SYNC_AGENT_PINS if not callable(source)}
+    assert footprint <= pinned
+
+
+@pytest.mark.parametrize("case", SYNC_AGENT_PINS, ids=lambda case: case[0])
+def test_sync_agent_values_are_pinned(case):
+    _, source, expected = case
+    assert _digest(_sync_agent_values(source)) == expected
