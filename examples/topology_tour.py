@@ -29,7 +29,7 @@ from repro.graphs import (
     torus,
     watts_strogatz,
 )
-from repro.protocols import TwoChoicesSequential, TwoChoicesSynchronous
+from repro.protocols import TwoChoicesSequential
 from repro.viz import hbar_chart
 
 
@@ -57,7 +57,8 @@ def main() -> int:
     for name, topology in topologies:
         actual_n = topology.n
         scaled = ColorConfiguration([int(0.7 * actual_n), actual_n - int(0.7 * actual_n)])
-        engine = SynchronousEngine(TwoChoicesSynchronous(), topology)
+        # The synchronous round is the tick rule run by every node at once.
+        engine = SynchronousEngine(TwoChoicesSequential(), topology)
         rounds, wins = [], 0
         for seed in range(5):
             result = engine.run(scaled, seed=seed, max_rounds=20_000)

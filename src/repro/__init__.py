@@ -88,7 +88,6 @@ from .protocols import (
     ThreeMajorityCounts,
     TwoChoicesCounts,
     TwoChoicesSequential,
-    TwoChoicesSynchronous,
     UndecidedStateCounts,
     VoterCounts,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "ThreeMajorityCounts",
     "TwoChoicesCounts",
     "TwoChoicesSequential",
-    "TwoChoicesSynchronous",
     "UndecidedStateCounts",
     "VoterCounts",
     "near_consensus_start",

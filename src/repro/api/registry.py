@@ -210,10 +210,11 @@ class ProtocolEntry:
 
     ``counts`` / ``synchronous`` serve the synchronous model (counts is
     the ``K_n``-exact fast form, synchronous the agent-level fallback
-    for other topologies); ``sequential`` serves both asynchronous
-    models (the dispatcher upgrades it to a counts tick engine on
-    ``K_n`` via ``as_sequential_counts`` once ``n * reps`` reaches the
-    counts crossover).  All realisations share one
+    for other topologies: a tick class, whose round is its tick rule
+    run by every node at once, or a round class); ``sequential`` serves
+    both asynchronous models (the dispatcher upgrades it to a counts
+    tick engine on ``K_n`` via ``as_sequential_counts`` once ``n *
+    reps`` reaches the counts crossover).  All realisations share one
     parameter list — they are the same protocol under different
     machines.
     """

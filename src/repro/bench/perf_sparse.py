@@ -85,7 +85,7 @@ class _ZipApplyTwoChoices(TwoChoicesSequential):
 
     def seq_tick_batch(self, state, nodes, topology, rng):
         nodes = np.asarray(nodes, dtype=np.int64)
-        pairs = topology.sample_neighbor_pairs(nodes, rng)
+        pairs = topology.sample_neighbors_block(nodes, 2, rng)
         colors = state.colors
         for node, first, second in zip(nodes.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()):
             seen = colors[first]

@@ -239,9 +239,7 @@ def fastest_engine(
             if not on_complete:
                 raise ConfigurationError(f"{protocol.name} is counts-level and needs K_n")
             return CountsEngine(protocol)
-        if isinstance(protocol, SynchronousProtocol):
-            return SynchronousEngine(protocol, topology)
-        raise ConfigurationError(f"{protocol.name} does not implement the synchronous model")
+        return SynchronousEngine(protocol, topology)
 
     if model not in ("sequential", "continuous"):
         raise ConfigurationError(

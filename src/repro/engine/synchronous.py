@@ -1,6 +1,9 @@
 """Agent-based synchronous round engine.
 
-Drives any :class:`~repro.protocols.base.SynchronousProtocol` on any
+Drives a :class:`~repro.protocols.base.SynchronousProtocol`, or a
+:class:`~repro.protocols.base.SequentialProtocol` whose pure
+``tick_values`` rule makes a round (every node ticks at once on the
+pre-round snapshot), on any static
 :class:`~repro.graphs.topology.Topology`.  This engine is the faithful
 (one array slot per node) realisation of the paper's synchronous model;
 for large-``n`` work on ``K_n`` prefer :class:`~repro.engine.counts.CountsEngine`,
@@ -16,9 +19,9 @@ import numpy as np
 from ..core.colors import ColorConfiguration
 from ..core.exceptions import ConfigurationError
 from ..core.results import RunResult, Trace
-from ..core.rng import SeedLike, as_generator, split
+from ..core.rng import SeedLike, as_generator
 from ..graphs.topology import Topology
-from ..protocols.base import SynchronousProtocol
+from ..protocols.base import SequentialProtocol, SynchronousProtocol
 from .base import StopCondition, build_result, consensus_reached, materialize_initial, require_static_topology
 
 __all__ = ["SynchronousEngine"]
@@ -30,14 +33,23 @@ class SynchronousEngine:
     Parameters
     ----------
     protocol:
-        The round-update policy.
+        The round-update policy: a round protocol, or a tick protocol
+        with a ``tick_values`` rule.  Tick protocols without one
+        (the phased protocol, lossy channels, slow clocks) and the
+        stubborn/Byzantine wrappers, whose frozen nodes the round rule
+        would not honour, are refused.
     topology:
-        The communication graph (defaults to nothing — pass it to
-        :meth:`run` per call or here once).
+        The communication graph.
     """
 
-    def __init__(self, protocol: SynchronousProtocol, topology: Topology):
+    def __init__(self, protocol: Union[SynchronousProtocol, SequentialProtocol], topology: Topology):
         require_static_topology(topology, "synchronous")
+        if isinstance(protocol, SequentialProtocol):
+            rounds = protocol.tick_values is not None and protocol.round_update is not None
+        else:
+            rounds = isinstance(protocol, SynchronousProtocol)
+        if not rounds:
+            raise ConfigurationError(f"{protocol.name} does not implement the synchronous model")
         self.protocol = protocol
         self.topology = topology
 
@@ -65,8 +77,9 @@ class SynchronousEngine:
         record_trace / trace_every:
             Record a counts snapshot every *trace_every* rounds.
         seed:
-            Seed or generator; assignment and round randomness use
-            split child streams so traces are reproducible.
+            Seed or generator.  The random arrangement of a
+            :class:`ColorConfiguration` and then every round draw from
+            this one stream, so a seed fixes the whole run.
         """
         if max_rounds < 0:
             raise ConfigurationError(f"max_rounds must be non-negative, got {max_rounds}")

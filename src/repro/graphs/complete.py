@@ -29,20 +29,10 @@ class CompleteGraph(Topology):
         self._check_node(node)
         return self.n - 1
 
-    def sample_neighbor(self, node: int, rng: np.random.Generator) -> int:
-        self._check_node(node)
-        draw = int(rng.integers(0, self.n - 1))
-        return draw + 1 if draw >= node else draw
-
     def sample_neighbors(self, node: int, count: int, rng: np.random.Generator) -> np.ndarray:
         self._check_node(node)
         draws = rng.integers(0, self.n - 1, size=count)
         return np.where(draws >= node, draws + 1, draws).astype(np.int64)
-
-    def sample_neighbors_many(self, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        draws = rng.integers(0, self.n - 1, size=nodes.shape)
-        return np.where(draws >= nodes, draws + 1, draws).astype(np.int64)
 
     def sample_neighbors_block(self, nodes: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)

@@ -7,9 +7,9 @@ Imported graphs are converted to CSR form
 (:class:`~repro.graphs.sparse.AdjacencyTopology`) **once, at
 construction**: the edge list is pulled out of networkx in one pass and
 sorted into offset/flat arrays with numpy (no per-node Python loop), so
-converted graphs inherit the vectorised ``sample_neighbors_many`` /
-``sample_neighbors_block`` gathers — and with them the hazard-batched
-tick engines — instead of the base-class per-node sampling fallback.
+converted graphs share the CSR graphs' vectorised
+``sample_neighbors_block`` gather, and with it the hazard-batched tick
+engines and the synchronous rounds.
 """
 
 from __future__ import annotations

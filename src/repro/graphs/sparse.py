@@ -49,26 +49,15 @@ class AdjacencyTopology(Topology):
         self._check_node(node)
         return self._flat[self._offsets[node]:self._offsets[node + 1]]
 
-    def sample_neighbor(self, node: int, rng: np.random.Generator) -> int:
-        self._check_node(node)
-        deg = self._degrees[node]
-        return int(self._flat[self._offsets[node] + rng.integers(0, deg)])
-
     def sample_neighbors(self, node: int, count: int, rng: np.random.Generator) -> np.ndarray:
         self._check_node(node)
         deg = self._degrees[node]
         picks = rng.integers(0, deg, size=count)
         return self._flat[self._offsets[node] + picks]
 
-    def sample_neighbors_many(self, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        degs = self._degrees[nodes]
-        picks = (rng.random(nodes.shape) * degs).astype(np.int64)
-        return self._flat[self._offsets[nodes] + picks]
-
     def sample_neighbors_block(self, nodes: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-        # One uniform draw per (tick, sample) slot, one CSR gather: the
-        # presampling primitive of the hazard-batched tick paths.  On
+        # One uniform draw per (node, sample) slot, one CSR gather: the
+        # presampling primitive of tick blocks and rounds.  On
         # regular graphs (ring, torus, hypercube, random-regular) the
         # row offsets are arithmetic, so the bounded-integer draw skips
         # the float scaling and the offsets gather entirely.

@@ -3,9 +3,11 @@
 The protocols in the paper live on the complete graph ``K_n`` and only
 ever *sample neighbours uniformly at random* — they never enumerate
 edges.  The :class:`Topology` interface therefore exposes exactly that
-operation (scalar and vectorised), which lets the complete graph be
-represented in O(1) memory and lets the same protocol code run on
-sparse graphs for exploratory use.
+operation, in the two shapes the engines use: the neighbours of one
+acting node (one tick) and a block of them for many nodes at once
+(presampled tick blocks, synchronous rounds).  This lets the complete
+graph be represented in O(1) memory and lets the same protocol code run
+on sparse graphs for exploratory use.
 
 All sampling is **with replacement** and, on ``K_n``, matches the
 paper's model where a node may sample itself is *excluded*: the paper
@@ -17,7 +19,6 @@ samples; sparse topologies sample uniformly from the adjacency list.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 import numpy as np
 
@@ -32,43 +33,22 @@ class Topology(ABC):
     #: number of nodes; concrete classes must set this in ``__init__``.
     n: int
 
-    # ------------------------------------------------------------------
-    # required interface
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def sample_neighbor(self, node: int, rng: np.random.Generator) -> int:
-        """Return one uniformly random neighbour of *node*."""
-
     @abstractmethod
     def sample_neighbors(self, node: int, count: int, rng: np.random.Generator) -> np.ndarray:
         """Return *count* i.i.d. uniform neighbours of *node* (with replacement)."""
 
     @abstractmethod
-    def degree(self, node: int) -> int:
-        """Number of neighbours of *node*."""
-
-    # ------------------------------------------------------------------
-    # vectorised interface (default: loop; complete graph overrides)
-    # ------------------------------------------------------------------
-    def sample_neighbors_many(self, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One uniform neighbour for each entry of *nodes* (vectorised hook)."""
-        return np.array([self.sample_neighbor(int(u), rng) for u in nodes], dtype=np.int64)
-
-    def sample_neighbor_pairs(self, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Two i.i.d. uniform neighbours for each entry of *nodes*, shape ``(len, 2)``."""
-        return self.sample_neighbors_block(nodes, 2, rng)
-
     def sample_neighbors_block(self, nodes: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
         """*count* i.i.d. uniform neighbours per entry of *nodes*, shape ``(len, count)``.
 
-        The presampling hook of the hazard-batched tick paths: one call
-        yields the full ``(B, samples)`` target-identity matrix of a
-        tick block.  The default draws column by column through
-        :meth:`sample_neighbors_many`; ``CompleteGraph`` and
-        ``AdjacencyTopology`` override it with a single block draw.
+        One call yields the full ``(B, samples)`` target-identity matrix
+        of a tick block or a synchronous round.  A single column is
+        ``sample_neighbors_block(nodes, 1, rng)[:, 0]``.
         """
-        columns = [self.sample_neighbors_many(nodes, rng) for _ in range(count)]
-        return np.stack(columns, axis=1)
+
+    @abstractmethod
+    def degree(self, node: int) -> int:
+        """Number of neighbours of *node*."""
 
     # ------------------------------------------------------------------
     # shared validation helpers

@@ -1,6 +1,7 @@
 """Protocols: the paper's algorithms plus standard baselines.
 
-* Two-Choices (Theorem 1.1) — sync / counts-exact / sequential.
+* Two-Choices (Theorem 1.1) — counts-exact / sequential (whose
+  round is the agent-based synchronous model).
 * OneExtraBit (Theorem 1.2) — sync agent-based and counts-exact.
 * AsyncPluralityProtocol (Theorem 1.3) — the main contribution, with
   its PhaseSchedule and Sync Gadget, run by the generic tick engines.
@@ -42,21 +43,18 @@ from .three_majority import (
     ThreeMajorityCounts,
     ThreeMajoritySequential,
     ThreeMajoritySequentialCounts,
-    ThreeMajoritySynchronous,
 )
 from .two_choices import (
     TwoChoicesCounts,
     TwoChoicesSequential,
     TwoChoicesSequentialCounts,
-    TwoChoicesSynchronous,
 )
 from .undecided_state import (
     UndecidedStateCounts,
     UndecidedStateSequential,
     UndecidedStateSequentialCounts,
-    UndecidedStateSynchronous,
 )
-from .voter import VoterCounts, VoterSequential, VoterSequentialCounts, VoterSynchronous
+from .voter import VoterCounts, VoterSequential, VoterSequentialCounts
 
 __all__ = [
     "AsyncPluralityProtocol",
@@ -93,17 +91,13 @@ __all__ = [
     "ThreeMajorityCounts",
     "ThreeMajoritySequential",
     "ThreeMajoritySequentialCounts",
-    "ThreeMajoritySynchronous",
     "TwoChoicesCounts",
     "TwoChoicesSequential",
     "TwoChoicesSequentialCounts",
-    "TwoChoicesSynchronous",
     "UndecidedStateCounts",
     "UndecidedStateSequential",
     "UndecidedStateSequentialCounts",
-    "UndecidedStateSynchronous",
     "VoterCounts",
     "VoterSequential",
     "VoterSequentialCounts",
-    "VoterSynchronous",
 ]

@@ -3,9 +3,20 @@
 The paper's processes are driven by three different machines, so a
 protocol may implement up to four complementary interfaces:
 
+:class:`SequentialProtocol`
+    Tick-based: one uniformly random node acts per tick (the paper's
+    sequential model, equivalent in run time to the Poisson-clock model
+    it cites Mosk-Aoyama & Shah for).  The interface splits a tick into
+    *target selection* and *apply*, which lets the continuous-time
+    engine inject response delays (the Discussion-section extension)
+    without protocols knowing about it.  A protocol with a
+    :class:`TickFootprint` and a pure ``tick_values`` rule also runs
+    synchronous rounds: :meth:`SequentialProtocol.round_update` lets
+    every node tick at once on the pre-round snapshot.
 :class:`SynchronousProtocol`
     Round-based, agent-level: ``round_update`` rewrites the whole state
-    vector once per synchronous round (Theorems 1.1 and 1.2 substrate).
+    vector once per synchronous round.  Only protocols whose round is
+    not one tick per node implement it (OneExtraBit's phase schedule).
 :class:`CountsProtocol`
     Round-based on ``K_n`` at the level of label *histograms*.  On the
     complete graph with uniform sampling the round transition of every
@@ -15,13 +26,6 @@ protocol may implement up to four complementary interfaces:
     independent replications is an ``(R, m)`` matrix and one
     :meth:`~CountsProtocol.step_ensemble` call advances every row; a
     single run is the one-row case.
-:class:`SequentialProtocol`
-    Tick-based: one uniformly random node acts per tick (the paper's
-    sequential model, equivalent in run time to the Poisson-clock model
-    it cites Mosk-Aoyama & Shah for).  The interface splits a tick into
-    *target selection* and *apply*, which lets the continuous-time
-    engine inject response delays (the Discussion-section extension)
-    without protocols knowing about it.
 :class:`SequentialCountsProtocol`
     Tick-based on ``K_n`` at the level of colour *counts*: the exact
     conditional law of a single tick given the histogram, expressed as
@@ -200,12 +204,16 @@ def draw_classes(rng: np.random.Generator, states: np.ndarray, pvals: np.ndarray
 class SequentialProtocol(ABC):
     """Tick-based protocol: one node acts per tick.
 
-    Subclasses implement :meth:`tick_targets` plus either a scalar
-    :attr:`tick_rule` (which the default :meth:`tick_apply` runs for one
-    tick) or their own :meth:`tick_apply`; the default :meth:`seq_tick`
-    composes them with an instantaneous observation, which is the
-    paper's base model ("once a node contacts another node, it receives
-    that node's response without any delay").
+    Subclasses declare a :class:`TickFootprint` (the default
+    :meth:`tick_targets` samples its uniform neighbours) or override
+    :meth:`tick_targets`, and supply either a scalar :attr:`tick_rule`
+    (which the default :meth:`tick_apply` runs for one tick) or their
+    own :meth:`tick_apply`; the default :meth:`seq_tick` composes them
+    with an instantaneous observation, which is the paper's base model
+    ("once a node contacts another node, it receives that node's
+    response without any delay").  A footprint protocol with a
+    :attr:`tick_values` rule also runs the synchronous model through
+    :meth:`round_update`.
     """
 
     name: str = "sequential-protocol"
@@ -259,9 +267,13 @@ class SequentialProtocol(ABC):
         """Build the state object this protocol operates on."""
         return NodeArrayState(colors=np.asarray(colors, dtype=np.int64), k=k)
 
-    @abstractmethod
     def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
-        """Nodes the ticking node wants to observe (may be empty)."""
+        """Nodes the ticking node wants to observe (may be empty).
+
+        The default draws the footprint's ``samples`` i.i.d. uniform
+        neighbours; protocols without a footprint override it.
+        """
+        return topology.sample_neighbors(node, self.tick_footprint.samples, rng)
 
     def tick_apply(self, state: NodeArrayState, node: int, observed_colors: np.ndarray) -> None:
         """Update *node* given the observed colours of its targets.
@@ -286,6 +298,22 @@ class SequentialProtocol(ABC):
         targets = self.tick_targets(state, node, topology, rng)
         observed = state.colors[targets] if len(targets) else np.empty(0, dtype=np.int64)
         self.tick_apply(state, node, observed)
+
+    def round_update(self, state: NodeArrayState, topology: Topology, rng: np.random.Generator) -> None:
+        """One synchronous round: every node ticks at once.
+
+        Every node draws its footprint's targets in one block and
+        :attr:`tick_values` maps the *pre-round* colours to the new
+        ones, so all reads come from the snapshot, as the paper's
+        synchronous model requires.  ``tick_values`` draws nothing and
+        mutates nothing (lint rules P001/P002), which is what makes it
+        a round rule.  :class:`~repro.engine.synchronous.SynchronousEngine`
+        refuses protocols without one.
+        """
+        nodes = np.arange(state.n, dtype=np.int64)
+        targets = topology.sample_neighbors_block(nodes, self.tick_footprint.samples, rng)
+        colors = state.colors
+        state.colors = self.tick_values(state, colors, colors[targets])
 
     def seq_tick_batch(self, state: NodeArrayState, nodes: np.ndarray, topology: Topology, rng: np.random.Generator) -> None:
         """Apply one instantaneous tick per entry of *nodes*, in order.

@@ -153,6 +153,11 @@ class _FaultWrapper(SequentialProtocol):
     # the inner protocol's footprint.
     tick_footprint: Optional[TickFootprint]
 
+    # The round built from tick_values knows no frozen mask, so a
+    # wrapped protocol has no synchronous round; SynchronousEngine
+    # refuses it.
+    round_update = None
+
     def __init__(self, inner: SequentialProtocol, fraction: float, fault_seed: int):
         if not isinstance(inner, SequentialProtocol):
             raise ConfigurationError(

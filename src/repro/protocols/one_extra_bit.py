@@ -127,7 +127,7 @@ class OneExtraBitSynchronous(SynchronousProtocol):
 
     def _two_choices_round(self, state: OneExtraBitState, topology: Topology, rng: np.random.Generator) -> None:
         nodes = np.arange(state.n, dtype=np.int64)
-        pairs = topology.sample_neighbor_pairs(nodes, rng)
+        pairs = topology.sample_neighbors_block(nodes, 2, rng)
         first = state.colors[pairs[:, 0]]
         second = state.colors[pairs[:, 1]]
         agree = first == second
@@ -138,7 +138,7 @@ class OneExtraBitSynchronous(SynchronousProtocol):
         seekers = np.flatnonzero(~state.bit)
         if seekers.size == 0:
             return
-        targets = topology.sample_neighbors_many(seekers, rng)
+        targets = topology.sample_neighbors_block(seekers, 1, rng)[:, 0]
         # Reads come from the pre-round snapshot: simultaneous updates.
         target_bit = state.bit[targets]
         target_color = state.colors[targets]

@@ -69,7 +69,7 @@ def _check_mode(mode: str) -> None:
 
 def _push_round_agents(state: RumorState, topology: Topology, rng: np.random.Generator) -> None:
     informed_nodes = np.flatnonzero(state.informed)
-    targets = topology.sample_neighbors_many(informed_nodes, rng)
+    targets = topology.sample_neighbors_block(informed_nodes, 1, rng)[:, 0]
     state.informed[targets] = True
 
 
@@ -77,7 +77,7 @@ def _pull_round_agents(state: RumorState, topology: Topology, rng: np.random.Gen
     uninformed_nodes = np.flatnonzero(~state.informed)
     if uninformed_nodes.size == 0:
         return
-    targets = topology.sample_neighbors_many(uninformed_nodes, rng)
+    targets = topology.sample_neighbors_block(uninformed_nodes, 1, rng)[:, 0]
     hits = snapshot[targets]
     state.informed[uninformed_nodes[hits]] = True
 

@@ -21,19 +21,16 @@ import numpy as np
 from ..api.registry import register_protocol
 from ..core.colors import ColorConfiguration
 from ..core.state import NodeArrayState
-from ..graphs.topology import Topology
 from .base import (
     CountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
-    SynchronousProtocol,
     TickFootprint,
     draw_classes,
     self_excluded_sample_probabilities_ensemble,
 )
 
 __all__ = [
-    "ThreeMajoritySynchronous",
     "ThreeMajorityCounts",
     "ThreeMajoritySequential",
     "ThreeMajoritySequentialCounts",
@@ -60,19 +57,6 @@ def _majority_of_three(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarra
     return out
 
 
-class ThreeMajoritySynchronous(SynchronousProtocol):
-    """Agent-based synchronous 3-Majority."""
-
-    name = "three-majority/sync"
-
-    def round_update(self, state: NodeArrayState, topology: Topology, rng: np.random.Generator) -> None:
-        nodes = np.arange(state.n, dtype=np.int64)
-        first = state.colors[topology.sample_neighbors_many(nodes, rng)]
-        second = state.colors[topology.sample_neighbors_many(nodes, rng)]
-        third = state.colors[topology.sample_neighbors_many(nodes, rng)]
-        state.colors = _majority_of_three(first, second, third)
-
-
 class ThreeMajorityCounts(CountsProtocol):
     """Exact counts-level 3-Majority on ``K_n``."""
 
@@ -88,16 +72,13 @@ class ThreeMajorityCounts(CountsProtocol):
 
 
 class ThreeMajoritySequential(SequentialProtocol):
-    """Tick-based 3-Majority for the asynchronous engines."""
+    """Tick-based 3-Majority: the asynchronous engines and agent rounds."""
 
     name = "three-majority/seq"
     # Three state-independent uniform samples; always adopts one of
     # them, so the actor's own colour is never read.
     tick_footprint = TickFootprint(samples=3, reads_own=False)
     tick_kernel = "three-majority"
-
-    def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
-        return topology.sample_neighbors(node, 3, rng)
 
     def tick_rule(self, state: NodeArrayState, colors: list, nodes: list, columns: list) -> list:
         written = []
@@ -144,6 +125,6 @@ register_protocol(
     "three-majority",
     description="Sample three uniform neighbours; adopt the majority colour (random tie-break)",
     counts=ThreeMajorityCounts,
-    synchronous=ThreeMajoritySynchronous,
+    synchronous=ThreeMajoritySequential,
     sequential=ThreeMajoritySequential,
 )

@@ -7,16 +7,15 @@ two sampled colours coincide.
 
 Three interchangeable realisations are provided:
 
-* :class:`TwoChoicesSynchronous` — agent-based synchronous rounds on
-  any topology (every node acts simultaneously from the pre-round
-  state).
 * :class:`TwoChoicesCounts` — the exact counts-level transition on
   ``K_n``: a node of colour ``i`` adopts colour ``j`` with probability
   ``((c_j - [i == j]) / (n - 1))^2`` and keeps its colour otherwise, so
   a round is a sum of per-colour-class multinomials.
 * :class:`TwoChoicesSequential` — the tick-based rule used by the
   sequential and continuous asynchronous engines (and by the endgame of
-  the paper's main protocol).
+  the paper's main protocol); its round, every node ticking at once on
+  the pre-round state, is the agent-based synchronous model on any
+  topology.
 * :class:`TwoChoicesSequentialCounts` — the exact counts-level *tick*
   law on ``K_n`` for the batched asynchronous engines
   (:mod:`repro.engine.counts_async`): an acting node of colour ``i``
@@ -30,12 +29,10 @@ import numpy as np
 from ..api.registry import register_protocol
 from ..core.colors import ColorConfiguration
 from ..core.state import NodeArrayState
-from ..graphs.topology import Topology
 from .base import (
     CountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
-    SynchronousProtocol,
     TickFootprint,
     diagonals,
     draw_classes,
@@ -43,28 +40,10 @@ from .base import (
 )
 
 __all__ = [
-    "TwoChoicesSynchronous",
     "TwoChoicesCounts",
     "TwoChoicesSequential",
     "TwoChoicesSequentialCounts",
 ]
-
-
-class TwoChoicesSynchronous(SynchronousProtocol):
-    """Agent-based synchronous Two-Choices."""
-
-    name = "two-choices/sync"
-
-    def round_update(self, state: NodeArrayState, topology: Topology, rng: np.random.Generator) -> None:
-        nodes = np.arange(state.n, dtype=np.int64)
-        pairs = topology.sample_neighbor_pairs(nodes, rng)
-        first = state.colors[pairs[:, 0]]
-        second = state.colors[pairs[:, 1]]
-        agree = first == second
-        # All reads come from the pre-round snapshot (`first`/`second`
-        # were gathered before any write), so the simultaneous-update
-        # semantics of the synchronous model hold.
-        state.colors = np.where(agree, first, state.colors)
 
 
 class TwoChoicesCounts(CountsProtocol):
@@ -99,16 +78,13 @@ class TwoChoicesCounts(CountsProtocol):
 
 
 class TwoChoicesSequential(SequentialProtocol):
-    """Tick-based Two-Choices for the asynchronous engines."""
+    """Tick-based Two-Choices: the asynchronous engines and agent rounds."""
 
     name = "two-choices/seq"
     # Two state-independent uniform samples; writes only the acting
     # node; the decision never reads the actor's own colour.
     tick_footprint = TickFootprint(samples=2, reads_own=False)
     tick_kernel = "two-choices"
-
-    def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
-        return topology.sample_neighbors(node, 2, rng)
 
     def tick_rule(self, state: NodeArrayState, colors: list, nodes: list, columns: list) -> list:
         written = []
@@ -154,6 +130,6 @@ register_protocol(
     "two-choices",
     description="Sample two uniform neighbours; switch iff their colours agree (Theorem 1.1)",
     counts=TwoChoicesCounts,
-    synchronous=TwoChoicesSynchronous,
+    synchronous=TwoChoicesSequential,
     sequential=TwoChoicesSequential,
 )

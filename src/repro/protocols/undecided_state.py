@@ -28,12 +28,10 @@ import numpy as np
 from ..api.registry import register_protocol
 from ..core.colors import ColorConfiguration
 from ..core.state import NodeArrayState
-from ..graphs.topology import Topology
 from .base import (
     CountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
-    SynchronousProtocol,
     TickFootprint,
     diagonals,
     draw_classes,
@@ -41,48 +39,10 @@ from .base import (
 )
 
 __all__ = [
-    "UndecidedStateSynchronous",
     "UndecidedStateCounts",
     "UndecidedStateSequential",
     "UndecidedStateSequentialCounts",
 ]
-
-
-def _make_state_with_undecided(colors: np.ndarray, k: int) -> NodeArrayState:
-    """Widen the label space by one to make room for the undecided label."""
-    return NodeArrayState(colors=np.asarray(colors, dtype=np.int64), k=k + 1)
-
-
-class UndecidedStateSynchronous(SynchronousProtocol):
-    """Agent-based synchronous USD."""
-
-    name = "undecided-state/sync"
-
-    def make_state(self, colors: np.ndarray, k: int) -> NodeArrayState:
-        return _make_state_with_undecided(colors, k)
-
-    def round_update(self, state: NodeArrayState, topology: Topology, rng: np.random.Generator) -> None:
-        undecided = state.k - 1
-        nodes = np.arange(state.n, dtype=np.int64)
-        sampled = state.colors[topology.sample_neighbors_many(nodes, rng)]
-        own = state.colors
-        own_undecided = own == undecided
-        sample_undecided = sampled == undecided
-        # Decided nodes: conflict with a different decided colour.
-        conflict = ~own_undecided & ~sample_undecided & (sampled != own)
-        # Undecided nodes: adopt any decided sample.
-        adopt = own_undecided & ~sample_undecided
-        new = own.copy()
-        new[conflict] = undecided
-        new[adopt] = sampled[adopt]
-        state.colors = new
-
-    def is_absorbed(self, state: NodeArrayState) -> bool:
-        counts = state.counts()
-        support = int(np.count_nonzero(counts[:-1]))
-        # Absorbing states: one decided colour plus possibly undecided
-        # mass of zero, or everyone undecided.
-        return (support <= 1 and counts[-1] == 0) or support == 0
 
 
 class UndecidedStateCounts(CountsProtocol):
@@ -107,7 +67,7 @@ class UndecidedStateCounts(CountsProtocol):
 
 
 class UndecidedStateSequential(SequentialProtocol):
-    """Tick-based USD for the asynchronous engines."""
+    """Tick-based USD: the asynchronous engines and agent rounds."""
 
     name = "undecided-state/seq"
     # One state-independent uniform sample; the update also reads the
@@ -116,10 +76,8 @@ class UndecidedStateSequential(SequentialProtocol):
     tick_kernel = "undecided-state"
 
     def make_state(self, colors: np.ndarray, k: int) -> NodeArrayState:
-        return _make_state_with_undecided(colors, k)
-
-    def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
-        return topology.sample_neighbors(node, 1, rng)
+        # Widen the label space by one for the undecided label.
+        return NodeArrayState(colors=np.asarray(colors, dtype=np.int64), k=k + 1)
 
     def tick_rule(self, state: NodeArrayState, colors: list, nodes: list, columns: list) -> list:
         undecided = state.k - 1
@@ -139,6 +97,8 @@ class UndecidedStateSequential(SequentialProtocol):
     def is_absorbed(self, state: NodeArrayState) -> bool:
         counts = state.counts()
         support = int(np.count_nonzero(counts[:-1]))
+        # Absorbing states: one decided colour with no undecided mass,
+        # or everyone undecided.
         return (support <= 1 and counts[-1] == 0) or support == 0
 
     def tick_values(self, state: NodeArrayState, own: np.ndarray, observed: np.ndarray) -> np.ndarray:
@@ -190,6 +150,6 @@ register_protocol(
     "undecided-state",
     description="Undecided-State Dynamics: clash with a disagreeing neighbour, then re-adopt",
     counts=UndecidedStateCounts,
-    synchronous=UndecidedStateSynchronous,
+    synchronous=UndecidedStateSequential,
     sequential=UndecidedStateSequential,
 )

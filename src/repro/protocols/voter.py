@@ -16,29 +16,16 @@ import numpy as np
 from ..api.registry import register_protocol
 from ..core.colors import ColorConfiguration
 from ..core.state import NodeArrayState
-from ..graphs.topology import Topology
 from .base import (
     CountsProtocol,
     SequentialCountsProtocol,
     SequentialProtocol,
-    SynchronousProtocol,
     TickFootprint,
     draw_classes,
     self_excluded_sample_probabilities_ensemble,
 )
 
-__all__ = ["VoterSynchronous", "VoterCounts", "VoterSequential", "VoterSequentialCounts"]
-
-
-class VoterSynchronous(SynchronousProtocol):
-    """Agent-based synchronous pull voting."""
-
-    name = "voter/sync"
-
-    def round_update(self, state: NodeArrayState, topology: Topology, rng: np.random.Generator) -> None:
-        nodes = np.arange(state.n, dtype=np.int64)
-        targets = topology.sample_neighbors_many(nodes, rng)
-        state.colors = state.colors[targets]
+__all__ = ["VoterCounts", "VoterSequential", "VoterSequentialCounts"]
 
 
 class VoterCounts(CountsProtocol):
@@ -60,15 +47,12 @@ class VoterCounts(CountsProtocol):
 
 
 class VoterSequential(SequentialProtocol):
-    """Tick-based pull voting for the asynchronous engines."""
+    """Tick-based pull voting: the asynchronous engines and agent rounds."""
 
     name = "voter/seq"
     # One state-independent uniform sample; adopts it unconditionally.
     tick_footprint = TickFootprint(samples=1, reads_own=False)
     tick_kernel = "voter"
-
-    def tick_targets(self, state: NodeArrayState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
-        return topology.sample_neighbors(node, 1, rng)
 
     def tick_rule(self, state: NodeArrayState, colors: list, nodes: list, columns: list) -> list:
         written = []
@@ -106,6 +90,6 @@ register_protocol(
     "voter",
     description="Adopt one uniform neighbour's colour unconditionally (Theta(n) baseline)",
     counts=VoterCounts,
-    synchronous=VoterSynchronous,
+    synchronous=VoterSequential,
     sequential=VoterSequential,
 )

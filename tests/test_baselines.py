@@ -11,15 +11,10 @@ from repro.graphs.complete import CompleteGraph
 from repro.protocols.three_majority import (
     ThreeMajorityCounts,
     ThreeMajoritySequential,
-    ThreeMajoritySynchronous,
     _majority_of_three,
 )
-from repro.protocols.undecided_state import (
-    UndecidedStateCounts,
-    UndecidedStateSequential,
-    UndecidedStateSynchronous,
-)
-from repro.protocols.voter import VoterCounts, VoterSequential, VoterSynchronous
+from repro.protocols.undecided_state import UndecidedStateCounts, UndecidedStateSequential
+from repro.protocols.voter import VoterCounts, VoterSequential
 
 
 class TestVoter:
@@ -51,7 +46,7 @@ class TestVoter:
         assert abs(rate - 0.6) < 5 * np.sqrt(0.6 * 0.4 / trials)
 
     def test_synchronous_round(self, rng):
-        protocol = VoterSynchronous()
+        protocol = VoterSequential()
         state = NodeArrayState(colors=np.ones(30, dtype=np.int64), k=2)
         protocol.round_update(state, CompleteGraph(30), rng)
         assert (state.colors == 1).all()
@@ -101,7 +96,7 @@ class TestThreeMajority:
         assert adopt.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_synchronous_consensus_absorbing(self, rng):
-        protocol = ThreeMajoritySynchronous()
+        protocol = ThreeMajoritySequential()
         state = NodeArrayState(colors=np.zeros(40, dtype=np.int64), k=2)
         protocol.round_update(state, CompleteGraph(40), rng)
         assert (state.colors == 0).all()
@@ -169,7 +164,7 @@ class TestUndecidedState:
         assert result.winner == 0
 
     def test_synchronous_round_conserves(self, rng):
-        protocol = UndecidedStateSynchronous()
+        protocol = UndecidedStateSequential()
         state = protocol.make_state(np.array([0] * 25 + [1] * 15), k=2)
         protocol.round_update(state, CompleteGraph(40), rng)
         assert state.colors.size == 40

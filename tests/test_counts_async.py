@@ -44,7 +44,6 @@ from repro.protocols import (
     TwoChoicesCounts,
     TwoChoicesSequential,
     TwoChoicesSequentialCounts,
-    TwoChoicesSynchronous,
     UndecidedStateSequential,
     UndecidedStateSequentialCounts,
     VoterSequential,
@@ -287,7 +286,7 @@ class TestDispatch:
             fastest_engine(TwoChoicesCounts(), CompleteGraph(100), model="synchronous"), CountsEngine
         )
         assert isinstance(
-            fastest_engine(TwoChoicesSynchronous(), hypercube(5), model="synchronous"),
+            fastest_engine(TwoChoicesSequential(), hypercube(5), model="synchronous"),
             SynchronousEngine,
         )
 

@@ -16,10 +16,10 @@ from repro.engine.counts import CountsEngine
 from repro.engine.sequential import SequentialEngine
 from repro.engine.synchronous import SynchronousEngine
 from repro.graphs.complete import CompleteGraph
-from repro.protocols.three_majority import ThreeMajorityCounts, ThreeMajoritySynchronous
-from repro.protocols.two_choices import TwoChoicesCounts, TwoChoicesSequential, TwoChoicesSynchronous
-from repro.protocols.undecided_state import UndecidedStateCounts, UndecidedStateSynchronous
-from repro.protocols.voter import VoterCounts, VoterSynchronous
+from repro.protocols.three_majority import ThreeMajorityCounts, ThreeMajoritySequential
+from repro.protocols.two_choices import TwoChoicesCounts, TwoChoicesSequential
+from repro.protocols.undecided_state import UndecidedStateCounts, UndecidedStateSequential
+from repro.protocols.voter import VoterCounts, VoterSequential
 
 
 def _one_round_means(agent_protocol, counts_protocol, colors, counts_vector, trials=250):
@@ -43,20 +43,20 @@ def _one_round_means(agent_protocol, counts_protocol, colors, counts_vector, tri
 class TestOneRoundLawAgreement:
     def test_voter(self):
         colors = np.array([0] * 250 + [1] * 150)
-        a, c, sem = _one_round_means(VoterSynchronous(), VoterCounts(), colors, [250, 150])
+        a, c, sem = _one_round_means(VoterSequential(), VoterCounts(), colors, [250, 150])
         assert abs(a - c) < 4 * sem + 1e-9
 
     def test_three_majority(self):
         colors = np.array([0] * 200 + [1] * 130 + [2] * 70)
         a, c, sem = _one_round_means(
-            ThreeMajoritySynchronous(), ThreeMajorityCounts(), colors, [200, 130, 70]
+            ThreeMajoritySequential(), ThreeMajorityCounts(), colors, [200, 130, 70]
         )
         assert abs(a - c) < 4 * sem + 1e-9
 
     def test_undecided_state(self):
         colors = np.array([0] * 240 + [1] * 160)
         a, c, sem = _one_round_means(
-            UndecidedStateSynchronous(), UndecidedStateCounts(), colors, [240, 160]
+            UndecidedStateSequential(), UndecidedStateCounts(), colors, [240, 160]
         )
         assert abs(a - c) < 4 * sem + 1e-9
 
@@ -68,7 +68,7 @@ class TestFullRunAgreement:
         n = 600
         config = ColorConfiguration([400, 200])
         trials = 25
-        agent_engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(n))
+        agent_engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(n))
         counts_engine = CountsEngine(TwoChoicesCounts())
         agent_rounds = [agent_engine.run(config, seed=s).rounds for s in range(trials)]
         counts_rounds = [counts_engine.run(config, seed=100 + s).rounds for s in range(trials)]
@@ -82,7 +82,7 @@ class TestFullRunAgreement:
         n = 500
         config = ColorConfiguration([350, 150])
         trials = 10
-        sync_engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(n))
+        sync_engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(n))
         seq_engine = SequentialEngine(TwoChoicesSequential(), CompleteGraph(n))
         sync_rounds = np.mean([sync_engine.run(config, seed=s).rounds for s in range(trials)])
         seq_time = np.mean([seq_engine.run(config, seed=50 + s).parallel_time for s in range(trials)])

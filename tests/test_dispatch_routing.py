@@ -29,7 +29,6 @@ from repro.protocols.two_choices import (
     TwoChoicesCounts,
     TwoChoicesSequential,
     TwoChoicesSequentialCounts,
-    TwoChoicesSynchronous,
 )
 from repro.protocols.undecided_state import UndecidedStateCounts, UndecidedStateSequential
 from repro.protocols.voter import VoterCounts, VoterSequential
@@ -77,10 +76,11 @@ ROUTING_TABLE = [
     # OneExtraBit's (R, 2k+1) round hook stacks replications like the others.
     ("counts-oeb/sync/K_n/1", OneExtraBitCounts, "synchronous", K_N, None, 1, CountsEngine),
     ("counts-oeb/sync/K_n/R", OneExtraBitCounts, "synchronous", K_N, None, 8, CountsEngine),
-    # Agent-level synchronous protocols run the reference engine anywhere.
-    ("agent/sync/K_n/1", TwoChoicesSynchronous, "synchronous", K_N, None, 1, SynchronousEngine),
-    ("agent/sync/ring/1", TwoChoicesSynchronous, "synchronous", RING, None, 1, SynchronousEngine),
-    ("agent/sync/ring/R", TwoChoicesSynchronous, "synchronous", RING, None, 8, SynchronousEngine),
+    # Tick protocols with a value rule run their round on the reference
+    # engine anywhere, and so does the agent-level round protocol.
+    ("agent/sync/K_n/1", TwoChoicesSequential, "synchronous", K_N, None, 1, SynchronousEngine),
+    ("agent/sync/ring/1", TwoChoicesSequential, "synchronous", RING, None, 1, SynchronousEngine),
+    ("agent/sync/ring/R", TwoChoicesSequential, "synchronous", RING, None, 8, SynchronousEngine),
     ("agent-oeb/sync/ring/1", OneExtraBitSynchronous, "synchronous", RING, None, 1, SynchronousEngine),
     # --- sequential model -------------------------------------------------
     # Tick protocols with a counts companion upgrade on K_n from the
@@ -198,13 +198,13 @@ REJECTION_TABLE = [
     ("sync-rejects-delays", TwoChoicesCounts, "synchronous", K_N, ExponentialDelay(1.0), 1, "delay"),
     ("seq-rejects-delays", TwoChoicesSequential, "sequential", K_N, ExponentialDelay(1.0), 1, "delay"),
     ("counts-protocol-lacks-sync", TwoChoicesSequentialCounts, "synchronous", K_N, None, 1, "synchronous"),
-    ("sync-protocol-lacks-seq", TwoChoicesSynchronous, "sequential", K_N, None, 1, "sequential"),
+    ("sync-protocol-lacks-seq", OneExtraBitSynchronous, "sequential", K_N, None, 1, "sequential"),
     ("unknown-model", TwoChoicesSequential, "adiabatic", K_N, None, 1, "unknown model"),
     ("bad-n-reps", TwoChoicesSequential, "sequential", K_N, None, 0, "n_reps"),
     # Dynamic topologies advance on a tick-epoch clock: only the
     # sequential engines cut their blocks at epoch boundaries.
     ("dynamic-rejects-continuous", TwoChoicesSequential, "continuous", DYNAMIC_RING, None, 1, "tick-epoch"),
-    ("dynamic-rejects-synchronous", TwoChoicesSynchronous, "synchronous", DYNAMIC_RING, None, 1, "tick-epoch"),
+    ("dynamic-rejects-synchronous", TwoChoicesSequential, "synchronous", DYNAMIC_RING, None, 1, "tick-epoch"),
 ]
 
 

@@ -23,7 +23,7 @@ from repro.engine.sequential import SequentialEngine
 from repro.graphs.complete import CompleteGraph
 from repro.graphs.dynamic import _EPOCH_TAG, ChurnTopology
 from repro.graphs.sparse import ring, torus
-from repro.protocols.two_choices import TwoChoicesSequential, TwoChoicesSynchronous
+from repro.protocols.two_choices import TwoChoicesSequential
 
 
 def _churned_ring(n=64, rate=0.3, **kwargs) -> ChurnTopology:
@@ -181,7 +181,7 @@ class TestEngineEpochCuts:
         "make_engine",
         [
             lambda topo: ContinuousEngine(TwoChoicesSequential(), topo),
-            lambda topo: SynchronousEngine(TwoChoicesSynchronous(), topo),
+            lambda topo: SynchronousEngine(TwoChoicesSequential(), topo),
         ],
         ids=["continuous", "synchronous"],
     )

@@ -13,13 +13,18 @@ from repro.engine.counts import CountsEngine
 from repro.engine.counts_async import CountsContinuousEngine, CountsSequentialEngine
 from repro.engine.delays import ExponentialDelay, FixedDelay
 from repro.engine.sequential import SequentialEngine
+from repro.engine.dispatch import fastest_engine
 from repro.engine.synchronous import SynchronousEngine
 from repro.graphs.complete import CompleteGraph
+from repro.graphs.sparse import ring
+from repro.protocols.async_plurality import AsyncPluralityProtocol
+from repro.protocols.faults import ByzantineProtocol, StubbornProtocol
+from repro.protocols.lossy import LossyProtocol
+from repro.protocols.slow_clocks import SlowClocks
 from repro.protocols.two_choices import (
     TwoChoicesCounts,
     TwoChoicesSequential,
     TwoChoicesSequentialCounts,
-    TwoChoicesSynchronous,
 )
 from repro.protocols.voter import VoterSequential
 
@@ -52,52 +57,78 @@ class TestStopConditions:
 
 class TestSynchronousEngine:
     def test_converges_with_bias(self):
-        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(300))
+        engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(300))
         result = engine.run(ColorConfiguration([220, 80]), seed=1)
         assert result.converged
         assert result.winner == 0
         assert result.parallel_time == result.rounds
 
     def test_rejects_trace_every_below_one_round(self):
-        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(30))
+        engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(30))
         with pytest.raises(ConfigurationError, match="trace_every"):
             engine.run(ColorConfiguration([20, 10]), seed=1, record_trace=True, trace_every=0)
 
     def test_explicit_color_array(self):
         colors = np.array([0] * 250 + [1] * 50)
-        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(300))
+        engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(300))
         result = engine.run(colors, seed=2)
         assert result.initial.counts == (250, 50)
 
     def test_size_mismatch_rejected(self):
-        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(10))
+        engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(10))
         with pytest.raises(ConfigurationError):
             engine.run(ColorConfiguration([5, 6]), seed=0)
 
     def test_max_rounds_budget(self):
-        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(200))
+        engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(200))
         result = engine.run(ColorConfiguration([101, 99]), max_rounds=1, seed=3)
         assert result.rounds <= 1
 
     def test_trace_recording(self):
-        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(300))
+        engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(300))
         result = engine.run(ColorConfiguration([200, 100]), record_trace=True, seed=4)
         assert result.trace is not None
         assert len(result.trace) >= 2
         assert result.trace.points[0].counts == (200, 100)
 
     def test_deterministic_given_seed(self):
-        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(300))
+        engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(300))
         a = engine.run(ColorConfiguration([200, 100]), seed=42)
         b = engine.run(ColorConfiguration([200, 100]), seed=42)
         assert a.rounds == b.rounds
         assert a.final.counts == b.final.counts
 
     def test_already_converged_start(self):
-        engine = SynchronousEngine(TwoChoicesSynchronous(), CompleteGraph(10))
+        engine = SynchronousEngine(TwoChoicesSequential(), CompleteGraph(10))
         result = engine.run(ColorConfiguration([10, 0]), seed=0)
         assert result.converged
         assert result.rounds == 0
+
+
+#: tick protocols a synchronous round cannot run: no pure value rule,
+#: or (the fault wrappers) a frozen mask the round rule would ignore.
+NO_ROUND = {
+    "stubborn": lambda: StubbornProtocol(TwoChoicesSequential(), 0.1),
+    "byzantine": lambda: ByzantineProtocol(TwoChoicesSequential(), 0.1),
+    "slow-clocks": lambda: SlowClocks(TwoChoicesSequential(), 0.5, 0.5),
+    "lossy": lambda: LossyProtocol(TwoChoicesSequential(), 0.1),
+    "async-plurality": AsyncPluralityProtocol,
+}
+
+
+#: every way to build a synchronous agent engine for a protocol.
+ROUND_ENTRY_POINTS = {
+    "engine": lambda protocol: SynchronousEngine(protocol, CompleteGraph(30)),
+    "dispatch-K_n": lambda protocol: fastest_engine(protocol, CompleteGraph(30), model="synchronous"),
+    "dispatch-ring": lambda protocol: fastest_engine(protocol, ring(30), model="synchronous"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ROUND_ENTRY_POINTS))
+@pytest.mark.parametrize("name", sorted(NO_ROUND))
+def test_synchronous_round_is_refused(name, entry):
+    with pytest.raises(ConfigurationError, match="synchronous model"):
+        ROUND_ENTRY_POINTS[entry](NO_ROUND[name]())
 
 
 class TestCountsEngine:

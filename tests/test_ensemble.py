@@ -47,7 +47,6 @@ from repro.protocols import (
     TwoChoicesCounts,
     TwoChoicesSequential,
     TwoChoicesSequentialCounts,
-    TwoChoicesSynchronous,
     UndecidedStateCounts,
     UndecidedStateSequentialCounts,
     VoterCounts,
@@ -318,7 +317,7 @@ class TestDispatchAndRouting:
             SequentialEngine,
         )
         assert isinstance(
-            fastest_engine(TwoChoicesSynchronous(), hypercube(5), model="synchronous", n_reps=10),
+            fastest_engine(TwoChoicesSequential(), hypercube(5), model="synchronous", n_reps=10),
             SynchronousEngine,
         )
 

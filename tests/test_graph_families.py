@@ -40,7 +40,8 @@ class TestStar:
 
     def test_leaves_only_reach_hub(self, rng):
         graph = star(5)
-        assert all(graph.sample_neighbor(3, rng) == 0 for _ in range(20))
+        leaves = np.repeat(np.arange(1, 5), 5)
+        assert (graph.sample_neighbors_block(leaves, 2, rng) == 0).all()
 
     def test_validation(self):
         with pytest.raises(TopologyError):
@@ -187,11 +188,11 @@ class TestProtocolsRunOnFamilies:
     def test_two_choices_converges_with_strong_bias(self, factory):
         from repro.core.colors import ColorConfiguration
         from repro.engine.synchronous import SynchronousEngine
-        from repro.protocols.two_choices import TwoChoicesSynchronous
+        from repro.protocols.two_choices import TwoChoicesSequential
 
         topology = factory()
         n = topology.n
-        engine = SynchronousEngine(TwoChoicesSynchronous(), topology)
+        engine = SynchronousEngine(TwoChoicesSequential(), topology)
         result = engine.run(ColorConfiguration([int(0.8 * n), n - int(0.8 * n)]), seed=9, max_rounds=3_000)
         assert result.converged
         assert result.winner == 0

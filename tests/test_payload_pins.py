@@ -51,8 +51,8 @@ import json
 import pytest
 
 from repro.api import SimulationSpec, simulate
-from repro.core.colors import ColorConfiguration
 from repro.api.registry import PROTOCOLS
+from repro.core.colors import ColorConfiguration
 from repro.engine import (
     ContinuousEngine,
     CountsContinuousEngine,
@@ -68,7 +68,7 @@ from repro.protocols import UndecidedStateSequentialCounts, VoterSequentialCount
 from repro.protocols.async_plurality import AsyncPluralityProtocol
 from repro.protocols.three_majority import ThreeMajoritySequential
 from repro.protocols.two_choices import TwoChoicesSequential
-from repro.protocols.undecided_state import UndecidedStateSequential, UndecidedStateSynchronous
+from repro.protocols.undecided_state import UndecidedStateSequential
 from repro.protocols.voter import VoterSequential
 
 def _bias(k: int) -> dict:
@@ -591,23 +591,23 @@ SYNC_AGENT_PINS = [
         "torus-three-majority",
         dict(protocol="three-majority", n=2_500, topology="torus", model="synchronous", seed=306,
              **BIAS_3_RATIO_2),
-        "1055593287bb69b8c2fb26e64ced84592a10771c4fe4cb9d43de4e064a035cd6",
+        "d9cbf631e74f4fe6fbe4c1819aa86727307b8d2c04ba27a0b95c435538d4097e",
     ),
     (
         "torus-voter",
         dict(protocol="voter", n=900, topology="torus", model="synchronous", seed=307, max_steps=200,
              **BIAS_3),
-        "433f9aff71ba3d72fec47624699e3a367b6de0689b8ec54783b55c40c0eb687d",
+        "815836a2d2162c888eec75a1e7d42f0e214f17dfe53b6af6efabd814c109a3d1",
     ),
     (
         "torus-one-extra-bit",
         dict(protocol="one-extra-bit", n=2_500, topology="torus", model="synchronous", seed=308,
              **BIAS_3_RATIO_2),
-        "47a306801df9a374e5bac7c02ae2b20f578c553e88e2461a88afe45dcacca053",
+        "d3b5a61828733e5b774936248c81e9354ea888b8e8aa7defc3eeffc81ac6cb83",
     ),
     (
         "kn-undecided-state-engine",
-        lambda: SynchronousEngine(UndecidedStateSynchronous(), CompleteGraph(3_000)).run(
+        lambda: SynchronousEngine(UndecidedStateSequential(), CompleteGraph(3_000)).run(
             ColorConfiguration([1_500, 900, 600]), seed=309
         ),
         "23174775d8b909fb7b9e0141a64b208f4856d3abfe4f2ca4bad56c511ca74bd0",

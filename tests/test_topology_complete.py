@@ -30,11 +30,12 @@ class TestBasics:
 
 
 class TestNeverSamplesSelf:
-    def test_scalar(self, rng):
+    def test_block_of_every_node(self, rng):
         graph = CompleteGraph(5)
-        for node in range(5):
-            for _ in range(200):
-                assert graph.sample_neighbor(node, rng) != node
+        nodes = np.repeat(np.arange(5), 200)
+        samples = graph.sample_neighbors_block(nodes, 1, rng)
+        assert samples.shape == (1000, 1)
+        assert (samples[:, 0] != nodes).all()
 
     def test_batch(self, rng):
         graph = CompleteGraph(7)
@@ -43,16 +44,17 @@ class TestNeverSamplesSelf:
             assert (samples != node).all()
             assert samples.min() >= 0 and samples.max() < 7
 
-    def test_many(self, rng):
+    def test_block_column(self, rng):
         graph = CompleteGraph(9)
         nodes = rng.integers(0, 9, size=2000)
-        samples = graph.sample_neighbors_many(nodes, rng)
+        samples = graph.sample_neighbors_block(nodes, 1, rng)[:, 0]
         assert (samples != nodes).all()
+        assert samples.min() >= 0 and samples.max() < 9
 
-    def test_pairs(self, rng):
+    def test_block_pairs(self, rng):
         graph = CompleteGraph(6)
         nodes = rng.integers(0, 6, size=1000)
-        pairs = graph.sample_neighbor_pairs(nodes, rng)
+        pairs = graph.sample_neighbors_block(nodes, 2, rng)
         assert pairs.shape == (1000, 2)
         assert (pairs != nodes[:, None]).all()
 
@@ -72,11 +74,11 @@ class TestUniformity:
         assert (np.abs(others - expected) < 5 * sigma).all()
 
     def test_vectorised_matches_scalar_law(self, rng):
-        """sample_neighbors_many must induce the same per-node marginal."""
+        """sample_neighbors_block must induce the same per-node marginal."""
         n, draws = 5, 30_000
         graph = CompleteGraph(n)
         nodes = np.full(draws, 3)
-        samples = graph.sample_neighbors_many(nodes, rng)
+        samples = graph.sample_neighbors_block(nodes, 1, rng)[:, 0]
         counts = np.bincount(samples, minlength=n)
         assert counts[3] == 0
         expected = draws / (n - 1)
@@ -94,7 +96,7 @@ def test_property_sample_in_range_and_not_self(n, node, seed):
     node = node % n
     graph = CompleteGraph(n)
     gen = np.random.default_rng(seed)
-    sample = graph.sample_neighbor(node, gen)
+    sample = graph.sample_neighbors_block(np.array([node]), 1, gen)[0, 0]
     assert 0 <= sample < n
     assert sample != node
     batch = graph.sample_neighbors(node, 8, gen)

@@ -8,11 +8,7 @@ from repro.core.state import NodeArrayState
 from repro.engine.counts import CountsEngine
 from repro.engine.synchronous import SynchronousEngine
 from repro.graphs.complete import CompleteGraph
-from repro.protocols.two_choices import (
-    TwoChoicesCounts,
-    TwoChoicesSequential,
-    TwoChoicesSynchronous,
-)
+from repro.protocols.two_choices import TwoChoicesCounts, TwoChoicesSequential
 
 
 class TestSequentialRule:
@@ -47,14 +43,14 @@ class TestSequentialRule:
 
 class TestSynchronousRound:
     def test_consensus_is_absorbing(self, rng):
-        protocol = TwoChoicesSynchronous()
+        protocol = TwoChoicesSequential()
         state = NodeArrayState(colors=np.ones(50, dtype=np.int64), k=2)
         protocol.round_update(state, CompleteGraph(50), rng)
         assert (state.colors == 1).all()
         assert protocol.is_absorbed(state)
 
     def test_population_conserved(self, rng):
-        protocol = TwoChoicesSynchronous()
+        protocol = TwoChoicesSequential()
         state = NodeArrayState(colors=np.array([0] * 30 + [1] * 20), k=2)
         protocol.round_update(state, CompleteGraph(50), rng)
         assert state.colors.size == 50
@@ -96,7 +92,7 @@ class TestCountsTransition:
         agent_rng = np.random.default_rng(7)
         counts_rng = np.random.default_rng(8)
         graph = CompleteGraph(n)
-        agent_protocol = TwoChoicesSynchronous()
+        agent_protocol = TwoChoicesSequential()
         counts_protocol = TwoChoicesCounts()
         agent_c1, counts_c1 = [], []
         for _ in range(trials):
