@@ -1,15 +1,6 @@
 """Analysis: urn models, trace summaries, statistics, theory."""
 
 from .convergence import per_phase_ratio_growth, ratio_trace, spread_trace, synchrony_summary, time_to_fraction
-from .meanfield import (
-    MEAN_FIELD_MAPS,
-    iterate_map,
-    rounds_to_dominance,
-    three_majority_map,
-    two_choices_map,
-    undecided_state_map,
-    voter_map,
-)
 from .polya import PolyaUrn, limit_beta_parameters, limit_fraction_variance
 from .statistics import (
     SuccessEstimate,
@@ -30,13 +21,6 @@ __all__ = [
     "synchrony_summary",
     "time_to_fraction",
     "PolyaUrn",
-    "MEAN_FIELD_MAPS",
-    "iterate_map",
-    "rounds_to_dominance",
-    "three_majority_map",
-    "two_choices_map",
-    "undecided_state_map",
-    "voter_map",
     "limit_beta_parameters",
     "limit_fraction_variance",
     "SuccessEstimate",

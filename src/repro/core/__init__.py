@@ -15,9 +15,7 @@ Public surface:
 from .colors import ColorConfiguration, assignment_from_counts, counts_from_assignment
 from .exceptions import (
     ConfigurationError,
-    ConvergenceError,
     ExperimentError,
-    ProtocolError,
     ReproError,
     ScheduleError,
     TopologyError,
@@ -31,9 +29,7 @@ __all__ = [
     "assignment_from_counts",
     "counts_from_assignment",
     "ConfigurationError",
-    "ConvergenceError",
     "ExperimentError",
-    "ProtocolError",
     "ReproError",
     "ScheduleError",
     "TopologyError",

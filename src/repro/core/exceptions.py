@@ -20,30 +20,8 @@ class ConfigurationError(ReproError):
     """
 
 
-class ConvergenceError(ReproError):
-    """A run ended without reaching the requested convergence condition.
-
-    Carries the partial :class:`~repro.core.results.RunResult` (when
-    available) in :attr:`partial_result` so callers can inspect how far
-    the process got before the step budget ran out.
-    """
-
-    def __init__(self, message: str, partial_result=None):
-        super().__init__(message)
-        self.partial_result = partial_result
-
-
 class TopologyError(ReproError):
     """A graph/topology operation was invalid (bad node id, empty graph...)."""
-
-
-class ProtocolError(ReproError):
-    """A protocol was driven outside its contract.
-
-    Examples: ticking a node after it terminated, requesting a round
-    update from an asynchronous-only protocol, or mixing engines and
-    protocols with incompatible state layouts.
-    """
 
 
 class ScheduleError(ConfigurationError):

@@ -1,55 +1,20 @@
 """Deeper property-based tests on mathematical invariants.
 
 These pin down structural facts the experiments rely on implicitly:
-the mean-field leader never shrinks, theory predictions are monotone in
-their arguments, traces conserve population, and the schedule's action
-layout is permutation-free (each slot has exactly one meaning).
+theory predictions are monotone in their arguments, traces conserve
+population, and the schedule's action layout is permutation-free (each
+slot has exactly one meaning).
 """
 
-import math
-
-import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import theory
-from repro.analysis.meanfield import two_choices_map, undecided_state_map
 from repro.core.colors import ColorConfiguration
 from repro.engine.counts import CountsEngine
 from repro.protocols.schedule import PhaseSchedule
 from repro.protocols.two_choices import TwoChoicesCounts
 from repro.workloads.initial import additive_gap, multiplicative_bias
-
-
-def _simplex(draw_values):
-    values = np.array(draw_values, dtype=float) + 1e-9
-    return values / values.sum()
-
-
-@settings(max_examples=80, deadline=None)
-@given(raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=10))
-def test_mean_field_leader_never_shrinks(raw):
-    """p1' - p1 = p1 (p1 - S2) >= 0 because S2 <= p1: under Two-Choices
-    the (current) largest fraction is non-decreasing in expectation."""
-    assume(sum(raw) > 0)
-    p = _simplex(raw)
-    leader = int(np.argmax(p))
-    out = two_choices_map(p)
-    assert out[leader] >= p[leader] - 1e-12
-
-
-@settings(max_examples=80, deadline=None)
-@given(raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=8))
-def test_usd_map_stays_on_extended_simplex(raw):
-    assume(sum(raw) > 0)
-    p = _simplex(raw)
-    out = undecided_state_map(p)
-    assert out.sum() == pytest.approx(1.0, abs=1e-9)
-    assert (out >= -1e-12).all()
-    # iterating keeps it there
-    again = undecided_state_map(out)
-    assert again.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
